@@ -35,6 +35,7 @@ from .errors import (
     PowertailError,
     ResonanceError,
     ResourceGuardError,
+    ToleranceMergeWarning,
     TruncationWarning,
     UnsupportedSemigroupError,
 )
@@ -60,6 +61,7 @@ from .series import (
     divergence_guard_radius,
     evaluate,
     f_form,
+    graded_exp,
     growth_fit,
     identity_f_form,
     is_f_form,

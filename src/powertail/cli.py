@@ -57,6 +57,9 @@ EXIT_VALIDATION = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_NUMERIC_GUARD = 4
 
+# hard cap on the rows of one density table
+MAX_DENSITY_POINTS = 100_000
+
 _VALIDATION_ERRORS = (
     InvalidArgumentError,
     IncompatibleSeriesError,
@@ -437,6 +440,9 @@ def _supremum_with_clamp(args):
 
 
 def cmd_density(args) -> int:
+    if args.points > MAX_DENSITY_POINTS:
+        raise ResourceGuardError("%d density points exceed the limit of %d"
+                                 % (args.points, MAX_DENSITY_POINTS))
     cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
     den = _density_object(args, cutoff)
     if args.points < 2 or args.x_max <= args.x_min:

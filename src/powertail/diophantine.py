@@ -39,9 +39,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .errors import CertificateError, InconclusiveError, InvalidArgumentError
+from .errors import (
+    CertificateError,
+    InconclusiveError,
+    InvalidArgumentError,
+    ResourceGuardError,
+)
 
 _MAX_QUOTIENT_DIGITS = 100_000
+# hard cap on the length of a sine growth profile
+MAX_PROFILE_N = 100_000
 
 
 class Verdict(Enum):
@@ -472,6 +479,9 @@ class SinGrowthProfile:
 def sin_growth_profile(cert: RealCertificate, N: int) -> SinGrowthProfile:
     if N < 1:
         raise InvalidArgumentError("N must be at least 1")
+    if N > MAX_PROFILE_N:
+        raise ResourceGuardError(
+            "a growth profile up to N = %d exceeds the limit of %d" % (N, MAX_PROFILE_N))
     frac = cert.high_precision_fraction(min_q=N * 10 ** 13)
     p, q = frac.numerator, frac.denominator
     linear = []

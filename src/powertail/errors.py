@@ -50,7 +50,7 @@ class ResonanceError(PowertailError):
 
 
 class NonConvergentReversionError(PowertailError):
-    """Fixed-point reversion failed to stabilize; internal error."""
+    """Reversion failed its closing residual check; internal error."""
 
 
 class UnsupportedSemigroupError(PowertailError):
@@ -83,6 +83,11 @@ class DivergenceGuardWarning(UserWarning):
 class NearIntegerWarning(UserWarning):
     """Tail exponent within snapping tolerance of an integer was
     routed to the integer (logarithmic) branch."""
+
+
+class ToleranceMergeWarning(UserWarning):
+    """A float exponent grid merged distinct values within the merge
+    tolerance, so sums on it hold only to that tolerance."""
 
 
 class TruncationWarning(UserWarning):

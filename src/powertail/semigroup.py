@@ -17,6 +17,7 @@ exact rather than tolerance-based.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceGuardError
+from .errors import (
+    InvalidArgumentError,
+    ResourceGuardError,
+    ToleranceMergeWarning,
+    UnsupportedSemigroupError,
+)
 
 MERGE_REL_TOL = 1e-9
 RATIONAL_DETECT_REL_TOL = 1e-12
@@ -32,6 +38,8 @@ RATIONAL_MAX_DENOMINATOR = 10**6
 
 # hard cap on enumerated lattice points before merging
 _MAX_POINTS = 4_000_000
+# hard cap on the valid exponent pairs of one grid (three int32 each)
+MAX_PAIRS = 8_000_000
 
 
 def _rational_form(g: float) -> Fraction | None:
@@ -142,8 +150,9 @@ def _raw_points(generators, cutoff, zero, le_cutoff, add_scaled):
     return points
 
 
-def enumerate_up_to(spec: SemigroupSpec, cutoff: float) -> list[ExponentIndex]:
-    """Ordered merged exponents of the semigroup in [0, cutoff]."""
+def _enumerate(spec: SemigroupSpec, cutoff: float) -> tuple[list[ExponentIndex], int]:
+    """Ordered merged exponents in [0, cutoff], plus how many distinct
+    float values were merged into a neighbour by tolerance alone."""
     cutoff = float(cutoff)
     if not math.isfinite(cutoff) or cutoff < 0:
         raise InvalidArgumentError("cutoff must be a non-negative real, got %r" % (cutoff,))
@@ -163,7 +172,7 @@ def enumerate_up_to(spec: SemigroupSpec, cutoff: float) -> list[ExponentIndex]:
             old = merged.get(val)
             if old is None or cnt < old:
                 merged[val] = cnt
-        return [ExponentIndex(float(v), merged[v]) for v in sorted(merged)]
+        return [ExponentIndex(float(v), merged[v]) for v in sorted(merged)], 0
 
     gens = spec.generators
     hi = cutoff * (1.0 + 1e-12)
@@ -175,13 +184,20 @@ def enumerate_up_to(spec: SemigroupSpec, cutoff: float) -> list[ExponentIndex]:
     )
     pts.sort()
     out: list[ExponentIndex] = []
+    by_tolerance = 0
     for val, cnt in pts:
         if out and val - out[-1].value <= MERGE_REL_TOL * max(1.0, out[-1].value):
             # group leader already has the lexicographically smallest
             # counts: sort placed equal values in counts order
+            by_tolerance += val != out[-1].value
             continue
         out.append(ExponentIndex(val, cnt))
-    return out
+    return out, by_tolerance
+
+
+def enumerate_up_to(spec: SemigroupSpec, cutoff: float) -> list[ExponentIndex]:
+    """Ordered merged exponents of the semigroup in [0, cutoff]."""
+    return _enumerate(spec, cutoff)[0]
 
 
 @lru_cache(maxsize=1024)
@@ -203,22 +219,60 @@ def density_constant(spec: SemigroupSpec, horizon: int) -> float:
     return c
 
 
-class ExponentGrid:
-    """Canonical merged exponents of (spec, cutoff) plus an addition table.
+class PairList(NamedTuple):
+    """The valid additions of an exponent grid, sorted by output index.
 
-    ``pair_table()[i, j]`` is the grid index of values[i] + values[j],
-    or -1 when the sum exceeds the cutoff.  For rational specs the
-    table is built on an exact integer lattice.
+    Pair p says values[i[p]] + values[j[p]] is the grid value at index
+    k[p]; both orders of each pair are listed, and within one k the
+    pairs run in ascending i.  ``reach[i]`` bounds row i: every pair
+    (i, j) has j < reach[i].
+
+    ``weights`` is an exactly additive stand-in for the values (the
+    integer lattice of a rational spec, the values themselves
+    otherwise) and ``defect`` is max |w_i + w_j - w_k| / w_k over the
+    pairs, 0 on a rational spec.
+
+    ``bands`` cuts the grid into runs of indices ``bands[b]:bands[b+1]``
+    such that every pair (i, j) -> k with i, j > 0 has i and j in an
+    earlier run than k: a triangular recurrence can fill one whole band
+    at a time from the bands before it.  Band 0 is the index 0 alone.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    reach: np.ndarray
+    weights: np.ndarray
+    defect: float
+    bands: np.ndarray
+
+
+class ExponentGrid:
+    """Canonical merged exponents of (spec, cutoff) plus their sparse
+    addition structure.
+
+    ``pairs()`` lists every (i, j) -> k with values[i] + values[j] ==
+    values[k], grouped by k (see ``PairList``); sums past the cutoff
+    are never formed.  For rational specs the pairs are found on an
+    exact integer lattice.  A float spec whose enumeration merged
+    distinct values by tolerance warns with ``ToleranceMergeWarning``,
+    since its sums then hold only to that tolerance.
     """
 
     def __init__(self, spec: SemigroupSpec, cutoff: float):
         self.spec = spec
         self.cutoff = float(cutoff)
-        idx = enumerate_up_to(spec, cutoff)
+        idx, by_tolerance = _enumerate(spec, cutoff)
+        if by_tolerance:
+            warnings.warn(ToleranceMergeWarning(
+                "%d exponents of %s up to cutoff %g merged with a neighbour "
+                "within relative tolerance %g; sums on this grid are exact only "
+                "to that tolerance" % (by_tolerance, spec.describe(), self.cutoff,
+                                       MERGE_REL_TOL)), stacklevel=2)
         self.values = np.array([e.value for e in idx], dtype=np.float64)
         self.reps = tuple(e.counts for e in idx)
         self._pos = {v: i for i, v in enumerate(self.values.tolist())}
-        self._pair: np.ndarray | None = None
+        self._pairs: PairList | None = None
 
         fracs = spec.rational_forms()
         if fracs is not None:
@@ -228,18 +282,12 @@ class ExponentGrid:
                 total = sum(n * f for n, f in zip(e.counts, fracs))
                 ints.append(int(total * den))
             self._ints = np.array(ints, dtype=np.int64)
+            self._int_cutoff = math.floor(Fraction(self.cutoff) * den)
         else:
             self._ints = None
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def delta_min(self) -> float:
-        """Smallest positive exponent in the grid."""
-        if len(self.values) < 2:
-            raise InvalidArgumentError("grid has no positive exponent below its cutoff")
-        return float(self.values[1])
 
     def index_of(self, v: float) -> int:
         """Grid index of the merged value containing v, or -1."""
@@ -262,29 +310,79 @@ class ExponentGrid:
                            % (v, self.cutoff, self.spec.generators))
         return float(self.values[i])
 
-    def pair_table(self) -> np.ndarray:
-        if self._pair is not None:
-            return self._pair
+    def pairs(self) -> PairList:
+        if self._pairs is None:
+            self._pairs = self._build_pairs()
+        return self._pairs
+
+    def _build_pairs(self) -> PairList:
         n = len(self.values)
+        vals = self.values
+        # row i pairs with the prefix of j whose value fits under the cutoff
         if self._ints is not None:
-            tot = self._ints[:, None] + self._ints[None, :]
-            j = np.searchsorted(self._ints, tot)
-            j = np.minimum(j, n - 1)
-            ok = self._ints[j] == tot
+            lim = np.searchsorted(self._ints, self._int_cutoff - self._ints, side="right")
         else:
-            vals = self.values
-            tot = vals[:, None] + vals[None, :]
-            j = np.searchsorted(vals, tot)
-            j = np.minimum(j, n - 1)
+            # twice the acceptance tolerance below, so rounding in
+            # top - vals can never keep (i, j) and drop (j, i)
+            top = vals[-1] + 8.0 * MERGE_REL_TOL * max(1.0, vals[-1])
+            lim = np.searchsorted(vals, top - vals, side="right")
+        total = int(lim.sum())
+        if total > MAX_PAIRS:
+            raise ResourceGuardError(
+                "the %d-exponent grid of %s up to cutoff %g has %d exponent pairs, "
+                "more than the limit of %d" % (n, self.spec.describe(), self.cutoff,
+                                               total, MAX_PAIRS))
+        i = np.repeat(np.arange(n, dtype=np.int32), lim)
+        first = np.cumsum(lim) - lim
+        j = (np.arange(total, dtype=np.int64) - np.repeat(first, lim)).astype(np.int32)
+        if self._ints is not None:
+            ints = self._ints
+            tot = ints[i] + ints[j]
+            k = np.searchsorted(ints, tot)
+            ok = ints[np.minimum(k, n - 1)] == tot
+            weights = ints.astype(np.float64)
+        else:
+            tot = vals[i] + vals[j]
+            k = np.minimum(np.searchsorted(vals, tot), n - 1)
             # sums drift by a few ulp; prefer the nearer neighbor
-            left = np.maximum(j - 1, 0)
-            pick_left = np.abs(vals[left] - tot) < np.abs(vals[j] - tot)
-            j = np.where(pick_left, left, j)
-            tol = 4.0 * MERGE_REL_TOL * np.maximum(1.0, tot)
-            ok = np.abs(vals[j] - tot) <= tol
-        table = np.where(ok, j, -1).astype(np.int32)
-        self._pair = table
-        return table
+            left = np.maximum(k - 1, 0)
+            k = np.where(np.abs(vals[left] - tot) < np.abs(vals[k] - tot), left, k)
+            ok = np.abs(vals[k] - tot) <= 4.0 * MERGE_REL_TOL * np.maximum(1.0, tot)
+            weights = vals
+        if not ok.all():
+            i, j, k, tot = i[ok], j[ok], k[ok], tot[ok]
+        order = np.argsort(k, kind="stable")
+        i, j, k = i[order], j[order], k[order].astype(np.int32)
+        if self._ints is not None:
+            defect = 0.0
+        else:
+            tot = tot[order]
+            pos = k > 0
+            defect = float(np.max(np.abs(tot[pos] - vals[k[pos]]) / vals[k[pos]],
+                                  initial=0.0))
+        starts = np.searchsorted(k, np.arange(n + 1))
+        return PairList(i, j, k, lim, weights, defect, _bands(i, j, starts))
+
+
+def _bands(i: np.ndarray, j: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Greedy maximal bands: a band ends just before the first index
+    that depends on an index inside it."""
+    n = len(starts) - 1
+    # latest index each output depends on through a pair with i, j > 0;
+    # every output k holds the pairs (0, k) and (k, 0), so no group is empty
+    dep = np.maximum.reduceat(np.where(j > 0, i, 0), starts[:-1])
+    if n > 1 and np.any(dep[1:] >= np.arange(1, n)):
+        raise UnsupportedSemigroupError(
+            "grid sums are out of order: an exponent pair lands at or below one "
+            "of its summands")
+    bands = [0]
+    start = 1
+    while start < n:
+        bands.append(start)
+        later = np.flatnonzero(dep[start:] >= start)
+        start = start + int(later[0]) if len(later) else n
+    bands.append(n)
+    return np.array(bands, dtype=np.int64)
 
 
 @lru_cache(maxsize=128)

@@ -15,6 +15,21 @@ Cauchy form stores b_gamma at key gamma while meaning
 z * b_gamma * z^(-gamma) (shift -1, unit constant term).  Algebraic
 operations act on unshifted series; transform code peels and restores
 shifts explicitly.
+
+All arithmetic runs over the grid's sparse pair list (``ExponentGrid.
+pairs()``): the valid additions (i, j) -> k grouped by k.  A product is
+one grouped sum over it.  Reciprocals, binomial powers, the graded
+exponential, composition and reversion all go through one triangular
+recurrence kernel built on the Euler operator theta, which multiplies
+the coefficient at exponent e by e: a power p = (1 + h)^beta satisfies
+theta(p) (1 + h) = beta p theta(h), and exp(h) satisfies theta(E) =
+E theta(h) (J. C. P. Miller's formula; Brent and Kung, J. ACM 25,
+1978).  Each coefficient then depends only on coefficients at smaller
+exponents, and the grid's bands group the exponents that can be filled
+at once; composition and reversion fill one power series per term of
+the outer form together, reversion online, as each new coefficient of
+the inverse becomes known (van der Hoeven, "Relax, but don't be too
+lazy", JSC 34, 2002).
 """
 
 from __future__ import annotations
@@ -39,8 +54,15 @@ from .errors import (
     NonConvergentReversionError,
     NormalizationError,
     NotInvertibleError,
+    ResourceGuardError,
 )
-from .semigroup import ExponentGrid, SemigroupSpec, density_constant, exponent_grid
+from .semigroup import (
+    ExponentGrid,
+    PairList,
+    SemigroupSpec,
+    density_constant,
+    exponent_grid,
+)
 
 DEFAULT_CUTOFF = 20.0
 
@@ -205,7 +227,12 @@ def _require_plain(f: GenSeries, what: str) -> None:
             "%s acts on unshifted series; peel the structural shift first" % what)
 
 
-# -- dense kernel ------------------------------------------------------
+# -- pair-list kernel --------------------------------------------------
+
+# hard cap on the complex cells of one kernel's row matrix (rows x grid)
+MAX_KERNEL_CELLS = 1 << 24
+# cells gathered at once inside a band; bounds the kernel's temporaries
+_CHUNK_CELLS = 1 << 20
 
 
 def _dense(terms: Mapping[float, complex], grid: ExponentGrid) -> np.ndarray:
@@ -223,32 +250,114 @@ def _sparse(vec: np.ndarray, grid: ExponentGrid) -> dict[float, complex]:
     return {float(vals[i]): complex(vec[i]) for i in idx}
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, grid: ExponentGrid) -> np.ndarray:
-    """Grid convolution: out[k] = sum over value pairs summing to value k."""
-    table = grid.pair_table().ravel()
-    outer = (a[:, None] * b[None, :]).ravel()
-    keep = table >= 0
-    t = table[keep]
-    o = outer[keep]
-    n = len(grid)
-    re = np.bincount(t, weights=o.real, minlength=n)
-    im = np.bincount(t, weights=o.imag, minlength=n)
-    return re + 1j * im
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of sorted non-negative ``keys`` and the offset of
+    each run."""
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[heads], heads
 
 
-def _shift_up(vec: np.ndarray, gamma_index: int, grid: ExponentGrid) -> np.ndarray:
-    """Multiply by the monomial at grid index gamma_index."""
-    row = grid.pair_table()[gamma_index]
-    out = np.zeros_like(vec)
-    keep = (row >= 0) & (vec != 0)
-    np.add.at(out, row[keep], vec[keep])
+def _band_groups(keys: np.ndarray, bands: np.ndarray):
+    """Runs of equal sorted ``keys``: their values, start and end
+    offsets, and the index of the first run in each band."""
+    ks, heads = _groups(keys)
+    ends = np.append(heads[1:], len(keys))
+    return ks, heads, ends, np.searchsorted(ks, bands).tolist()
+
+
+def _group_sum(keys: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """out[k] = sum of vals over the entries whose sorted key is k."""
+    out = np.zeros(n, dtype=np.complex128)
+    if len(keys):
+        ks, heads = _groups(keys)
+        out[ks] = np.add.reduceat(vals, heads)
     return out
 
 
-def _max_steps(grid: ExponentGrid) -> int:
-    if len(grid) < 2:
-        return 0
-    return int(math.ceil(grid.cutoff / grid.delta_min)) + 1
+def _convolve(a: np.ndarray, b: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    """Grid convolution: out[k] = sum over value pairs summing to value k."""
+    pl = grid.pairs()
+    return _group_sum(pl.k, a[pl.i] * b[pl.j], len(grid))
+
+
+def _shift_pairs(pl: PairList, index: np.ndarray):
+    """Pairs (i, j) -> k whose j is index[r], as (i, r, k) sorted by k."""
+    row_of = np.full(len(pl.reach), -1)
+    row_of[index] = np.arange(len(index))
+    rows = row_of[pl.j]
+    sel = rows >= 0
+    return pl.i[sel], rows[sel], pl.k[sel]
+
+
+def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
+                shifts: np.ndarray | None = None,
+                tail_coef: np.ndarray | None = None) -> np.ndarray:
+    """Rows p_r of a series function of 1 + h, filled band by band.
+
+    With w the pair list's additive weights (so that the Euler operator
+    multiplies the coefficient at index k by w_k) and sums over the
+    pairs (i, j) -> k with j > 0:
+
+    * ``"power"``: p_r = (1 + h)^beta_r, w_k p_k = sum p_i h_j (beta_r w_j - w_i);
+    * ``"exp"``: p = exp(h), w_k p_k = sum p_i h_j w_j (beta = 1);
+    * ``"reciprocal"``: p = 1/(1 + h), p_k = -sum p_i h_j, free of w.
+
+    Each band of the grid depends only on earlier bands, so it is one
+    gather and one grouped sum for all rows at once.  When row r is to
+    be shifted by the grid exponent at index ``shifts[r]``, it is needed
+    only where the shift stays under the cutoff; shifts must ascend.
+
+    ``tail_coef`` makes h unknown on entry: before each band it is set
+    to h_k = -sum_r tail_coef_r p_r[k - exponent at shifts[r]], the
+    fixed point that compositional reversion solves.
+    """
+    if len(betas) * len(grid) > MAX_KERNEL_CELLS:
+        raise ResourceGuardError(
+            "a %d-row series kernel on the %d-exponent grid of %s needs more than "
+            "%d cells" % (len(betas), len(grid), grid.spec.describe(), MAX_KERNEL_CELLS))
+    pl = grid.pairs()
+    n, bands = len(grid), pl.bands
+    # the sums are over h_j (beta u_j - v_i), divided by d_k
+    w, zero, one = pl.weights, np.zeros(n), np.ones(n)
+    u, v, d = {"power": (w, w, w), "exp": (w, zero, w),
+               "reciprocal": (zero, one, one)}[kind]
+    P = np.zeros((len(betas), n), dtype=np.complex128)
+    P[:, 0] = 1.0
+    # active rows per band: shifted rows drop out once the shift passes the cutoff
+    if shifts is None:
+        active = [len(betas)] * len(bands)
+    else:
+        active = np.searchsorted(-pl.reach[shifts], -bands, side="left").tolist()
+    if tail_coef is None:
+        keep = h[pl.j] != 0
+    else:
+        keep = pl.j > 0
+        ti, tr, tk = _shift_pairs(pl, shifts)
+        tc = tail_coef[tr]
+        tks, theads, tends, tcut = _band_groups(tk, bands)
+    I, J, K = pl.i[keep], pl.j[keep], pl.k[keep]
+    ks, heads, ends, gcut = _band_groups(K, bands)
+    first, last = heads.tolist(), ends.tolist()
+    for b in range(1, len(bands) - 1):
+        if tail_coef is not None and tcut[b] < tcut[b + 1]:
+            t0, t1 = tcut[b], tcut[b + 1]
+            lo, hi = theads[t0], tends[t1 - 1]
+            h[tks[t0:t1]] = -np.add.reduceat(tc[lo:hi] * P[tr[lo:hi], ti[lo:hi]],
+                                             theads[t0:t1] - lo)
+        g0, g_end, rows = gcut[b], gcut[b + 1], active[b]
+        while g0 < g_end:
+            # whole output groups at a time, about _CHUNK_CELLS gathered cells each
+            g1 = g_end
+            if (last[g1 - 1] - first[g0]) * rows > _CHUNK_CELLS:
+                g1 = int(np.searchsorted(ends, first[g0] + _CHUNK_CELLS // rows, side="right"))
+                g1 = min(g_end, max(g0 + 1, g1))
+            lo, hi = first[g0], last[g1 - 1]
+            i, j = I[lo:hi], J[lo:hi]
+            terms = P[:rows, i] * (h[j] * (betas[:rows, None] * u[j] - v[i]))
+            P[:rows, ks[g0:g1]] = (np.add.reduceat(terms, heads[g0:g1] - lo, axis=1)
+                                   / d[ks[g0:g1]])
+            g0 = g1
+    return P
 
 
 # -- algebra -----------------------------------------------------------
@@ -286,7 +395,8 @@ def product(f: GenSeries, g: GenSeries) -> GenSeries:
 
 
 def reciprocal(f: GenSeries) -> GenSeries:
-    """Multiplicative inverse up to the cutoff via the geometric series."""
+    """Multiplicative inverse up to the cutoff: with f = c0 (1 + h), the
+    coefficients of 1/(1 + h) solve p_k = -sum p_i h_j band by band."""
     _require_plain(f, "reciprocal")
     if f.normalization is not Normalization.RAW:
         raise InvalidFormError("reciprocal is defined for RAW series")
@@ -296,21 +406,14 @@ def reciprocal(f: GenSeries) -> GenSeries:
         raise NotInvertibleError("constant term vanishes; series has no reciprocal")
     h = _dense(f.terms, grid) / c0
     h[0] = 0.0
-    h = -h
-    acc = np.zeros(len(grid), dtype=np.complex128)
-    acc[0] = 1.0
-    p = acc.copy()
-    for _ in range(_max_steps(grid)):
-        p = _convolve(p, h, grid)
-        if not p.any():
-            break
-        acc += p
+    p = _euler_rows(grid, h, np.ones(1), "reciprocal")[0]
     return GenSeries(f.spec, f.variable, f.normalization,
-                     _sparse(acc / c0, grid), f.cutoff)
+                     _sparse(p / c0, grid), f.cutoff)
 
 
 def binomial_power(f: GenSeries, beta: complex) -> GenSeries:
-    """(1 + h)^beta for a series f = 1 + h with unit constant term."""
+    """(1 + h)^beta for a series f = 1 + h with unit constant term, from
+    the Euler-operator identity theta(p) (1 + h) = beta p theta(h)."""
     _require_plain(f, "binomial_power")
     if f.normalization is not Normalization.RAW:
         raise InvalidFormError("binomial_power is defined for RAW series")
@@ -319,19 +422,21 @@ def binomial_power(f: GenSeries, beta: complex) -> GenSeries:
     grid = f.grid()
     h = _dense(f.terms, grid)
     h[0] = 0.0
-    acc = np.zeros(len(grid), dtype=np.complex128)
-    acc[0] = 1.0
-    p = acc.copy()
-    coef = complex(1.0)
-    for n in range(1, _max_steps(grid) + 1):
-        coef *= (complex(beta) - (n - 1)) / n
-        if coef == 0:
-            break
-        p = _convolve(p, h, grid)
-        if not p.any():
-            break
-        acc += coef * p
-    return GenSeries(f.spec, f.variable, f.normalization, _sparse(acc, grid), f.cutoff)
+    p = _euler_rows(grid, h, np.array([complex(beta)]), "power")[0]
+    return GenSeries(f.spec, f.variable, f.normalization, _sparse(p, grid), f.cutoff)
+
+
+def graded_exp(f: GenSeries) -> GenSeries:
+    """exp(f) for a RAW series with no constant term, from
+    theta(E) = E theta(f)."""
+    _require_plain(f, "graded_exp")
+    if f.normalization is not Normalization.RAW:
+        raise InvalidFormError("graded_exp is defined for RAW series")
+    if 0.0 in f.terms:
+        raise InvalidArgumentError("graded exponential needs a zero constant term")
+    grid = f.grid()
+    p = _euler_rows(grid, _dense(f.terms, grid), np.ones(1), "exp")[0]
+    return f.with_terms(_sparse(p, grid))
 
 
 # -- reciprocal-Cauchy forms -------------------------------------------
@@ -368,35 +473,24 @@ def identity_f_form(spec: SemigroupSpec, cutoff: float = DEFAULT_CUTOFF) -> GenS
     return f_form(spec, {}, cutoff)
 
 
-def _binom_weights(exponent: complex, count: int) -> np.ndarray:
-    """Binomial coefficients C(exponent, n) for n = 0..count-1."""
-    w = np.empty(count, dtype=np.complex128)
-    cur = complex(1.0)
-    for n in range(count):
-        w[n] = cur
-        cur *= (exponent - n) / (n + 1)
-    return w
-
-
-def _powers(vec: np.ndarray, grid: ExponentGrid) -> list[np.ndarray]:
-    pows = [np.zeros_like(vec)]
-    pows[0][0] = 1.0
-    p = pows[0]
-    for _ in range(_max_steps(grid)):
-        p = _convolve(p, vec, grid)
-        if not p.any():
-            break
-        pows.append(p)
-    return pows
+def _outer_rows(terms: Mapping[float, complex], grid: ExponentGrid):
+    """Grid indices, coefficients and powers 1 - g of the terms, by
+    ascending exponent g."""
+    terms = sorted(terms.items())
+    index = np.array([grid.index_of(g) for g, _ in terms], dtype=np.int64)
+    on_grid = index >= 0
+    index = index[on_grid]
+    coef = np.array([c for _, c in terms], dtype=np.complex128)[on_grid]
+    return index, coef, 1.0 - grid.values[index].astype(np.complex128)
 
 
 def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
     """Composition of reciprocal-Cauchy forms: (outer o inner) as forms.
 
-    With outer = z(1 + sum b_g z^-g) and inner likewise, the composite
-    form in w = 1/z is inner_form(w) * sum_g b_g w^g (1 + h_in)^(-g),
-    where h_in is the inner tail.  Powers of h_in are shared across
-    all outer terms.
+    With outer = z(1 + sum b_g z^-g) and inner = z(1 + h(1/z)), the
+    composite form in w = 1/z is sum_g b_g w^g (1 + h)^(1-g): one power
+    series per outer term, all filled together by the Euler-operator
+    recurrence, then shifted by w^g and summed.
     """
     _require_f_form(outer, "compose_F")
     _require_f_form(inner, "compose_F")
@@ -404,19 +498,12 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
         raise IncompatibleSeriesError("compose_F: exponent semigroups differ")
     cutoff = min(outer.cutoff, inner.cutoff)
     grid = exponent_grid(outer.spec, cutoff)
-    b_in = _dense(inner.terms, grid)
-    h = b_in.copy()
+    index, coef, betas = _outer_rows(outer.terms, grid)
+    h = _dense(inner.terms, grid)
     h[0] = 0.0
-    pows = _powers(h, grid)
-    acc = np.zeros(len(grid), dtype=np.complex128)
-    for g, c in sorted(outer.terms.items()):
-        gi = grid.index_of(g)
-        if gi < 0:
-            continue
-        w = _binom_weights(complex(-g), len(pows))
-        vec = sum(w[n] * pows[n] for n in range(len(pows)))
-        acc += c * _shift_up(vec, gi, grid)
-    out = _convolve(b_in, acc, grid)
+    P = _euler_rows(grid, h, betas, "power", shifts=index)
+    i, r, k = _shift_pairs(grid.pairs(), index)
+    out = _group_sum(k, coef[r] * P[r, i], len(grid))
     return GenSeries(outer.spec, Variable.DESCENDING, Normalization.RAW,
                      _sparse(out, grid), cutoff, exponent_shift=-1)
 
@@ -424,45 +511,30 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
 def revert_F(F: GenSeries) -> GenSeries:
     """Compositional inverse of a reciprocal-Cauchy form.
 
-    Writing the inverse as z(1 + f(1/z)), the tail f solves the fixed
-    point f = -sum_{g>0} b_g w^g (1 + f)^(1-g).  The grading makes the
-    iteration stabilize after ceil(cutoff/delta_min) steps; the extra
-    two iterations and the final residual check are cheap insurance.
+    Writing F = z(1 + sum_{g>0} b_g z^-g) and the inverse as
+    z(1 + f(1/z)), the tail solves f = -sum_g b_g w^g (1 + f)^(1-g).
+    The coefficient of f at an exponent needs the powers (1 + f)^(1-g)
+    only at smaller exponents, so one pass over the grid's bands finds
+    f and extends every power together.  The closing residual check
+    recomputes the right-hand side from the finished powers.
     """
     _require_f_form(F, "revert_F")
     grid = F.grid()
-    tail = sorted((g, c) for g, c in F.terms.items() if g > 0)
-    if not tail:
+    index, coef, betas = _outer_rows({g: c for g, c in F.terms.items() if g > 0}, grid)
+    if not len(index):
         return F
-    tail_idx = []
-    for g, c in tail:
-        gi = grid.index_of(g)
-        if gi >= 0:
-            tail_idx.append((g, gi, c))
-
-    def step(fvec: np.ndarray) -> np.ndarray:
-        pows = _powers(fvec, grid)
-        new = np.zeros_like(fvec)
-        for g, gi, c in tail_idx:
-            w = _binom_weights(complex(1.0 - g), len(pows))
-            vec = sum(w[n] * pows[n] for n in range(len(pows)))
-            new -= c * _shift_up(vec, gi, grid)
-        return new
-
-    fvec = np.zeros(len(grid), dtype=np.complex128)
-    rounds = int(math.ceil(F.cutoff / grid.delta_min)) + 2
-    for _ in range(rounds):
-        fvec = step(fvec)
-    resid = step(fvec) - fvec
-    scale_ref = max(1.0, float(np.max(np.abs(fvec))))
+    f = np.zeros(len(grid), dtype=np.complex128)
+    P = _euler_rows(grid, f, betas, "power", shifts=index, tail_coef=coef)
+    i, r, k = _shift_pairs(grid.pairs(), index)
+    resid = -_group_sum(k, coef[r] * P[r, i], len(grid)) - f
+    scale_ref = max(1.0, float(np.max(np.abs(f))))
     if np.max(np.abs(resid)) > 1e-9 * scale_ref:
         raise NonConvergentReversionError(
-            "reversion fixed point did not stabilize (residual %g)"
+            "reversion recurrence is inconsistent (residual %g)"
             % float(np.max(np.abs(resid))))
-    terms = _sparse(fvec, grid)
-    terms[0.0] = terms.get(0.0, 0j) + 1.0
+    f[0] += 1.0
     return GenSeries(F.spec, Variable.DESCENDING, Normalization.RAW,
-                     terms, F.cutoff, exponent_shift=-1)
+                     _sparse(f, grid), F.cutoff, exponent_shift=-1)
 
 
 # -- evaluation --------------------------------------------------------

@@ -37,9 +37,8 @@ from .series import (
     Variable,
     binomial_power,
     gamma_factor,
+    graded_exp,
     growth_fit,
-    product,
-    scale,
 )
 from .transforms import (
     MomentSeries,
@@ -133,22 +132,6 @@ def _diagnose(m: MomentSeries) -> MembershipDiagnosis:
                                relative_increase=rel, cutoff_stable=stable, note=note)
 
 
-def _graded_exp(f: GenSeries) -> GenSeries:
-    """exp of a series with no constant term, summed by total grade."""
-    if 0.0 in f.terms:
-        raise InvalidArgumentError("graded exponential needs a zero constant term")
-    acc = dict(f.terms)
-    acc[0.0] = 1.0 + 0j
-    term = f
-    k = 1
-    while not term.is_zero():
-        k += 1
-        term = scale(product(term, f), 1.0 / k)
-        for key, c in term.terms.items():
-            acc[key] = acc.get(key, 0j) + c
-    return f.with_terms(acc)
-
-
 def classical_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF
                      ) -> tuple[MomentSeries, MembershipDiagnosis]:
     """Moments of the classical stable law with transform
@@ -168,7 +151,7 @@ def classical_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF
         phase = cmath.exp(1j * math.pi * alpha / 2.0)
         exponent[alpha] = exponent.get(alpha, 0j) + phase * b
     raw = GenSeries(spec, Variable.ASCENDING, Normalization.RAW, exponent, cutoff)
-    ft = _graded_exp(raw)
+    ft = graded_exp(raw)
     moments = {
         tau: c * gamma_factor(tau + 1.0) * cmath.exp(-1j * math.pi * tau / 2.0)
         for tau, c in ft.terms.items()

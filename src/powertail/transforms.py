@@ -202,49 +202,13 @@ def _require_voiculescu(phi: GenSeries) -> None:
             "expected a Voiculescu-type series (descending, shift -1, no unit term)")
 
 
-_REVERSION_NOISE_FLOOR = 1e-9
-
-
-def _trim_reversion_noise(m: MomentSeries) -> MomentSeries:
-    """Drop the untrustworthy tail of a deeply reverted moment series.
-
-    Reversion is a triangular recurrence, so rounding error amplifies
-    order by order; once the true coefficients have decayed far below
-    the head of the series the residue takes over and eventually dwarfs
-    the signal, spoiling growth fits.  A geometric envelope that has
-    dropped nine decades below its peak can never climb back, so the
-    series is cut at the first unit-wide exponent window whose largest
-    coefficient sits below the floor.  The window matters: single slots
-    can vanish by exact cancellation (and carry pure residue) while
-    their neighbours still hold signal.
-    """
-    keys = sorted(m.terms)
-    peak = 0.0
-    cut = None
-    for i, g in enumerate(keys):
-        if peak > 0.0:
-            wmax = 0.0
-            for h in keys[i:]:
-                if h > g + 1.0:
-                    break
-                wmax = max(wmax, abs(m.terms[h]))
-            if wmax < _REVERSION_NOISE_FLOOR * peak:
-                cut = g
-                break
-        peak = max(peak, abs(m.terms[g]))
-    if cut is None:
-        return m
-    kept = {g: c for g, c in m.terms.items() if g < cut}
-    return MomentSeries(m.series.with_terms(kept))
-
-
 def moments_from_voiculescu(phi: GenSeries) -> MomentSeries:
     _require_voiculescu(phi)
     terms = dict(phi.terms)
     terms[0.0] = 1.0 + 0j
     Finv = GenSeries(phi.spec, Variable.DESCENDING, Normalization.RAW,
                      terms, phi.cutoff, exponent_shift=-1)
-    return _trim_reversion_noise(moments_from_F(revert_F(Finv)))
+    return moments_from_F(revert_F(Finv))
 
 
 # -- tail density ---------------------------------------------------------

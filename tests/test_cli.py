@@ -293,6 +293,18 @@ def test_verify_exit_four_on_numeric_guard():
     assert "numeric guard" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--golden", "--profile", "100000000"),
+    ("density", "--law", "positive-stable", "--alpha", "0.5",
+     "--x-min", "2", "--x-max", "8", "--points", "1000000000"),
+])
+def test_oversized_requests_exit_four_with_one_line(argv):
+    out, err = run_cli(*argv, expect=4)
+    assert out == ""
+    assert err.startswith("numeric guard:") and "limit" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # ------------------------------------------------------------ exit code 2
 
 

@@ -1,14 +1,18 @@
-"""Exponent lattices: enumeration order, collision merging, and the
-per-window counting constant."""
+"""Exponent lattices: enumeration order, collision merging, the
+per-window counting constant, and the sparse pair list with its bands."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as hst
 
-from powertail.errors import InvalidArgumentError
-from powertail.semigroup import (SemigroupSpec, density_constant,
+from powertail.errors import (InvalidArgumentError, ResourceGuardError,
+                              ToleranceMergeWarning)
+from powertail.semigroup import (ExponentGrid, SemigroupSpec, density_constant,
                                  enumerate_up_to, exponent_grid)
+from powertail.series import GenSeries, Normalization, Variable, product
 
 
 def values(spec, cutoff):
@@ -83,3 +87,61 @@ def test_enumeration_sorted_and_closed_under_addition(alpha, cutoff):
             if s > cutoff - 1e-6:
                 break
             assert min(abs(s - v) for v in vals) < 1e-7
+
+
+def brute_pairs(grid):
+    """Every (i, j) -> k by direct lookup of each sum, sorted like the
+    pair list."""
+    vals = list(grid.values)
+    out = []
+    for i, a in enumerate(vals):
+        for j, b in enumerate(vals):
+            k = grid.index_of(a + b)
+            if k >= 0:
+                out.append((k, i, j))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("alphas, cutoff", [((), 5.0), ((0.4,), 6.0),
+                                            ((math.sqrt(2.0),), 6.0),
+                                            ((0.3, 0.7), 3.0)])
+def test_pair_list_matches_brute_force(alphas, cutoff):
+    grid = ExponentGrid(SemigroupSpec.with_alphas(*alphas), cutoff)
+    pl = grid.pairs()
+    assert sorted(zip(pl.k.tolist(), pl.i.tolist(), pl.j.tolist())) \
+        == brute_pairs(grid)
+    assert list(pl.k) == sorted(pl.k)
+    assert all(pl.j[p] < pl.reach[pl.i[p]] for p in range(len(pl.k)))
+
+
+@pytest.mark.parametrize("alphas, cutoff", [((0.4,), 8.0),
+                                            ((1.0 / 3.0 + 1e-10,), 6.0),
+                                            ((math.sqrt(2.0) / 20, math.pi / 45), 2.0)])
+def test_bands_feed_only_from_earlier_bands(alphas, cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ToleranceMergeWarning)
+        pl = ExponentGrid(SemigroupSpec.with_alphas(*alphas), cutoff).pairs()
+    band_of = np.searchsorted(pl.bands, np.arange(pl.bands[-1]), side="right")
+    inner = (pl.i > 0) & (pl.j > 0)
+    assert pl.bands[:2].tolist() == [0, 1]
+    assert np.all(band_of[pl.i[inner]] < band_of[pl.k[inner]])
+
+
+def test_pair_guard_refuses_before_allocating():
+    # n = 21,185 exponents and 32.3M valid pairs: the seed's dense
+    # n x n product would have needed about 9 GB
+    spec = SemigroupSpec.with_alphas(math.sqrt(2.0) / 20, math.pi / 45)
+    f = GenSeries(spec, Variable.DESCENDING, Normalization.RAW, {0.0: 1.0}, 8.0)
+    with pytest.raises(ResourceGuardError, match="exponent pairs"):
+        product(f, f)
+
+
+def test_tolerance_merge_warns_and_records_its_defect():
+    with pytest.warns(ToleranceMergeWarning, match="merged"):
+        grid = ExponentGrid(SemigroupSpec.with_alphas(1.0 / 3.0 + 1e-10), 6.0)
+    assert 0.0 < grid.pairs().defect < 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ToleranceMergeWarning)
+        exact = ExponentGrid(SemigroupSpec.with_alphas(1.0 / 3.0), 6.0)
+    assert exact.pairs().defect == 0.0
+    assert len(exact) == len(grid)

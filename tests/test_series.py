@@ -9,14 +9,18 @@ theorem, compositions by direct substitution.
 
 import cmath
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as hst
 
+import powertail.series as series_module
 from helpers import HALF, NAT, cauchy_moments, worst_termwise
 from powertail.errors import (DomainBranchError, IncompatibleSeriesError,
                               InvalidFormError, NormalizationError,
-                              NotInvertibleError)
+                              NotInvertibleError, ResourceGuardError,
+                              ToleranceMergeWarning)
+from powertail.semigroup import SemigroupSpec
 from powertail.series import (Branch, BoundShape, DivergenceGuardWarning,
                               GenSeries, Normalization, Variable,
                               binomial_power, compose_F,
@@ -198,6 +202,55 @@ def test_f_form_builder_prepends_unit():
     F = f_form(NAT, {2.0: -1.0}, cutoff=6.0)
     assert F.exponent_shift == -1
     assert F.terms[0.0] == 1.0 + 0j and F.terms[2.0] == -1.0 + 0j
+
+
+# ------------------------------------------------- kernel guards, grids
+
+# 3 alpha lies within the merge tolerance of 1, so the grid merges them
+MERGED = SemigroupSpec.with_alphas(1.0 / 3.0 + 1e-10)
+
+
+def merged_series(cutoff=8.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ToleranceMergeWarning)
+        alpha = MERGED.fractional_generators[0]
+        return desc({0.0: 1.0, alpha: 0.4 - 0.2j, 1.0: -0.3}, cutoff, MERGED)
+
+
+def test_opposite_powers_cancel_on_a_tolerance_merged_grid():
+    # the Euler operator is additive there only to the merge tolerance
+    f = merged_series()
+    one = unit_series(MERGED, Variable.DESCENDING, Normalization.RAW, 8.0)
+    p = product(binomial_power(f, 0.7), binomial_power(f, -0.7))
+    assert worst_termwise(p, one) < 1e-9
+
+
+def test_reciprocal_is_exact_on_a_tolerance_merged_grid():
+    f = merged_series()
+    one = unit_series(MERGED, Variable.DESCENDING, Normalization.RAW, 8.0)
+    assert worst_termwise(product(f, reciprocal(f)), one) < 1e-15
+
+
+def test_kernel_guard_refuses_before_building_pairs(monkeypatch):
+    monkeypatch.setattr(series_module, "MAX_KERNEL_CELLS", 100)
+    F = f_form(HALF, {float(k) / 2: 0.1 for k in range(1, 12)}, cutoff=5.75)
+    with pytest.raises(ResourceGuardError, match="cells"):
+        revert_F(F)
+    with pytest.raises(ResourceGuardError, match="cells"):
+        compose_F(F, F)
+    assert F.grid()._pairs is None
+
+
+def test_chunked_bands_give_identical_coefficients(monkeypatch):
+    F = f_form(HALF, {0.5: 0.3 - 0.1j, 1.0: 0.2, 2.5: -0.05j}, cutoff=9.0)
+    f = F.with_terms(F.terms, exponent_shift=0)
+    runs = []
+    for cells in (series_module._CHUNK_CELLS, 3):
+        monkeypatch.setattr(series_module, "_CHUNK_CELLS", cells)
+        inv = revert_F(F)
+        runs.append((inv.terms, compose_F(inv, F).terms,
+                     binomial_power(f, -1.5).terms))
+    assert runs[0] == runs[1]
 
 
 # -------------------------------------------------------------- evaluate
