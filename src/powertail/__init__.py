@@ -21,7 +21,6 @@ from .errors import (
     CertificateError,
     DivergenceGuardWarning,
     DomainBranchError,
-    InconclusiveError,
     IncompatibleSeriesError,
     InvalidArgumentError,
     InvalidFormError,

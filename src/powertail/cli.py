@@ -31,7 +31,6 @@ from .errors import (
     CertificateError,
     DomainBranchError,
     IncompatibleSeriesError,
-    InconclusiveError,
     InvalidArgumentError,
     InvalidFormError,
     InvalidModelError,
@@ -70,7 +69,6 @@ _VALIDATION_ERRORS = (
     CertificateError,
     UnsupportedSemigroupError,
     LogTermObstructionError,
-    InconclusiveError,
 )
 _GUARD_ERRORS = (
     NonConvergentReversionError,
@@ -479,26 +477,54 @@ _CONV_KINDS = {
 }
 
 
-def _moments_from_file(path: str) -> MomentSeries:
+def _parse_json_file(path: str, parse, what: str):
+    """Apply parse to the JSON document in path.  A document of the wrong
+    shape (a missing key, a list where an object belongs, an unparsable
+    field) is a validation error naming the file, not a traceback."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidArgumentError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a non-ASCII byte
         raise InvalidArgumentError("%s is not valid JSON: %s" % (path, exc))
+    try:
+        return parse(doc)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError("%s: %s" % (path, exc)) from None
+    except PowertailError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidArgumentError("%s: malformed %s (%s: %s)"
+                                   % (path, what, type(exc).__name__, exc)) from None
+
+
+def _finite_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise InvalidArgumentError("%s must be a finite number, got %r" % (what, value))
+    return float(value)
+
+
+def _moments_fields(doc: dict):
     if doc.get("format") != FORMAT_VERSION:
-        raise InvalidArgumentError(
-            "%s: unsupported format %r" % (path, doc.get("format")))
+        raise InvalidArgumentError("unsupported format %r" % (doc.get("format"),))
     if doc.get("representation") != "moments":
-        raise InvalidArgumentError(
-            "%s holds a %r series; convolve needs moments"
-            % (path, doc.get("representation")))
-    gens = doc.get("generators", [])
+        raise InvalidArgumentError("a %r series; convolve needs moments"
+                                   % (doc.get("representation"),))
+    gens = [_finite_number(g, "a generator") for g in doc.get("generators", [])]
+    cutoff = _finite_number(doc["config"]["cutoff"], "the cutoff")
+    terms = {}
+    for r in doc["records"]:
+        e = _finite_number(r["exponent"], "an exponent")
+        terms[e] = complex(_finite_number(r["re"], "coefficient %g (re)" % e),
+                           _finite_number(r["im"], "coefficient %g (im)" % e))
+    return gens, cutoff, terms
+
+
+def _moments_from_file(path: str) -> MomentSeries:
+    gens, cutoff, terms = _parse_json_file(path, _moments_fields, "moments file")
     spec = SemigroupSpec.with_alphas(*gens) if gens else SemigroupSpec.natural()
-    cutoff = float(doc["config"]["cutoff"])
-    terms = {float(r["exponent"]): complex(r["re"], r["im"])
-             for r in doc["records"]}
     return transforms.moment_series(spec, terms, cutoff=cutoff)
 
 
@@ -545,21 +571,31 @@ def _certificate_from_args(args) -> dio.RealCertificate:
     if args.golden:
         return dio.golden_ratio_certificate()
     if args.rational is not None:
-        return dio.RationalCertificate(Fraction(args.rational))
+        return dio.RationalCertificate(_fraction(args.rational, "--rational"))
     if args.float_value is not None:
         return dio.FloatCertificate(args.float_value)
     return dio.super_liouville_certificate()
 
 
 def _certificate_from_file(path: str) -> dio.RealCertificate:
+    return _parse_json_file(path, _certificate_from_dict, "certificate")
+
+
+def _fraction(value, what: str) -> Fraction:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InvalidArgumentError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError("%s is not valid JSON: %s" % (path, exc))
-    return _certificate_from_dict(doc)
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidArgumentError("%s: cannot read %r as a rational p/q"
+                                   % (what, value)) from None
+
+
+def _transform_op(name) -> "dio.TransformOp":
+    try:
+        return dio.TransformOp(name)
+    except ValueError:
+        raise InvalidArgumentError(
+            "unknown transform %r; use %s" % (
+                name, ", ".join(op.value for op in dio.TransformOp))) from None
 
 
 def _certificate_from_dict(doc: dict) -> dio.RealCertificate:
@@ -574,11 +610,10 @@ def _certificate_from_dict(doc: dict) -> dio.RealCertificate:
         return dio.super_liouville_certificate()
     if kind == "transform":
         base = _certificate_from_dict(doc["of"])
-        op = dio.TransformOp(doc["op"])
         amount = doc.get("amount")
         if amount is not None:
-            amount = Fraction(amount)
-        return dio.transform_certificate(base, op, amount)
+            amount = _fraction(amount, "amount")
+        return dio.transform_certificate(base, _transform_op(doc["op"]), amount)
     raise CertificateError("unknown certificate kind %r" % kind)
 
 
@@ -586,10 +621,10 @@ def _apply_transform_flags(cert, transform_specs):
     for item in transform_specs or []:
         if ":" in item:
             op_name, amount_text = item.split(":", 1)
-            amount = Fraction(amount_text)
+            amount = _fraction(amount_text, "--transform " + op_name)
         else:
             op_name, amount = item, None
-        cert = dio.transform_certificate(cert, dio.TransformOp(op_name), amount)
+        cert = dio.transform_certificate(cert, _transform_op(op_name), amount)
     return cert
 
 

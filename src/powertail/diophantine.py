@@ -41,7 +41,6 @@ from typing import Callable, Iterator
 
 from .errors import (
     CertificateError,
-    InconclusiveError,
     InvalidArgumentError,
     ResourceGuardError,
 )
@@ -353,11 +352,6 @@ class ExtremeGrowthCertificate(RealCertificate):
     everything that matters is carried on the exponent scale: exact
     integers while they fit, base-10 logarithms after.
     """
-
-    def __init__(self):
-        # exact continuants while representable: q0 = 1, q1 = a1 = 10
-        self._q_exact = [1, 10]
-        self._a_exact = [0, 10]
 
     def describe(self) -> str:
         return "extreme growth continued fraction, a_{k+1} = 10^(k q_k)"

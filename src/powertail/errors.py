@@ -71,10 +71,6 @@ class CertificateError(PowertailError):
     requested exact operation."""
 
 
-class InconclusiveError(PowertailError):
-    """Requested precision exceeds what the certificate can justify."""
-
-
 class DivergenceGuardWarning(UserWarning):
     """Evaluation point is inside the divergence guard radius; the
     partial sum is returned but carries no convergence guarantee."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     IncompatibleSeriesError,
@@ -75,6 +74,8 @@ class IntegrableDensity:
 
 def _quad_complex(fn: Callable[[float], complex], a: float, b: float,
                   **opts) -> tuple[complex, float]:
+    from scipy.integrate import quad  # loaded only when an oracle integrates
+
     kw = {**_QUAD_OPTS, **opts}
     re, re_err = quad(lambda x: fn(x).real, a, b, **kw)
     im, im_err = quad(lambda x: fn(x).imag, a, b, **kw)
@@ -84,6 +85,8 @@ def _quad_complex(fn: Callable[[float], complex], a: float, b: float,
 def _oscillatory_halfline(fn: Callable[[float], complex], a: float,
                           z: float) -> tuple[complex, float]:
     """integral_a^inf e^{ixz} fn(x) dx for decaying fn, z != 0."""
+    from scipy.integrate import quad
+
     w = abs(z)
     kw = dict(epsabs=1e-12, limit=400, limlst=200)
     cr, er1 = quad(lambda x: fn(x).real, a, math.inf, weight="cos", wvar=w, **kw)

@@ -26,8 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import InvalidArgumentError, NearIntegerWarning, OutsideValidityRegionError
 from .semigroup import SemigroupSpec
 from .series import DEFAULT_CUTOFF, GenSeries, Normalization, Variable
@@ -45,6 +43,7 @@ def oscillatory_constant(s: float) -> complex:
     """
     if s <= 0:
         raise InvalidArgumentError("exponent must be positive, got %g" % s)
+    from scipy.integrate import quad  # loaded only when a constant is integrated
 
     def f_re(t: float) -> float:
         return (math.exp(-t) * (1 + 1j * t) ** (-s)).real

@@ -42,8 +42,6 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammainc, gammaln
-from scipy.special import gamma as _scipy_gamma
 
 from .errors import (
     DivergenceGuardWarning,
@@ -108,10 +106,14 @@ class EvalResult:
 
 
 def gamma_factor(x: float) -> float:
-    """Gamma(x) for x > 0 with relative error well under 1e-13."""
-    if x <= 170.0:
-        return float(_scipy_gamma(x))
-    return float(math.exp(gammaln(x)))
+    """Gamma(x) to a few ulps.  At the poles 0, -1, -2, ... and past the
+    overflow near x = 171.62 it is inf, so that 1 / Gamma reads 0."""
+    try:
+        return math.gamma(x)
+    except ValueError:  # a pole
+        return math.inf
+    except OverflowError:  # x > 171.62, or |x| < 5.6e-309
+        return math.copysign(math.inf, x)
 
 
 @dataclass(frozen=True)
@@ -578,6 +580,31 @@ def divergence_guard_radius(f: GenSeries, growth: GrowthBound | None = None) -> 
     return 1.25 * c * growth.A
 
 
+def _poisson_tail(N: int, x: float) -> float:
+    """sum_{k >= N} x^k / k! = exp(x) P(N, x) for 0 < x <= 700, with P the
+    regularized lower incomplete Gamma function.
+
+    For N <= x the head sum_{k < N} is at most about half of exp(x), so
+    subtracting it from exp(x) cannot cancel.  Otherwise every ratio
+    x / (k + 1) of the tail is below 1, and it is summed forward from its
+    k = N term until the terms stop counting.  That term is built as the
+    product of the x / k, which keeps it to about N ulps where
+    exp(N log x - lgamma(N + 1)) loses 1e-13 at small x.
+    """
+    head, term = 0.0, 1.0
+    for k in range(1, N + 1):
+        head += term
+        term *= x / k
+    if N <= x:
+        return math.exp(x) - head
+    total, k = 0.0, N
+    while term > total * 1e-17:
+        total += term
+        k += 1
+        term *= x / k
+    return total
+
+
 def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound) -> float:
     """Conservative bound on the mass of discarded terms beyond the cutoff."""
     c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
@@ -601,7 +628,7 @@ def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound) -> float:
                 return math.inf
             lead = math.exp((N + 1.0) * math.log(x) - math.lgamma(N + 2.0))
             return pref * c * lead / (1.0 - x / (N + 2.0))
-        return pref * c * math.exp(x) * float(gammainc(N, x))
+        return pref * c * _poisson_tail(N, x)
     sigma = x
     if sigma >= 1.0:
         return math.inf

@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.special import gamma as _scipy_gamma
-
 from .errors import (
     InvalidArgumentError,
     OutsideValidityRegionError,
     ResonanceError,
+    ResourceGuardError,
 )
 from .semigroup import SemigroupSpec, density_constant
 from .series import (
@@ -51,6 +50,8 @@ from .transforms import (
 
 RESONANCE_TOL = 1e-8
 _PHASE_TOL = 1e-12
+# hard cap on the (M + 1) N coefficients of one supremum density series
+MAX_SUPREMUM_TERMS = 100_000
 
 
 class StableKind(Enum):
@@ -330,23 +331,41 @@ def supremum_coefficient(alpha: float, rho: float, m: int, n: int) -> float:
         * prod_{j=1..m} sin(pi (alpha rho + j - 1)/alpha) / sin(pi j / alpha)
         * prod_{j=1..n} sin(pi alpha (rho + j - 1)) / sin(pi alpha j)
     """
-    for j in range(1, m + 1):
-        if abs(math.sin(math.pi * j / alpha)) < RESONANCE_TOL:
+    return _supremum_term(alpha, m, n, *_sine_products(alpha, rho, m, n))
+
+
+def _sine_products(alpha: float, rho: float, M: int, N: int):
+    """The two sine products of b_{m,n} for every m <= M and n <= N,
+    as prefix lists, after checking each denominator for resonance."""
+    P, Q = [1.0], [1.0]
+    for j in range(1, M + 1):
+        s = math.sin(math.pi * j / alpha)
+        if abs(s) < RESONANCE_TOL:
             raise ResonanceError(
                 "sin(pi %d / alpha) vanishes; alpha = %g is effectively rational"
                 % (j, alpha))
-    for j in range(1, n + 1):
-        if abs(math.sin(math.pi * alpha * j)) < RESONANCE_TOL:
+        P.append(P[-1] * math.sin(math.pi * (alpha * rho + j - 1.0) / alpha) / s)
+    for j in range(1, N + 1):
+        s = math.sin(math.pi * alpha * j)
+        if abs(s) < RESONANCE_TOL:
             raise ResonanceError(
                 "sin(pi alpha %d) vanishes; alpha = %g is effectively rational"
                 % (j, alpha))
-    val = ((-1.0) ** (m + n)) / (
-        float(_scipy_gamma(1.0 + m / alpha + n)) * float(_scipy_gamma(-m - alpha * n)))
-    for j in range(1, m + 1):
-        val *= math.sin(math.pi * (alpha * rho + j - 1.0) / alpha) / math.sin(math.pi * j / alpha)
-    for j in range(1, n + 1):
-        val *= math.sin(math.pi * alpha * (rho + j - 1.0)) / math.sin(math.pi * alpha * j)
-    return val
+        Q.append(Q[-1] * math.sin(math.pi * alpha * (rho + j - 1.0)) / s)
+    return P, Q
+
+
+def _supremum_term(alpha: float, m: int, n: int, P: list, Q: list) -> float:
+    return (-1.0) ** (m + n) * P[m] * Q[n] / (
+        gamma_factor(1.0 + m / alpha + n) * gamma_factor(-m - alpha * n))
+
+
+def _finite_coefficient(c: float, order: int | tuple[int, int]) -> float:
+    if not math.isfinite(c):
+        raise ResourceGuardError(
+            "the coefficient of order %s is %r in double precision; lower the "
+            "truncation order" % (order, c))
+    return c
 
 
 class SupremumDensity:
@@ -354,13 +373,20 @@ class SupremumDensity:
     x^(-1-alpha) * sum_{m<=M, 1<=n<=N} b_{m,n} x^(-m-(n-1) alpha)."""
 
     def __init__(self, params: SupremumSeriesParams):
+        count = (params.M + 1) * params.N
+        if count > MAX_SUPREMUM_TERMS:
+            raise ResourceGuardError(
+                "a supremum series with M = %d, N = %d has %d coefficients, over "
+                "the limit of %d" % (params.M, params.N, count, MAX_SUPREMUM_TERMS))
         self.params = params
         a, rho = params.alpha, params.rho
         self.spec = SemigroupSpec.with_alphas(a)
+        P, Q = _sine_products(a, rho, params.M, params.N)
         self.coefficients: dict[tuple[int, int], float] = {}
         for m in range(params.M + 1):
             for n in range(1, params.N + 1):
-                self.coefficients[(m, n)] = supremum_coefficient(a, rho, m, n)
+                self.coefficients[(m, n)] = _finite_coefficient(
+                    _supremum_term(a, m, n, P, Q), (m, n))
         A = 0.0
         for (m, n), c in self.coefficients.items():
             e = m + n * a
@@ -421,9 +447,9 @@ class LastPassageParams:
 def last_passage_coefficient(alpha: float, d: int, m: int) -> float:
     """Coefficient of t^(-(d+2m)/alpha):
     2/(alpha Gamma((d-alpha)/2)) * (-1)^m Gamma((d+2m)/alpha) / (m! Gamma((d-alpha)/2 + m + 1))."""
-    lead = 2.0 / (alpha * float(_scipy_gamma((d - alpha) / 2.0)))
-    val = lead * ((-1.0) ** m) * float(_scipy_gamma((d + 2.0 * m) / alpha))
-    val /= gamma_factor(m + 1.0) * float(_scipy_gamma((d - alpha) / 2.0 + m + 1.0))
+    lead = 2.0 / (alpha * gamma_factor((d - alpha) / 2.0))
+    val = lead * ((-1.0) ** m) * gamma_factor((d + 2.0 * m) / alpha)
+    val /= gamma_factor(m + 1.0) * gamma_factor((d - alpha) / 2.0 + m + 1.0)
     return val
 
 
@@ -438,7 +464,7 @@ class LastPassageDensity:
         A = 0.0
         for m in range(params.M + 1):
             e = (d + 2.0 * m) / a
-            c = last_passage_coefficient(a, d, m)
+            c = _finite_coefficient(last_passage_coefficient(a, d, m), m)
             self.coefficients[e] = c
             if c != 0.0 and e > 1.0:
                 A = max(A, abs(c) ** (1.0 / (e - 1.0)))

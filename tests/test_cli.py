@@ -1,10 +1,13 @@
 """End-to-end checks of the command line interface.
 
-Every test shells out to ``python -m powertail.cli`` so that argument
-parsing, environment handling, stream separation, and exit codes are
-exercised exactly as a user would hit them.
+Almost every test shells out to ``python -m powertail.cli`` so that
+argument parsing, environment handling, stream separation, and exit
+codes are exercised exactly as a user would hit them.  The property
+tests over inputs call ``cli.main`` in process, where a traceback shows
+up as an escaping exception.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -12,8 +15,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, strategies as hst
+
+from powertail import cli
 
 
 def run_cli(*args, env_extra=None, expect=0):
@@ -297,6 +304,8 @@ def test_verify_exit_four_on_numeric_guard():
     ("classify", "--golden", "--profile", "100000000"),
     ("density", "--law", "positive-stable", "--alpha", "0.5",
      "--x-min", "2", "--x-max", "8", "--points", "1000000000"),
+    ("density", "--law", "supremum", "--alpha", "0.43", "--rho", "0.6",
+     "--M", "1000000", "--N", "1000000", "--x-min", "2", "--x-max", "8"),
 ])
 def test_oversized_requests_exit_four_with_one_line(argv):
     out, err = run_cli(*argv, expect=4)
@@ -322,6 +331,153 @@ def test_pareto_rejects_stieltjes_representation():
         expect=2,
     )
     assert "pareto expands on the Fourier side only" in err
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--rational", "1/0"),
+    ("classify", "--rational", "abc"),
+    ("classify", "--golden", "--transform", "bogus"),
+    ("classify", "--golden", "--transform", "scale:x"),
+])
+def test_bad_classify_input_exits_two_with_one_line(argv):
+    out, err = run_cli(*argv, expect=2)
+    assert out == ""
+    assert_one_line_error(err)
+
+
+def _drop_config(doc):
+    del doc["config"]
+
+
+def _nan_coefficient(doc):
+    doc["records"][1]["re"] = math.nan
+
+
+def _infinite_coefficient(doc):
+    doc["records"][1]["im"] = -math.inf
+
+
+def _records_not_a_list(doc):
+    doc["records"] = 3
+
+
+@pytest.mark.parametrize("spoil, words", [
+    (_drop_config, "config"),
+    (_nan_coefficient, "must be a finite number, got nan"),
+    (_infinite_coefficient, "must be a finite number, got -inf"),
+    (_records_not_a_list, "malformed moments file"),
+])
+def test_bad_convolve_file_exits_two_with_one_line(tmp_path, spoil, words):
+    good = tmp_path / "good.json"
+    run_cli("expand", "--law", "semicircle", "--cutoff", "6", "--out", str(good))
+    doc = json.loads(good.read_text())
+    spoil(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN and -Infinity literally
+    out, err = run_cli("convolve", "--kind", "free", "--in-a", str(bad),
+                       "--in-b", str(good), expect=2)
+    assert out == ""
+    assert_one_line_error(err)
+    assert str(bad) in err and words in err
+
+
+def run_main(argv):
+    """cli.main in process: (exit code, stderr); stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+_DELETE = object()
+_JSON_VALUE = hst.recursive(
+    hst.one_of(hst.none(), hst.booleans(), hst.integers(-50, 50),
+               hst.floats(allow_nan=True, allow_infinity=True), hst.text(max_size=4)),
+    lambda kids: hst.lists(kids, max_size=3) | hst.dictionaries(
+        hst.text(max_size=3), kids, max_size=3),
+    max_leaves=5)
+_MOMENTS_PLACES = [("format",), ("representation",), ("generators",),
+                   ("config",), ("config", "cutoff"), ("records",),
+                   ("records", 0), ("records", 1, "exponent"),
+                   ("records", 1, "re"), ("records", 2, "im")]
+
+
+@pytest.fixture(scope="module")
+def semicircle_doc():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        assert run_main(["expand", "--law", "semicircle", "--cutoff", "6",
+                         "--out", path])[0] == 0
+        with open(path) as fh:
+            return json.load(fh)
+
+
+@given(place=hst.sampled_from(_MOMENTS_PLACES),
+       value=hst.one_of(hst.just(_DELETE), _JSON_VALUE))
+def test_any_spoiled_moments_file_exits_cleanly(semicircle_doc, place, value):
+    doc = json.loads(json.dumps(semicircle_doc))
+    *parents, last = place
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, err = run_main(["convolve", "--kind", "boolean", "--in-a", path,
+                              "--in-b", path, "--cutoff", "6"])
+    assert code in (0, 2, 4)
+    assert code == 0 or (err.count("\n") == 1 and ":" in err)
+
+
+@given(rational=hst.text(max_size=8), transform=hst.text(max_size=10))
+def test_any_classify_text_exits_cleanly(rational, transform):
+    # the = form keeps argparse from reading a leading "-" as an option
+    code, err = run_main(["classify", "--rational=" + rational,
+                          "--transform=" + transform, "--q-limit", "1000"])
+    assert code in (0, 2, 4)
+    assert code == 0 or err.count("\n") == 1
+
+
+# -------------------------------------------------------------- start-up
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import powertail
+import powertail.cli as cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["expand", "--law", "classical-stable", "--alpha", "0.7",
+         "--b", "0.5+1j", "--repr", "fourier", "--cutoff", "8"],
+        ["convolve", "--kind", "free", "--law-a", "semicircle",
+         "--law-b", "semicircle", "--cutoff", "8"],
+        ["classify", "--golden", "--profile", "50"],
+    ):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_expand_convolve_classify_start_without_scipy():
+    env = {k: v for k, v in os.environ.items() if k != "GPS_CUTOFF"}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0]
+    assert seen["scipy"] == []
 
 
 # ------------------------------------------------------------ determinism

@@ -327,6 +327,43 @@ def test_evaluate_is_linear_in_the_series():
     assert abs(evaluate(comb, z).value - want) < 1e-12
 
 
+def test_gamma_factor_matches_scipy_with_poles_and_overflow():
+    special = pytest.importorskip("scipy.special")
+    xs = [-40.25 + 0.1059 * k for k in range(2000)]  # -40.25 .. 171.44, no pole
+    for x in xs + [170.5, 171.6]:
+        want = float(special.gamma(x))
+        assert abs(gamma_factor(x) - want) <= 1e-14 * abs(want), x
+    # past the overflow and at the poles, 1 / Gamma reads 0 as scipy's rgamma does
+    for x in (171.7, 200.0, 1e6, 0.0, -1.0, -7.0):
+        assert 1.0 / gamma_factor(x) == float(special.rgamma(x)) == 0.0, x
+    assert gamma_factor(171.7) == float(special.gamma(171.7)) == math.inf
+
+
+def test_poisson_tail_matches_scipy_incomplete_gamma():
+    special = pytest.importorskip("scipy.special")
+    # x from 1e-6 to 700 on a log scale, plus both sides of N = x
+    xs = [10.0 ** (-6.0 + (6.0 + math.log10(700.0)) * k / 149.0)
+          for k in range(150)] + [0.5, 1.0, 2.0, 31.5, 32.0, 32.5, 699.9]
+    for N in range(1, 65):
+        for x in xs:
+            want = math.exp(x) * float(special.gammainc(N, x))
+            got = series_module._poisson_tail(N, x)
+            if want < 1e-290:  # subnormal: no relative accuracy to test
+                assert got < 1e-290, (N, x, got)
+                continue
+            assert abs(got - want) <= 1e-12 * want, (N, x, got, want)
+
+
+def test_poisson_tail_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for N in (1, 7, 20, 48, 64):
+        for x in (1e-3, 0.3, 5.0, N - 0.5, N + 0.5, 90.0, 700.0):
+            want = mpmath.exp(x) * mpmath.gammainc(N, 0, x, regularized=True)
+            got = series_module._poisson_tail(N, x)
+            assert abs(got - want) <= 1e-14 * want, (N, x)
+
+
 # ------------------------------------------------------------ growth fit
 
 def test_growth_fit_cauchy_unit_radius():

@@ -23,8 +23,10 @@ from scipy.special import erf
 from helpers import (NAT, bernoulli_moments, cauchy_moments,
                      semicircle_moments, symmetric_phase, worst_termwise,
                      worst_termwise_rel)
+import powertail.stable as stable_module
 from powertail.errors import (InvalidArgumentError,
-                              OutsideValidityRegionError, ResonanceError)
+                              OutsideValidityRegionError, ResonanceError,
+                              ResourceGuardError)
 from powertail.series import (Branch, GenSeries, binomial_power, evaluate,
                               growth_fit)
 from powertail.stable import (LastPassageParams, StableKind, StableParams,
@@ -326,6 +328,44 @@ def test_supremum_density_series_sane():
     assert 0.0 < got < 1.0 + 100.0 * quad_err
 
 
+def _scipy_supremum_coefficient(special, alpha, rho, m, n):
+    val = (-1.0) ** (m + n) / (float(special.gamma(1.0 + m / alpha + n))
+                               * float(special.gamma(-m - alpha * n)))
+    for j in range(1, m + 1):
+        val *= math.sin(math.pi * (alpha * rho + j - 1.0) / alpha) \
+            / math.sin(math.pi * j / alpha)
+    for j in range(1, n + 1):
+        val *= math.sin(math.pi * alpha * (rho + j - 1.0)) / math.sin(math.pi * alpha * j)
+    return val
+
+
+def test_supremum_coefficients_match_scipy_gamma():
+    special = pytest.importorskip("scipy.special")
+    for alpha in (0.3141, 0.5501, 0.7345, 0.9123):
+        for rho in (0.25, 0.8):
+            for m in range(16):
+                for n in range(1, 16):
+                    got = supremum_coefficient(alpha, rho, m, n)
+                    want = _scipy_supremum_coefficient(special, alpha, rho, m, n)
+                    assert abs(got - want) <= 1e-14 * abs(want), (alpha, rho, m, n)
+    # Gamma(1 + m/alpha + n) = Gamma(193.02...) overflows: the coefficient is 0
+    assert _scipy_supremum_coefficient(special, 0.3141, 0.5, 60, 1) == 0.0
+    assert supremum_coefficient(0.3141, 0.5, 60, 1) == 0.0
+
+
+def test_supremum_series_size_is_guarded(monkeypatch):
+    monkeypatch.setattr(stable_module, "MAX_SUPREMUM_TERMS", 10)
+    supremum_density(SupremumSeriesParams(alpha=0.43, rho=0.6, M=4, N=2))
+    with pytest.raises(ResourceGuardError, match="12 coefficients"):
+        supremum_density(SupremumSeriesParams(alpha=0.43, rho=0.6, M=3, N=3))
+
+
+def test_supremum_series_refuses_coefficients_past_double_range():
+    # at M = N = 150 some b_{m,n} read inf * 0 = nan in double precision
+    with pytest.raises(ResourceGuardError, match="nan"):
+        supremum_density(SupremumSeriesParams(alpha=0.7345, rho=0.5, M=150, N=150))
+
+
 def test_supremum_series_requires_small_alpha():
     with pytest.raises(InvalidArgumentError):
         supremum_density(SupremumSeriesParams(alpha=1.5, rho=0.5, M=4, N=4))
@@ -344,6 +384,25 @@ def test_last_passage_leading_coefficient_closed_forms():
     got3 = last_passage_coefficient(1.5, 3, 0)
     want3 = 2.0 * math.gamma(2.0) / (1.5 * math.gamma(0.75) * math.gamma(1.75))
     assert got3 == pytest.approx(want3, abs=1e-12)
+
+
+def test_last_passage_coefficients_match_scipy_gamma():
+    special = pytest.importorskip("scipy.special")
+
+    def want(alpha, d, m):
+        lead = 2.0 / (alpha * float(special.gamma((d - alpha) / 2.0)))
+        val = lead * (-1.0) ** m * float(special.gamma((d + 2.0 * m) / alpha))
+        return val / (float(special.gamma(m + 1.0))
+                      * float(special.gamma((d - alpha) / 2.0 + m + 1.0)))
+
+    for alpha, d in ((1.1, 2), (1.5, 3), (1.9, 5), (2.5, 3)):
+        for m in range(60):
+            w = want(alpha, d, m)
+            assert abs(last_passage_coefficient(alpha, d, m) - w) <= 1e-14 * abs(w)
+    # Gamma(192 / 1.1) overflows while the other factors stay finite
+    assert want(1.1, 2, 95) == last_passage_coefficient(1.1, 2, 95) == -math.inf
+    with pytest.raises(ResourceGuardError, match="is inf in double precision"):
+        last_passage_density(LastPassageParams(alpha=1.1, d=2, M=100))
 
 
 def test_last_passage_density_leading_order():
