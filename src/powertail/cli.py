@@ -3,7 +3,9 @@
 Five subcommands: expand (build a law, emit one representation),
 density (tabulate a density series as CSV), convolve (combine two
 expanded series files), classify (Diophantine evidence for a real
-number certificate), verify (series vs independent oracles).
+number certificate), verify (series vs independent oracles).  Each law
+is declared once, in LAWS; a subcommand offers the laws whose entry
+has the builder it needs.
 
 Output discipline: a single canonical JSON object per run (CSV only
 for density tables), floats always %.17g, every default echoed in the
@@ -23,7 +25,10 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import diophantine as dio
 from . import oracles, pareto, stable, transforms
@@ -111,8 +116,9 @@ def _canon(obj) -> str:
     raise InvalidArgumentError("unserializable value of type %s" % type(obj).__name__)
 
 
-def _emit(document: dict, out_path: str | None) -> None:
-    text = _canon(document) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
+    """Write text and a final newline to out_path, or to stdout."""
+    text += "\n"
     if out_path:
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -120,22 +126,10 @@ def _emit(document: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append("%.17g" % cell if math.isfinite(cell) else repr(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv_cell(cell) -> str:
+    if isinstance(cell, float):
+        return "%.17g" % cell if math.isfinite(cell) else repr(cell)
+    return str(cell)
 
 
 # -- shared helpers --------------------------------------------------------
@@ -187,62 +181,58 @@ def _nu_moments(name: str, cutoff: float, alpha: float) -> list[float]:
     return [1.0 for n in range(n_max + 1)]
 
 
-def _build_moment_law(args, cutoff: float):
-    """Return (MomentSeries, extras dict) for laws with a moment form."""
-    law = args.law
-    extras: dict = {}
-    if law == "delta0":
-        return transforms.delta_zero(cutoff=cutoff), extras
-    if law == "cauchy":
-        m, diag = stable.classical_stable(
-            stable.StableParams(alpha=1.0, b=1j), cutoff=cutoff)
-        extras["membership"] = _diag_dict(diag)
-        return m, extras
-    if law == "arcsine":
-        return stable.monotone_stable(2.0, 2.0, cutoff=cutoff), extras
-    if law == "semicircle":
-        return stable.free_stable(
-            stable.StableParams(alpha=2.0, b=1.0 + 0j, kind=stable.StableKind.FREE),
-            cutoff=cutoff), extras
-    if law == "bernoulli":
-        return stable.boolean_stable(
-            stable.StableParams(alpha=2.0, b=1.0 + 0j,
-                                kind=stable.StableKind.BOOLEAN),
-            cutoff=cutoff), extras
-    if law == "classical-stable":
-        params = _stable_params(args)
-        m, diag = stable.classical_stable(params, cutoff=cutoff)
-        extras["membership"] = _diag_dict(diag)
-        return m, extras
-    if law == "free-stable":
-        _require_param(args, "alpha")
-        params = stable.StableParams(alpha=args.alpha, b=_parse_complex(args.b),
-                                     kind=stable.StableKind.FREE)
-        return stable.free_stable(params, cutoff=cutoff), extras
-    if law == "boolean-stable":
-        _require_param(args, "alpha")
-        params = stable.StableParams(alpha=args.alpha, b=_parse_complex(args.b),
-                                     kind=stable.StableKind.BOOLEAN)
-        return stable.boolean_stable(params, cutoff=cutoff), extras
-    if law == "monotone-stable":
-        _require_param(args, "alpha")
-        return stable.monotone_stable(args.alpha, _parse_complex(args.b),
-                                      cutoff=cutoff), extras
-    if law == "positive-stable":
-        _require_param(args, "alpha")
-        b = cmath.exp(1j * math.pi * (1.0 - args.alpha))
-        m, diag = stable.classical_stable(
-            stable.StableParams(alpha=args.alpha, b=b), cutoff=cutoff)
-        extras["membership"] = _diag_dict(diag)
-        return m, extras
-    if law == "stable-mixture":
-        _require_param(args, "alpha")
-        nu = _nu_moments(args.nu, cutoff, args.alpha)
-        m, model = stable.stable_mixture(nu, args.alpha, cutoff=cutoff)
-        extras["tail_model"] = {
-            "r": model.r, "R": model.R, "guard_radius": model.guard_radius}
-        return m, extras
-    raise InvalidArgumentError("law %r has no moment-series form" % law)
+def _classical(params: "stable.StableParams", cutoff: float):
+    m, diag = stable.classical_stable(params, cutoff=cutoff)
+    return m, {"membership": _diag_dict(diag)}
+
+
+def _positive_stable(args, cutoff: float):
+    b = cmath.exp(1j * math.pi * (1.0 - args.alpha))
+    return _classical(stable.StableParams(alpha=args.alpha, b=b), cutoff)
+
+
+def _free(alpha: float, b: complex, cutoff: float):
+    params = stable.StableParams(alpha=alpha, b=b, kind=stable.StableKind.FREE)
+    return stable.free_stable(params, cutoff=cutoff), {}
+
+
+def _boolean(alpha: float, b: complex, cutoff: float):
+    params = stable.StableParams(alpha=alpha, b=b, kind=stable.StableKind.BOOLEAN)
+    return stable.boolean_stable(params, cutoff=cutoff), {}
+
+
+def _monotone(alpha: float, b: complex, cutoff: float):
+    return stable.monotone_stable(alpha, b, cutoff=cutoff), {}
+
+
+def _stable_mixture(args, cutoff: float):
+    nu = _nu_moments(args.nu, cutoff, args.alpha)
+    m, model = stable.stable_mixture(nu, args.alpha, cutoff=cutoff)
+    return m, {"tail_model": {
+        "r": model.r, "R": model.R, "guard_radius": model.guard_radius}}
+
+
+def _law(args) -> "Law":
+    """The table entry of args.law, once its required flags are checked."""
+    law = LAWS[args.law]
+    for name in law.params:
+        _require_param(args, name)
+    return law
+
+
+def _moments(args, cutoff: float):
+    """(MomentSeries, extra body fields) of a law with a moment form."""
+    return _law(args).moments(args, cutoff)
+
+
+def _param(args, name: str):
+    """args.<name>, or the law's default for it when the flag is absent."""
+    value = getattr(args, name)
+    return LAWS[args.law].defaults[name] if value is None else value
+
+
+def _with(args, **changes) -> argparse.Namespace:
+    return argparse.Namespace(**{**vars(args), **changes})
 
 
 def _require_param(args, name: str) -> None:
@@ -252,7 +242,6 @@ def _require_param(args, name: str) -> None:
 
 
 def _stable_params(args) -> "stable.StableParams":
-    _require_param(args, "alpha")
     if args.c is not None or args.beta_hat is not None:
         if args.c is None or args.beta_hat is None:
             raise InvalidArgumentError("--c and --beta-hat must be given together")
@@ -290,52 +279,48 @@ def cmd_expand(args) -> int:
     cfg = {"law": args.law, "repr": args.repr}
     cfg.update(_law_param_echo(args))
     cfg.update(_config_common(args, cutoff))
-
-    if args.law == "mu-br":
-        if args.repr != "stieltjes":
-            raise InvalidArgumentError(
-                "mu-br is defined through its resolvent; use --repr stieltjes")
-        _require_param(args, "alpha")
-        _require_param(args, "r")
-        S = stable.mu_br(args.alpha, _parse_complex(args.b), args.r, cutoff=cutoff)
-        records = _series_records(S.spec, cutoff, S.terms)
-        doc = _document("expand", cfg, {
-            "representation": "stieltjes",
-            "monomial": "z^(-gamma-1)",
-            "generators": list(S.spec.fractional_generators),
-            "records": records,
-        })
-        _emit(doc, args.out)
-        return EXIT_OK
-    if args.law == "pareto":
-        if args.repr != "fourier":
-            raise InvalidArgumentError("pareto expands on the Fourier side only")
-        _require_param(args, "beta")
-        exp = pareto.pareto_fourier(args.beta, args.R, cutoff=cutoff)
-        records = _series_records(exp.regular.spec, cutoff, exp.regular.terms)
-        doc = _document("expand", cfg, {
-            "representation": "fourier",
-            "monomial": "z^gamma",
-            "generators": list(exp.regular.spec.fractional_generators),
-            "records": records,
-            "singular": {
-                "floor_exponent": exp.singular.floor_exponent,
-                "coef_floor": _cpx(exp.singular.coef_floor),
-                "coef_floor_plus_one": _cpx(exp.singular.coef_floor_plus_one),
-                "coef_beta": _cpx(exp.singular.coef_beta),
-                "coef_log": _cpx(exp.singular.coef_log),
-                "has_log_term": exp.singular.has_log_term,
-            },
-        })
-        _emit(doc, args.out)
-        return EXIT_OK
-
-    m, extras = _build_moment_law(args, cutoff)
-    body = _represent(m, args.repr, cutoff)
-    body.update(extras)
-    doc = _document("expand", cfg, body)
-    _emit(doc, args.out)
+    law = _law(args)
+    if law.expand is not None:
+        body = law.expand(args, cutoff)
+    else:
+        m, extras = law.moments(args, cutoff)
+        body = _represent(m, args.repr, cutoff)
+        body.update(extras)
+    _emit(_canon(_document("expand", cfg, body)), args.out)
     return EXIT_OK
+
+
+def _expand_mu_br(args, cutoff: float) -> dict:
+    if args.repr != "stieltjes":
+        raise InvalidArgumentError(
+            "mu-br is defined through its resolvent; use --repr stieltjes")
+    S = stable.mu_br(args.alpha, _parse_complex(args.b), args.r, cutoff=cutoff)
+    return {
+        "representation": "stieltjes",
+        "monomial": "z^(-gamma-1)",
+        "generators": list(S.spec.fractional_generators),
+        "records": _series_records(S.spec, cutoff, S.terms),
+    }
+
+
+def _expand_pareto(args, cutoff: float) -> dict:
+    if args.repr != "fourier":
+        raise InvalidArgumentError("pareto expands on the Fourier side only")
+    exp = pareto.pareto_fourier(args.beta, args.R, cutoff=cutoff)
+    return {
+        "representation": "fourier",
+        "monomial": "z^gamma",
+        "generators": list(exp.regular.spec.fractional_generators),
+        "records": _series_records(exp.regular.spec, cutoff, exp.regular.terms),
+        "singular": {
+            "floor_exponent": exp.singular.floor_exponent,
+            "coef_floor": _cpx(exp.singular.coef_floor),
+            "coef_floor_plus_one": _cpx(exp.singular.coef_floor_plus_one),
+            "coef_beta": _cpx(exp.singular.coef_beta),
+            "coef_log": _cpx(exp.singular.coef_log),
+            "has_log_term": exp.singular.has_log_term,
+        },
+    }
 
 
 def _cpx(c: complex) -> dict:
@@ -406,23 +391,8 @@ def _document(command: str, config: dict, body: dict) -> dict:
 # -- density ---------------------------------------------------------------
 
 
-def _density_object(args, cutoff: float):
-    _require_param(args, "alpha")
-    if args.law == "positive-stable":
-        return stable.positive_stable_density(args.alpha, cutoff=cutoff)
-    if args.law == "supremum":
-        _require_param(args, "rho")
-        return _supremum_with_clamp(args)
-    if args.law == "last-passage":
-        _require_param(args, "d")
-        return stable.last_passage_density(
-            stable.LastPassageParams(alpha=args.alpha, d=args.d, M=args.M or 20))
-    raise InvalidArgumentError("law %r has no density table" % args.law)
-
-
-def _supremum_with_clamp(args):
-    M = args.M or 12
-    N = args.N or 12
+def _supremum_with_clamp(args, cutoff: float) -> "stable.SupremumDensity":
+    M, N = _param(args, "M"), _param(args, "N")
     while True:
         try:
             return stable.supremum_density(
@@ -437,29 +407,33 @@ def _supremum_with_clamp(args):
                 % (M, N), TruncationWarning, stacklevel=2)
 
 
+def _last_passage(args, cutoff: float) -> "stable.LastPassageDensity":
+    return stable.last_passage_density(
+        stable.LastPassageParams(alpha=args.alpha, d=args.d, M=_param(args, "M")))
+
+
 def cmd_density(args) -> int:
     if args.points > MAX_DENSITY_POINTS:
         raise ResourceGuardError("%d density points exceed the limit of %d"
                                  % (args.points, MAX_DENSITY_POINTS))
+    if args.points < 2 or not 0.0 < args.x_max - args.x_min < math.inf:
+        raise InvalidArgumentError("need finite x_max > x_min and at least 2 points")
     cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
-    den = _density_object(args, cutoff)
-    if args.points < 2 or args.x_max <= args.x_min:
-        raise InvalidArgumentError("need x_max > x_min and at least 2 points")
-    rows = []
+    law = _law(args)
+    den = law.density(args, cutoff)
+    lines = ["x,density_re,density_im,remainder_bound,flag"]
     flagged = 0
     for i in range(args.points):
         x = args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
         try:
             val = complex(den.density(x))
-            bound = float(den.remainder_estimate(x)) \
-                if hasattr(den, "remainder_estimate") else 0.0
-            rows.append([x, val.real, val.imag, bound, ""])
+            bound = float(den.remainder_estimate(x)) if law.remainder else 0.0
+            row = [x, val.real, val.imag, bound, ""]
         except (OutsideValidityRegionError, InvalidArgumentError):
             flagged += 1
-            rows.append([x, float("nan"), float("nan"), float("nan"),
-                         "outside_validity"])
-    _emit_csv(["x", "density_re", "density_im", "remainder_bound", "flag"],
-              rows, args.out)
+            row = [x, float("nan"), float("nan"), float("nan"), "outside_validity"]
+        lines.append(",".join(_csv_cell(cell) for cell in row))
+    _emit("\n".join(lines), args.out)
     if flagged:
         print("warning: %d of %d points outside the validity region"
               % (flagged, args.points), file=sys.stderr)
@@ -535,10 +509,8 @@ def cmd_convolve(args) -> int:
         mb = _moments_from_file(args.in_b)
         src = {"in_a": args.in_a, "in_b": args.in_b}
     elif args.law_a and args.law_b:
-        ns_a = argparse.Namespace(**{**vars(args), "law": args.law_a})
-        ns_b = argparse.Namespace(**{**vars(args), "law": args.law_b})
-        ma, _ = _build_moment_law(ns_a, cutoff)
-        mb, _ = _build_moment_law(ns_b, cutoff)
+        ma, _ = _moments(_with(args, law=args.law_a), cutoff)
+        mb, _ = _moments(_with(args, law=args.law_b), cutoff)
         src = {"law_a": args.law_a, "law_b": args.law_b}
     else:
         raise InvalidArgumentError(
@@ -553,7 +525,7 @@ def cmd_convolve(args) -> int:
         "generators": list(out.spec.fractional_generators),
         "records": _series_records(out.spec, out.cutoff, dict(out.terms)),
     })
-    _emit(doc, args.out)
+    _emit(_canon(doc), args.out)
     return EXIT_OK
 
 
@@ -654,7 +626,7 @@ def cmd_classify(args) -> int:
         }
     cfg = {"q_limit": args.q_limit, "profile": args.profile or 0,
            "transform": list(args.transform or [])}
-    _emit(_document("classify", cfg, body), args.out)
+    _emit(_canon(_document("classify", cfg, body)), args.out)
     return EXIT_OK
 
 
@@ -670,9 +642,8 @@ def _check(name: str, passed: bool, discrepancy: float, tolerance: float,
             "tolerance": tolerance, "note": note, "flag": flag}
 
 
-def _verify_cauchy(cutoff: float) -> list[dict]:
-    m, _ = stable.classical_stable(stable.StableParams(alpha=1.0, b=1j),
-                                   cutoff=cutoff)
+def _verify_cauchy(args, cutoff: float) -> list[dict]:
+    m, _ = _moments(args, cutoff)
     checks = []
     fe = FourierEvaluator(m)
     density = oracles.IntegrableDensity(
@@ -696,8 +667,8 @@ def _verify_cauchy(cutoff: float) -> list[dict]:
     return checks
 
 
-def _verify_delta0(cutoff: float) -> list[dict]:
-    m = transforms.delta_zero(cutoff=cutoff)
+def _verify_delta0(args, cutoff: float) -> list[dict]:
+    m, _ = _moments(args, cutoff)
     fe = FourierEvaluator(m)
     d = abs(complex(fe(1.0)) - 1.0)
     checks = [_check("unit-mass", d <= 1e-12, d, 1e-12)]
@@ -707,30 +678,31 @@ def _verify_delta0(cutoff: float) -> list[dict]:
     return checks
 
 
+def _laplace_link_past_growth(m: MomentSeries, cutoff: float) -> dict:
+    """The Laplace link at y = 2.5 max(c A, 0.4), clear of the growth scale."""
+    A = FourierEvaluator(m).growth.A
+    c = density_constant(m.spec, int(math.ceil(cutoff)))
+    y = 2.5 * max(c * A, 0.4)
+    link = oracles.laplace_link_check(m, y)
+    return _check("laplace-link", link.discrepancy <= 1e-6, link.discrepancy,
+                  1e-6, note="y = %.17g" % y)
+
+
 def _verify_classical_stable(args, cutoff: float) -> list[dict]:
-    params = _stable_params(args)
-    m, diag = stable.classical_stable(params, cutoff=cutoff)
-    checks = []
-    if params.alpha <= 1.0:
-        ok = diag.cutoff_stable
-        checks.append(_check(
-            "membership-dichotomy", ok, diag.relative_increase, 0.05,
-            note="alpha <= 1: coefficient growth must stabilize under "
-                 "cutoff doubling"))
-        A = FourierEvaluator(m).growth.A
-        c = density_constant(m.spec, int(math.ceil(cutoff)))
-        y = 2.5 * max(c * A, 0.4)
-        link = oracles.laplace_link_check(m, y)
-        checks.append(_check("laplace-link", link.discrepancy <= 1e-6,
-                             link.discrepancy, 1e-6, note="y = %.17g" % y))
-    else:
-        unstable = not diag.cutoff_stable
-        checks.append(_check(
-            "membership-dichotomy", unstable, diag.relative_increase, 0.05,
-            note="alpha > 1: growth must NOT stabilize (law outside the "
-                 "expandable class)",
-            flag="growth-instability-expected" if unstable else ""))
-    return checks
+    m, extras = _moments(args, cutoff)
+    diag = extras["membership"]
+    if args.alpha <= 1.0:
+        return [_check(
+            "membership-dichotomy", diag["cutoff_stable"], diag["relative_increase"],
+            0.05, note="alpha <= 1: coefficient growth must stabilize under "
+                       "cutoff doubling"),
+            _laplace_link_past_growth(m, cutoff)]
+    unstable = not diag["cutoff_stable"]
+    return [_check(
+        "membership-dichotomy", unstable, diag["relative_increase"], 0.05,
+        note="alpha > 1: growth must NOT stabilize (law outside the "
+             "expandable class)",
+        flag="growth-instability-expected" if unstable else "")]
 
 
 def _verify_pareto(args, cutoff: float) -> list[dict]:
@@ -753,33 +725,11 @@ def _verify_pareto(args, cutoff: float) -> list[dict]:
     return checks
 
 
-def _verify_self_similarity(args, cutoff: float) -> list[dict]:
-    kind = args.law.split("-")[0]
-    conv = {"free": transforms.free_convolve, "boolean": transforms.boolean_convolve,
-            "monotone": transforms.monotone_convolve}[kind]
-    b = _parse_complex(args.b)
-    if kind == "free":
-        m = stable.free_stable(
-            stable.StableParams(alpha=args.alpha, b=b, kind=stable.StableKind.FREE),
-            cutoff=cutoff)
-    elif kind == "boolean":
-        m = stable.boolean_stable(
-            stable.StableParams(alpha=args.alpha, b=b,
-                                kind=stable.StableKind.BOOLEAN),
-            cutoff=cutoff)
-    else:
-        m = stable.monotone_stable(args.alpha, b, cutoff=cutoff)
+def _verify_self_similarity(conv, args, cutoff: float) -> list[dict]:
+    m, _ = _moments(args, cutoff)
     doubled = conv(m, m)
-    if kind == "free":
-        m2 = stable.free_stable(
-            stable.StableParams(alpha=args.alpha, b=2.0 * b,
-                                kind=stable.StableKind.FREE), cutoff=cutoff)
-    elif kind == "boolean":
-        m2 = stable.boolean_stable(
-            stable.StableParams(alpha=args.alpha, b=2.0 * b,
-                                kind=stable.StableKind.BOOLEAN), cutoff=cutoff)
-    else:
-        m2 = stable.monotone_stable(args.alpha, 2.0 * b, cutoff=cutoff)
+    # repr round-trips a complex exactly, so the law is rebuilt at 2b itself
+    m2, _ = _moments(_with(args, b=repr(2.0 * _parse_complex(args.b))), cutoff)
     worst = 0.0
     for gamma in set(doubled.terms) | set(m2.terms):
         c, expect = doubled.terms.get(gamma, 0j), m2.terms.get(gamma, 0j)
@@ -790,10 +740,9 @@ def _verify_self_similarity(args, cutoff: float) -> list[dict]:
 
 
 def _verify_positive_stable(args, cutoff: float) -> list[dict]:
-    den = stable.positive_stable_density(args.alpha, cutoff=cutoff)
-    b = cmath.exp(1j * math.pi * (1.0 - args.alpha))
-    m, _ = stable.classical_stable(stable.StableParams(alpha=args.alpha, b=b),
-                                   cutoff=cutoff)
+    law = LAWS[args.law]
+    den = law.density(args, cutoff)
+    m, _ = law.moments(args, cutoff)
     S = transforms.stieltjes_from_moments(m)
     x = max(4.0, 1.5 * den.x_min)
     inv = oracles.stieltjes_inversion(lambda zz: complex(evaluate(S, zz)), x)
@@ -804,43 +753,31 @@ def _verify_positive_stable(args, cutoff: float) -> list[dict]:
 
 
 def _verify_mixture(args, cutoff: float) -> list[dict]:
-    nu = _nu_moments(args.nu, cutoff, args.alpha)
-    m, _ = stable.stable_mixture(nu, args.alpha, cutoff=cutoff)
-    A = FourierEvaluator(m).growth.A
-    c = density_constant(m.spec, int(math.ceil(cutoff)))
-    y = 2.5 * max(c * A, 0.4)
-    link = oracles.laplace_link_check(m, y)
-    return [_check("laplace-link", link.discrepancy <= 1e-6, link.discrepancy,
-                   1e-6, note="y = %.17g" % y)]
+    m, _ = _moments(args, cutoff)
+    return [_laplace_link_past_growth(m, cutoff)]
+
+
+def _truncation_doubling(small, big, var: str, at: float) -> list[dict]:
+    a = complex(small.density(at))
+    bb = complex(big.density(at))
+    gap = abs(a - bb) / max(abs(bb), 1e-300)
+    return [_check("truncation-doubling", gap <= 1e-8, gap, 1e-8,
+                   note="%s = %.17g, relative" % (var, at))]
 
 
 def _verify_supremum(args, cutoff: float) -> list[dict]:
     # resonant alpha/rho raise here and surface as a numeric-guard exit:
     # a truncation-doubling check is meaningless at clamped orders
-    d_small = stable.supremum_density(
-        stable.SupremumSeriesParams(alpha=args.alpha, rho=args.rho, M=12, N=12))
-    d_big = stable.supremum_density(
-        stable.SupremumSeriesParams(alpha=args.alpha, rho=args.rho, M=24, N=24))
-    x = 5.0 * max(d_small.x_min, d_big.x_min)
-    a = complex(d_small.density(x))
-    bb = complex(d_big.density(x))
-    d = abs(a - bb) / max(abs(bb), 1e-300)
-    return [_check("truncation-doubling", d <= 1e-8, d, 1e-8,
-                   note="x = %.17g, relative" % x)]
+    M, N = _param(args, "M"), _param(args, "N")
+    small, big = (stable.supremum_density(stable.SupremumSeriesParams(
+        alpha=args.alpha, rho=args.rho, M=k * M, N=k * N)) for k in (1, 2))
+    return _truncation_doubling(small, big, "x", 5.0 * max(small.x_min, big.x_min))
 
 
 def _verify_last_passage(args, cutoff: float) -> list[dict]:
-    M = args.M or 20
-    d_small = stable.last_passage_density(
-        stable.LastPassageParams(alpha=args.alpha, d=args.d, M=M // 2))
-    d_big = stable.last_passage_density(
-        stable.LastPassageParams(alpha=args.alpha, d=args.d, M=M))
-    t = 2.0 * max(d_small.t_min, d_big.t_min)
-    a = complex(d_small.density(t))
-    bb = complex(d_big.density(t))
-    gap = abs(a - bb) / max(abs(bb), 1e-300)
-    return [_check("truncation-doubling", gap <= 1e-8, gap, 1e-8,
-                   note="t = %.17g, relative" % t)]
+    M = _param(args, "M")
+    small, big = (_last_passage(_with(args, M=k), cutoff) for k in (M // 2, M))
+    return _truncation_doubling(small, big, "t", 2.0 * max(small.t_min, big.t_min))
 
 
 def _verify_mu_br(args, cutoff: float) -> list[dict]:
@@ -857,48 +794,81 @@ def _verify_mu_br(args, cutoff: float) -> list[dict]:
     return checks
 
 
-_VERIFY_REQUIRED = {
-    "classical-stable": ("alpha",),
-    "free-stable": ("alpha",),
-    "boolean-stable": ("alpha",),
-    "monotone-stable": ("alpha",),
-    "positive-stable": ("alpha",),
-    "stable-mixture": ("alpha",),
-    "supremum": ("alpha", "rho"),
-    "last-passage": ("alpha", "d"),
-    "mu-br": ("alpha", "r"),
-    "pareto": ("beta",),
+# -- the law table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Law:
+    """What the CLI can do with one law.  Each builder takes the parsed
+    arguments and the cutoff; a subcommand offers a law only when the
+    builder it needs is set."""
+
+    params: tuple = ()  # flags that must be given
+    defaults: dict = field(default_factory=dict)  # for optional flags left out
+    moments: Callable | None = None  # -> (MomentSeries, extra body fields)
+    expand: Callable | None = None  # -> expand body, for laws without moments
+    density: Callable | None = None  # -> object with .density(x)
+    remainder: bool = False  # the density object has .remainder_estimate(x)
+    verify: Callable | None = None  # -> list of checks
+
+
+LAWS = {
+    "delta0": Law(
+        moments=lambda args, cutoff: (transforms.delta_zero(cutoff=cutoff), {}),
+        verify=_verify_delta0),
+    "cauchy": Law(
+        moments=lambda args, cutoff: _classical(stable.StableParams(alpha=1.0, b=1j), cutoff),
+        verify=_verify_cauchy),
+    "arcsine": Law(moments=lambda args, cutoff: _monotone(2.0, 2.0, cutoff)),
+    "semicircle": Law(moments=lambda args, cutoff: _free(2.0, 1.0 + 0j, cutoff)),
+    "bernoulli": Law(moments=lambda args, cutoff: _boolean(2.0, 1.0 + 0j, cutoff)),
+    "classical-stable": Law(
+        params=("alpha",),
+        moments=lambda args, cutoff: _classical(_stable_params(args), cutoff),
+        verify=_verify_classical_stable),
+    "free-stable": Law(
+        params=("alpha",),
+        moments=lambda args, cutoff: _free(args.alpha, _parse_complex(args.b), cutoff),
+        verify=partial(_verify_self_similarity, transforms.free_convolve)),
+    "boolean-stable": Law(
+        params=("alpha",),
+        moments=lambda args, cutoff: _boolean(args.alpha, _parse_complex(args.b), cutoff),
+        verify=partial(_verify_self_similarity, transforms.boolean_convolve)),
+    "monotone-stable": Law(
+        params=("alpha",),
+        moments=lambda args, cutoff: _monotone(args.alpha, _parse_complex(args.b), cutoff),
+        verify=partial(_verify_self_similarity, transforms.monotone_convolve)),
+    "positive-stable": Law(
+        params=("alpha",),
+        moments=_positive_stable,
+        density=lambda args, cutoff: stable.positive_stable_density(args.alpha, cutoff=cutoff),
+        verify=_verify_positive_stable),
+    "stable-mixture": Law(params=("alpha",), moments=_stable_mixture, verify=_verify_mixture),
+    "supremum": Law(
+        params=("alpha", "rho"),
+        defaults={"M": 12, "N": 12},
+        density=_supremum_with_clamp,
+        remainder=True,
+        verify=_verify_supremum),
+    "last-passage": Law(
+        params=("alpha", "d"),
+        defaults={"M": 20},
+        density=_last_passage,
+        verify=_verify_last_passage),
+    "mu-br": Law(params=("alpha", "r"), expand=_expand_mu_br, verify=_verify_mu_br),
+    "pareto": Law(params=("beta",), expand=_expand_pareto, verify=_verify_pareto),
 }
+
+
+def _laws_with(*builders: str) -> tuple:
+    return tuple(name for name, law in LAWS.items()
+                 if any(getattr(law, b) is not None for b in builders))
 
 
 def cmd_verify(args) -> int:
     cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
-    law = args.law
-    for name in _VERIFY_REQUIRED.get(law, ()):
-        _require_param(args, name)
-    if law == "cauchy":
-        checks = _verify_cauchy(cutoff)
-    elif law == "delta0":
-        checks = _verify_delta0(cutoff)
-    elif law == "classical-stable":
-        checks = _verify_classical_stable(args, cutoff)
-    elif law == "pareto":
-        checks = _verify_pareto(args, cutoff)
-    elif law in ("free-stable", "boolean-stable", "monotone-stable"):
-        checks = _verify_self_similarity(args, cutoff)
-    elif law == "positive-stable":
-        checks = _verify_positive_stable(args, cutoff)
-    elif law == "stable-mixture":
-        checks = _verify_mixture(args, cutoff)
-    elif law == "supremum":
-        checks = _verify_supremum(args, cutoff)
-    elif law == "last-passage":
-        checks = _verify_last_passage(args, cutoff)
-    elif law == "mu-br":
-        checks = _verify_mu_br(args, cutoff)
-    else:
-        raise InvalidArgumentError("no verification suite for law %r" % law)
-    cfg = {"law": law}
+    checks = _law(args).verify(args, cutoff)
+    cfg = {"law": args.law}
     cfg.update(_law_param_echo(args))
     cfg.update(_config_common(args, cutoff))
     failed = [c for c in checks if c["status"] == "fail"]
@@ -907,17 +877,18 @@ def cmd_verify(args) -> int:
         "passed": len(checks) - len(failed),
         "failed": len(failed),
     })
-    _emit(doc, args.out)
+    _emit(_canon(doc), args.out)
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
 # -- argument parsing --------------------------------------------------------
 
 
-_LAWS = ("delta0", "cauchy", "arcsine", "semicircle", "bernoulli",
-         "classical-stable", "free-stable", "boolean-stable", "monotone-stable",
-         "positive-stable", "stable-mixture", "supremum", "last-passage",
-         "mu-br", "pareto")
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one InvalidArgumentError line, not the usage block."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
 
 
 def _add_law_params(p: argparse.ArgumentParser) -> None:
@@ -947,21 +918,20 @@ def _add_law_params(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="powertail",
         description="power-series calculus for heavy-tailed laws on "
                     "exponent semigroups")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="emit one representation of a law")
-    p.add_argument("--law", choices=_LAWS, required=True)
+    p.add_argument("--law", choices=_laws_with("moments", "expand"), required=True)
     p.add_argument("--repr", choices=_REPRS, default="moments")
     _add_law_params(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("density", help="tabulate a density series as CSV")
-    p.add_argument("--law", choices=("positive-stable", "supremum", "last-passage"),
-                   required=True)
+    p.add_argument("--law", choices=_laws_with("density"), required=True)
     p.add_argument("--x-min", dest="x_min", type=float, required=True)
     p.add_argument("--x-max", dest="x_max", type=float, required=True)
     p.add_argument("--points", type=int, default=100)
@@ -972,8 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=tuple(_CONV_KINDS), required=True)
     p.add_argument("--in-a", dest="in_a", type=str, default=None)
     p.add_argument("--in-b", dest="in_b", type=str, default=None)
-    p.add_argument("--law-a", dest="law_a", choices=_LAWS, default=None)
-    p.add_argument("--law-b", dest="law_b", choices=_LAWS, default=None)
+    p.add_argument("--law-a", dest="law_a", choices=_laws_with("moments"), default=None)
+    p.add_argument("--law-b", dest="law_b", choices=_laws_with("moments"), default=None)
     _add_law_params(p)
     p.set_defaults(func=cmd_convolve)
 
@@ -995,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="check a law against independent oracles")
-    p.add_argument("--law", choices=_LAWS, required=True)
+    p.add_argument("--law", choices=_laws_with("verify"), required=True)
     _add_law_params(p)
     p.set_defaults(func=cmd_verify)
 
@@ -1003,15 +973,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
+            args = build_parser().parse_args(argv)
             return args.func(args)
+    except SystemExit:  # --help has been printed
+        return EXIT_OK
     except _VALIDATION_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
@@ -1021,10 +989,6 @@ def main(argv: list[str] | None = None) -> int:
     except PowertailError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -219,6 +219,12 @@ def density_constant(spec: SemigroupSpec, horizon: int) -> float:
     return c
 
 
+def guard_radius(spec: SemigroupSpec, A: float, horizon: int) -> float:
+    """1.25 c A: the radius past which a series on spec whose coefficients
+    grow like A^gamma is trusted, c = density_constant(spec, horizon)."""
+    return 1.25 * density_constant(spec, horizon) * A
+
+
 class PairList(NamedTuple):
     """The valid additions of an exponent grid, sorted by output index.
 

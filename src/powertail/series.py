@@ -60,6 +60,7 @@ from .semigroup import (
     SemigroupSpec,
     density_constant,
     exponent_grid,
+    guard_radius,
 )
 
 DEFAULT_CUTOFF = 20.0
@@ -576,8 +577,7 @@ def divergence_guard_radius(f: GenSeries, growth: GrowthBound | None = None) -> 
     """|z| must exceed this for a DESCENDING partial sum to be trusted."""
     if growth is None:
         growth = growth_fit(f)
-    c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
-    return 1.25 * c * growth.A
+    return guard_radius(f.spec, growth.A, max(1, int(math.ceil(f.cutoff))))
 
 
 def _poisson_tail(N: int, x: float) -> float:

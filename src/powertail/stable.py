@@ -27,7 +27,7 @@ from .errors import (
     ResonanceError,
     ResourceGuardError,
 )
-from .semigroup import SemigroupSpec, density_constant
+from .semigroup import SemigroupSpec, guard_radius
 from .series import (
     DEFAULT_CUTOFF,
     Branch,
@@ -258,8 +258,7 @@ class PositiveStableDensity:
                 self.coefficients[e] = coef
             A = max(A, mag ** (1.0 / e))
             n += 1
-        c = density_constant(self.spec, max(1, int(math.ceil(self.cutoff))))
-        self.x_min = 1.25 * c * A
+        self.x_min = guard_radius(self.spec, A, max(1, int(math.ceil(self.cutoff))))
 
     def density(self, x: float) -> float:
         x = float(x)
@@ -392,8 +391,7 @@ class SupremumDensity:
             e = m + n * a
             if c != 0.0:
                 A = max(A, abs(c) ** (1.0 / e))
-        cd = density_constant(self.spec, 24)
-        self.x_min = 1.25 * cd * A
+        self.x_min = guard_radius(self.spec, A, 24)
 
     def _terms(self, x: float):
         a = self.params.alpha
@@ -468,8 +466,7 @@ class LastPassageDensity:
             self.coefficients[e] = c
             if c != 0.0 and e > 1.0:
                 A = max(A, abs(c) ** (1.0 / (e - 1.0)))
-        cd = density_constant(self.spec, 24)
-        self.t_min = 1.25 * cd * A
+        self.t_min = guard_radius(self.spec, A, 24)
 
     def density(self, t: float) -> float:
         t = float(t)

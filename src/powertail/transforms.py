@@ -27,7 +27,7 @@ from .errors import (
     LogTermObstructionError,
     OutsideValidityRegionError,
 )
-from .semigroup import SemigroupSpec, density_constant
+from .semigroup import SemigroupSpec, density_constant, guard_radius
 from .series import (
     DEFAULT_CUTOFF,
     Branch,
@@ -154,8 +154,7 @@ def moments_from_stieltjes(G: GenSeries) -> MomentSeries:
 
 
 def stieltjes_guard_radius(G: GenSeries) -> float:
-    c = density_constant(G.spec, max(1, int(math.ceil(G.cutoff))))
-    return 1.25 * c * growth_fit(G).A
+    return guard_radius(G.spec, growth_fit(G).A, max(1, int(math.ceil(G.cutoff))))
 
 
 # -- reciprocal-Cauchy form ----------------------------------------------
@@ -260,8 +259,7 @@ class TailDensityModel:
 
     def validity_radius(self) -> float:
         A = max((abs(c) ** (1.0 / (b + 1.0)) for b, c in self.a.items()), default=0.0)
-        c = density_constant(self.spec, 20)
-        return max(1.25 * c * A, self.guard_radius)
+        return max(guard_radius(self.spec, A, 20), self.guard_radius)
 
     def density(self, x: float) -> float:
         x = float(x)
@@ -301,10 +299,9 @@ def tail_from_moments(m: MomentSeries) -> TailDensityModel:
             a[g] = c / math.pi
     A = growth_fit(m.series).A
     r = max(A, 1e-6)
-    c_dens = density_constant(m.spec, 20)
-    R = 2.0 * r * c_dens
+    R = 2.0 * r * density_constant(m.spec, 20)
     return TailDensityModel(spec=m.spec, a=a, r=r * (1 + 1e-9), R=R,
-                            inner_moments=inner, guard_radius=1.25 * c_dens * A)
+                            inner_moments=inner, guard_radius=guard_radius(m.spec, A, 20))
 
 
 def moments_from_tail(model: TailDensityModel,

@@ -20,7 +20,7 @@ import tempfile
 import pytest
 from hypothesis import given, strategies as hst
 
-from powertail import cli
+from powertail import cli, stable
 
 
 def run_cli(*args, env_extra=None, expect=0):
@@ -386,12 +386,18 @@ def test_bad_convolve_file_exits_two_with_one_line(tmp_path, spoil, words):
     assert str(bad) in err and words in err
 
 
+def main_output(argv):
+    """cli.main in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_main(argv):
     """cli.main in process: (exit code, stderr); stdout is discarded."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, err.getvalue()
+    code, _, err = main_output(argv)
+    return code, err
 
 
 _DELETE = object()
@@ -446,6 +452,130 @@ def test_any_classify_text_exits_cleanly(rational, transform):
                           "--transform=" + transform, "--q-limit", "1000"])
     assert code in (0, 2, 4)
     assert code == 0 or err.count("\n") == 1
+
+
+# -------------------------------------------------------------- law table
+
+
+# one cheap parameter point per law in cli.LAWS, run at cutoff 8
+_LAW_POINTS = {
+    "delta0": [], "cauchy": [], "arcsine": [], "semicircle": [], "bernoulli": [],
+    "classical-stable": ["--alpha", "0.7", "--b", "0.5+1j"],
+    "free-stable": ["--alpha", "1.5", "--b", "0.5"],
+    "boolean-stable": ["--alpha", "1.5", "--b", "0.5"],
+    "monotone-stable": ["--alpha", "1.5", "--b", "0.5"],
+    "positive-stable": ["--alpha", "0.5"],
+    "stable-mixture": ["--alpha", "0.7"],
+    "supremum": ["--alpha", "0.43", "--rho", "0.6"],
+    "last-passage": ["--alpha", "1.5", "--d", "3"],
+    "mu-br": ["--alpha", "0.5", "--b", "1j", "--r", "2"],
+    "pareto": ["--beta", "1.5"],
+}
+_EXPAND_REPR = {"mu-br": "stieltjes", "pareto": "fourier"}
+_DENSITY_RANGE = {"positive-stable": ["--x-min", "2", "--x-max", "6"],
+                  "supremum": ["--x-min", "1", "--x-max", "3"],
+                  "last-passage": ["--x-min", "4", "--x-max", "8"]}
+# the cutoff-8 Cauchy series is 2.5e-6 off the Fourier quadrature (tolerance 1e-7)
+_EXIT = {("verify", "cauchy"): 3}
+
+
+def _table_argvs():
+    """(argv, exit code) for every (subcommand, law) pair of the table,
+    and exit 2 for every pair it does not offer."""
+    kinds = ("classical", "free", "boolean", "monotone")
+    cases = []
+    for i, (name, law) in enumerate(cli.LAWS.items()):
+        point = _LAW_POINTS[name] + ["--cutoff", "8"]
+        offered = {
+            "expand": ["--law", name, "--repr", _EXPAND_REPR.get(name, "moments")]
+            if law.moments or law.expand else None,
+            "convolve": ["--kind", kinds[i % 4], "--law-a", name, "--law-b", name]
+            if law.moments else None,
+            "density": ["--law", name, *_DENSITY_RANGE.get(name, []), "--points", "3"]
+            if law.density else None,
+            "verify": ["--law", name] if law.verify else None,
+        }
+        for command, args in offered.items():
+            if args is None:
+                flag = "--law-a" if command == "convolve" else "--law"
+                cases.append(([command, flag, name, *point], 2))
+            else:
+                cases.append(([command, *args, *point], _EXIT.get((command, name), 0)))
+    return cases
+
+
+_TABLE_CASES = _table_argvs()
+
+
+@pytest.mark.parametrize("argv, code", _TABLE_CASES,
+                         ids=[" ".join(argv) for argv, _ in _TABLE_CASES])
+def test_every_law_runs_where_the_table_offers_it(argv, code):
+    got, out, err = main_output(argv)
+    assert got == code, err
+    if code == 2:
+        assert out == ""
+        assert_one_line_error(err)
+        assert "invalid choice" in err
+    else:
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--rational"),
+    ("expand", "--law", "nope"),
+    ("expand",),
+    ("density", "--law", "cauchy", "--x-min", "1", "--x-max", "2"),
+    ("verify", "--law", "arcsine"),
+    ("density", "--law", "positive-stable", "--alpha", "0.5",
+     "--x-min", "nan", "--x-max", "8"),
+    ("density", "--law", "positive-stable", "--alpha", "0.5",
+     "--x-min", "2", "--x-max", "inf"),
+])
+def test_usage_errors_exit_two_with_one_line(argv):
+    code, out, err = main_output(argv)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+
+
+def test_help_still_prints_and_exits_zero():
+    code, out, _ = main_output(["expand", "-h"])
+    assert code == 0
+    assert "--law" in out
+
+
+@pytest.mark.parametrize("argv, den", [
+    (["density", "--law", "supremum", "--alpha", "0.7345", "--rho", "0.5",
+      "--M", "0", "--N", "2", "--x-min", "1", "--x-max", "4", "--points", "6"],
+     lambda: stable.SupremumDensity(
+         stable.SupremumSeriesParams(alpha=0.7345, rho=0.5, M=0, N=2))),
+    (["density", "--law", "last-passage", "--alpha", "1.5", "--d", "3",
+      "--M", "0", "--x-min", "4", "--x-max", "12", "--points", "5"],
+     lambda: stable.LastPassageDensity(stable.LastPassageParams(alpha=1.5, d=3, M=0))),
+], ids=["supremum", "last-passage"])
+def test_density_at_M_zero_is_the_order_zero_series(argv, den):
+    code, out, _ = main_output(argv)
+    assert code == 0
+    den = den()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == int(argv[-1])
+    for row in rows:
+        assert row["flag"] == ""
+        assert float(row["density_re"]) == den.density(float(row["x"]))
+
+
+def test_verify_supremum_doubles_the_given_orders():
+    code, out, _ = main_output(["verify", "--law", "supremum", "--alpha", "0.43",
+                                "--rho", "0.6", "--M", "3", "--N", "3"])
+    small, big = (stable.SupremumDensity(stable.SupremumSeriesParams(
+        alpha=0.43, rho=0.6, M=k, N=k)) for k in (3, 6))
+    x = 5.0 * max(small.x_min, big.x_min)
+    gap = abs(small.density(x) - big.density(x)) / abs(big.density(x))
+    (check,) = json.loads(out)["checks"]
+    assert check["note"] == "x = %.17g, relative" % x
+    assert check["discrepancy"] == gap
+    # orders (3, 3) and (6, 6) are far from agreeing to 1e-8
+    assert check["status"] == "fail" and code == 3
 
 
 # -------------------------------------------------------------- start-up
