@@ -976,6 +976,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
+            # one stderr line per warning, without a source path or line
+            warnings.showwarning = lambda message, category, *_: print(
+                "warning: %s: %s" % (category.__name__, message), file=sys.stderr)
             args = build_parser().parse_args(argv)
             return args.func(args)
     except SystemExit:  # --help has been printed

@@ -11,7 +11,10 @@ v1 <= v2 are identified when |v1 - v2| <= 1e-9 * max(1, v1).  When
 every generator is recognizably rational (denominator <= 10**6 and
 relative agreement 1e-12), enumeration and merging run exactly over a
 common integer lattice instead, so collisions like 3*(1/3) == 1 are
-exact rather than tolerance-based.
+exact rather than tolerance-based.  Either way the grid comes from one
+numpy enumeration over integer count vectors; a lattice whose cutoff
+reaches 2^53 is refused, since its integers would no longer be exact
+in a double.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ RATIONAL_MAX_DENOMINATOR = 10**6
 _MAX_POINTS = 4_000_000
 # hard cap on the valid exponent pairs of one grid (three int32 each)
 MAX_PAIRS = 8_000_000
+# lattice integers and their quotients by the denominator stay exact below this
+_EXACT_INTS = 2**53
 
 
 def _rational_form(g: float) -> Fraction | None:
@@ -128,76 +133,69 @@ def _check_budget(generators: tuple[float, ...], cutoff: float) -> None:
                 % (generators, cutoff, _MAX_POINTS))
 
 
-def _raw_points(generators, cutoff, zero, le_cutoff, add_scaled):
-    """All (value, counts) with value <= cutoff; generic over arithmetic."""
-    points = []
-    counts = [0] * len(generators)
-
-    def rec(i, acc):
-        if i == len(generators):
-            points.append((acc, tuple(counts)))
-            return
-        n = 0
-        val = acc
-        while le_cutoff(val):
-            counts[i] = n
-            rec(i + 1, val)
-            n += 1
-            val = add_scaled(acc, i, n)
-        counts[i] = 0
-
-    rec(0, zero)
-    return points
-
-
-def _enumerate(spec: SemigroupSpec, cutoff: float) -> tuple[list[ExponentIndex], int]:
-    """Ordered merged exponents in [0, cutoff], plus how many distinct
-    float values were merged into a neighbour by tolerance alone."""
+def _lattice(spec: SemigroupSpec, cutoff: float):
+    """Merged exponents of spec in [0, cutoff]: ascending values, their
+    representative counts, their lattice integers (None for a float
+    spec), and how many distinct float values were merged into a
+    group by tolerance alone."""
     cutoff = float(cutoff)
     if not math.isfinite(cutoff) or cutoff < 0:
         raise InvalidArgumentError("cutoff must be a non-negative real, got %r" % (cutoff,))
     _check_budget(spec.generators, cutoff)
 
     fracs = spec.rational_forms()
-    if fracs is not None:
-        cut = Fraction(cutoff)
-        pts = _raw_points(
-            fracs, cutoff,
-            zero=Fraction(0),
-            le_cutoff=lambda v: v <= cut,
-            add_scaled=lambda acc, i, n: acc + n * fracs[i],
-        )
-        merged: dict[Fraction, tuple[int, ...]] = {}
-        for val, cnt in pts:
-            old = merged.get(val)
-            if old is None or cnt < old:
-                merged[val] = cnt
-        return [ExponentIndex(float(v), merged[v]) for v in sorted(merged)], 0
+    if fracs is None:
+        weights, limit, sums = spec.generators, cutoff * (1.0 + 1e-12), np.zeros(1)
+    else:
+        den = math.lcm(*[f.denominator for f in fracs])
+        limit = math.floor(Fraction(cutoff) * den)
+        if max(den, limit) >= _EXACT_INTS:
+            raise UnsupportedSemigroupError(
+                "the common denominator %d of %s puts cutoff %g past the 2^53 integers "
+                "a double holds exactly" % (den, spec.describe(), cutoff))
+        # a weight past the limit is only ever taken zero times
+        weights = [min(int(f * den), limit + 1) for f in fracs]
+        sums = np.zeros(1, np.int64)
+    # every count vector with sum n_k w_k <= limit, one generator at a time
+    counts = np.zeros((1, 0), np.int64)
+    for w in weights:
+        tot = sums[:, None] + np.arange(int(limit // w) + 2) * w
+        row, n = np.nonzero(tot <= limit)
+        sums, counts = tot[row, n], np.column_stack((counts[row], n))
+    # by value, then by counts: each group leads with its smallest counts
+    order = np.lexsort((*counts[:, ::-1].T, sums))
+    sums, counts = sums[order], counts[order]
+    if fracs is None:
+        keep, by_tolerance = _merge_by_tolerance(sums)
+        values, ints = sums[keep], None
+    else:
+        keep = np.append(True, sums[1:] != sums[:-1])
+        ints, by_tolerance = sums[keep], 0
+        values = ints / den
+    return values, tuple(map(tuple, counts[keep].tolist())), ints, by_tolerance
 
-    gens = spec.generators
-    hi = cutoff * (1.0 + 1e-12)
-    pts = _raw_points(
-        gens, cutoff,
-        zero=0.0,
-        le_cutoff=lambda v: v <= hi,
-        add_scaled=lambda acc, i, n: acc + n * gens[i],
-    )
-    pts.sort()
-    out: list[ExponentIndex] = []
-    by_tolerance = 0
-    for val, cnt in pts:
-        if out and val - out[-1].value <= MERGE_REL_TOL * max(1.0, out[-1].value):
-            # group leader already has the lexicographically smallest
-            # counts: sort placed equal values in counts order
-            by_tolerance += val != out[-1].value
-            continue
-        out.append(ExponentIndex(val, cnt))
-    return out, by_tolerance
+
+def _merge_by_tolerance(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Group leaders of the ascending values v: a value within
+    MERGE_REL_TOL of its group's leader joins the group.  Returns the
+    leader mask and the count of merged values unequal to their leader."""
+    keep = np.ones(len(v), dtype=bool)
+    # a value can only be near its leader when it is near its neighbour
+    near = np.flatnonzero(v[1:] - v[:-1] <= MERGE_REL_TOL * np.maximum(1.0, v[:-1])) + 1
+    lead, by_tolerance = 0, 0
+    for p in near.tolist():
+        if keep[p - 1]:
+            lead = p - 1
+        if v[p] - v[lead] <= MERGE_REL_TOL * max(1.0, v[lead]):
+            keep[p] = False
+            by_tolerance += bool(v[p] != v[lead])
+    return keep, by_tolerance
 
 
 def enumerate_up_to(spec: SemigroupSpec, cutoff: float) -> list[ExponentIndex]:
     """Ordered merged exponents of the semigroup in [0, cutoff]."""
-    return _enumerate(spec, cutoff)[0]
+    values, reps, _, _ = _lattice(spec, cutoff)
+    return [ExponentIndex(v, c) for v, c in zip(values.tolist(), reps)]
 
 
 @lru_cache(maxsize=1024)
@@ -207,16 +205,10 @@ def density_constant(spec: SemigroupSpec, horizon: int) -> float:
     horizon = int(horizon)
     if horizon < 0:
         raise InvalidArgumentError("horizon must be a non-negative integer")
-    window = [0] * (horizon + 1)
-    for idx in enumerate_up_to(spec, horizon + 1):
-        n = int(math.floor(idx.value + 1e-12))
-        if n <= horizon:
-            window[n] += 1
-    c = 1.0
-    for n, cnt in enumerate(window):
-        if cnt > 0:
-            c = max(c, cnt ** (1.0 / (n + 1)))
-    return c
+    values = _lattice(spec, horizon + 1)[0]
+    window = np.bincount(np.floor(values + 1e-12).astype(np.int64), minlength=horizon + 1)
+    return max([1.0] + [cnt ** (1.0 / (n + 1))
+                        for n, cnt in enumerate(window[:horizon + 1].tolist()) if cnt])
 
 
 def guard_radius(spec: SemigroupSpec, A: float, horizon: int) -> float:
@@ -268,29 +260,15 @@ class ExponentGrid:
     def __init__(self, spec: SemigroupSpec, cutoff: float):
         self.spec = spec
         self.cutoff = float(cutoff)
-        idx, by_tolerance = _enumerate(spec, cutoff)
+        self.values, self.reps, self._ints, by_tolerance = _lattice(spec, cutoff)
         if by_tolerance:
             warnings.warn(ToleranceMergeWarning(
                 "%d exponents of %s up to cutoff %g merged with a neighbour "
                 "within relative tolerance %g; sums on this grid are exact only "
                 "to that tolerance" % (by_tolerance, spec.describe(), self.cutoff,
                                        MERGE_REL_TOL)), stacklevel=2)
-        self.values = np.array([e.value for e in idx], dtype=np.float64)
-        self.reps = tuple(e.counts for e in idx)
         self._pos = {v: i for i, v in enumerate(self.values.tolist())}
         self._pairs: PairList | None = None
-
-        fracs = spec.rational_forms()
-        if fracs is not None:
-            den = math.lcm(*[f.denominator for f in fracs])
-            ints = []
-            for e in idx:
-                total = sum(n * f for n, f in zip(e.counts, fracs))
-                ints.append(int(total * den))
-            self._ints = np.array(ints, dtype=np.int64)
-            self._int_cutoff = math.floor(Fraction(self.cutoff) * den)
-        else:
-            self._ints = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -326,7 +304,9 @@ class ExponentGrid:
         vals = self.values
         # row i pairs with the prefix of j whose value fits under the cutoff
         if self._ints is not None:
-            lim = np.searchsorted(self._ints, self._int_cutoff - self._ints, side="right")
+            # every lattice sum under the cutoff is on the grid, so the
+            # largest grid integer cuts the rows as the cutoff would
+            lim = np.searchsorted(self._ints, self._ints[-1] - self._ints, side="right")
         else:
             # twice the acceptance tolerance below, so rounding in
             # top - vals can never keep (i, j) and drop (j, i)

@@ -172,6 +172,17 @@ def test_density_supremum_rows_are_positive_with_remainders():
         assert float(row["remainder_bound"]) >= 0
 
 
+def test_warnings_are_one_line_each():
+    _, err = run_cli(
+        "density", "--law", "supremum", "--alpha", "0.6", "--rho", "0.5",
+        "--x-min", "20", "--x-max", "30", "--points", "2",
+    )
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("warning: TruncationWarning:") for line in lines)
+    assert not any("cli.py" in line for line in lines)
+
+
 def test_density_last_passage_runs():
     out, _ = run_cli(
         "density", "--law", "last-passage", "--alpha", "1.5", "--d", "2",
@@ -562,6 +573,29 @@ def test_density_at_M_zero_is_the_order_zero_series(argv, den):
     for row in rows:
         assert row["flag"] == ""
         assert float(row["density_re"]) == den.density(float(row["x"]))
+
+
+@pytest.mark.parametrize("kind", ["classical", "free", "boolean", "monotone"])
+def test_convolve_lifts_laws_on_different_semigroups(kind):
+    code, out, err = main_output(["convolve", "--kind", kind, "--law-a", "stable-mixture",
+                                  "--law-b", "arcsine", "--alpha", "0.7", "--cutoff", "6"])
+    assert code == 0, err
+    assert json.loads(out)["generators"] == [0.7]
+
+
+def test_lattice_past_exact_doubles_is_refused(tmp_path):
+    # common denominator 999961 * 999979 * 999983, about 1e18: cutoff 10
+    # needs lattice integers near 1e19
+    doc = {"format": "powertail/1", "representation": "moments",
+           "generators": [999960 / 999961, 999978 / 999979, 999982 / 999983],
+           "config": {"cutoff": 10}, "records": [{"exponent": 0, "re": 1, "im": 0}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    out, err = run_cli("convolve", "--kind", "classical", "--in-a", str(path),
+                       "--in-b", str(path), expect=2)
+    assert out == ""
+    assert_one_line_error(err)
+    assert "2^53" in err
 
 
 def test_verify_supremum_doubles_the_given_orders():

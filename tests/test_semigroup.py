@@ -1,8 +1,10 @@
 """Exponent lattices: enumeration order, collision merging, the
 per-window counting constant, and the sparse pair list with its bands."""
 
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +63,38 @@ def test_counting_constant_bounds_window_population():
     for n in range(7):
         count = sum(1 for v in vals if n <= v < n + 1)
         assert count <= c ** (n + 1) * (1.0 + 1e-9)
+
+
+def brute_enumeration(fracs, cutoff):
+    """{exact value: lexicographically smallest counts} over every count
+    vector of the generators fracs whose exact sum is at most cutoff."""
+    cut = Fraction(cutoff)
+    best = {}
+    for counts in itertools.product(*[range(int(cut / f) + 1) for f in fracs]):
+        v = sum(n * f for n, f in zip(counts, fracs))
+        if v <= cut and (v not in best or counts < best[v]):
+            best[v] = counts
+    return best
+
+
+@pytest.mark.parametrize("alphas, cutoff", [
+    ((), 5.0), ((Fraction(1, 3),), 8.0), ((Fraction(2, 5),), 7.5),
+    ((Fraction(5, 4),), 9.0), ((Fraction(1, 2), Fraction(1, 3)), 6.0),
+    ((Fraction(3, 10), Fraction(7, 10)), 4.0)])
+def test_enumeration_and_counting_constant_match_brute_force(alphas, cutoff):
+    spec = SemigroupSpec.with_alphas(*[float(a) for a in alphas])
+    fracs = (Fraction(1),) + tuple(sorted(alphas))  # the spec sorts them too
+    best = brute_enumeration(fracs, cutoff)
+    got = enumerate_up_to(spec, cutoff)
+    assert [e.value for e in got] == [float(v) for v in sorted(best)]
+    assert [e.counts for e in got] == [best[v] for v in sorted(best)]
+    assert all(type(n) is int for e in got for n in e.counts)
+    # windows [n, n+1) counted on the exact values up to horizon + 1
+    exact = sorted(brute_enumeration(fracs, 9))
+    for horizon in range(1, 9):
+        window = [sum(1 for v in exact if n <= v < n + 1) for n in range(horizon + 1)]
+        want = max([1.0] + [cnt ** (1.0 / (n + 1)) for n, cnt in enumerate(window) if cnt])
+        assert density_constant(spec, horizon) == want
 
 
 def test_grid_lookup_agrees_with_enumeration():

@@ -21,8 +21,8 @@ from powertail.errors import (LogTermObstructionError,
 from powertail.semigroup import SemigroupSpec, density_constant
 from powertail.series import (compose_F, evaluate, growth_fit,
                               identity_f_form, linear_combine)
-from powertail.stable import (StableKind, StableParams, free_stable,
-                              monotone_stable, stable_mixture)
+from powertail.stable import (StableKind, StableParams, classical_stable,
+                              free_stable, monotone_stable, stable_mixture)
 from powertail.transforms import (FourierEvaluator, F_from_moments,
                                   MomentSeries, boolean_convolve,
                                   classical_convolve, delta_zero,
@@ -236,6 +236,17 @@ def test_point_mass_is_neutral_for_every_kind():
                  monotone_convolve):
         assert worst_termwise(conv(m, e), m) < 1e-12
         assert worst_termwise(conv(e, m), m) < 1e-12
+
+
+def test_point_mass_lifts_to_the_semigroup_of_the_other_operand():
+    # delta0 lives on the naturals, the stable law on naturals + 1/2
+    m, _ = classical_stable(StableParams(0.5, -1.0), 6.0)
+    e = delta_zero(NAT, cutoff=6.0)
+    for conv in (classical_convolve, free_convolve, boolean_convolve,
+                 monotone_convolve):
+        for out in (conv(e, m), conv(m, e)):
+            assert out.spec == m.spec
+            assert worst_termwise(out, m) < 1e-14
 
 
 @given(hst.integers(min_value=0, max_value=200))
