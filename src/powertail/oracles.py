@@ -72,11 +72,27 @@ class IntegrableDensity:
                 % self.envelope_exponent)
 
 
+def _once_per_node(fn: Callable[[float], complex]) -> Callable[[float], complex]:
+    """fn remembering its value at every node, so that the quad runs of
+    one integral (real and imaginary parts, cosine and sine weights)
+    evaluate each node they share once."""
+    seen: dict[float, complex] = {}
+
+    def at(x: float) -> complex:
+        v = seen.get(x)
+        if v is None:
+            v = seen[x] = fn(x)
+        return v
+
+    return at
+
+
 def _quad_complex(fn: Callable[[float], complex], a: float, b: float,
                   **opts) -> tuple[complex, float]:
     from scipy.integrate import quad  # loaded only when an oracle integrates
 
     kw = {**_QUAD_OPTS, **opts}
+    fn = _once_per_node(fn)
     re, re_err = quad(lambda x: fn(x).real, a, b, **kw)
     im, im_err = quad(lambda x: fn(x).imag, a, b, **kw)
     return complex(re, im), re_err + im_err
@@ -89,6 +105,7 @@ def _oscillatory_halfline(fn: Callable[[float], complex], a: float,
 
     w = abs(z)
     kw = dict(epsabs=1e-12, limit=400, limlst=200)
+    fn = _once_per_node(fn)
     cr, er1 = quad(lambda x: fn(x).real, a, math.inf, weight="cos", wvar=w, **kw)
     sr, er2 = quad(lambda x: fn(x).real, a, math.inf, weight="sin", wvar=w, **kw)
     ci, er3 = quad(lambda x: fn(x).imag, a, math.inf, weight="cos", wvar=w, **kw)

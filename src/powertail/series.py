@@ -30,6 +30,10 @@ at once; composition and reversion fill one power series per term of
 the outer form together, reversion online, as each new coefficient of
 the inverse becomes known (van der Hoeven, "Relax, but don't be too
 lazy", JSC 34, 2002).
+
+Evaluation reads a per-series plan, built on the first ``evaluate`` and
+kept on the instance, so a point costs one vectorised exp; the value is
+bit for bit the term-by-term sum in Python complex arithmetic.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -605,9 +609,9 @@ def _poisson_tail(N: int, x: float) -> float:
     return total
 
 
-def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound) -> float:
-    """Conservative bound on the mass of discarded terms beyond the cutoff."""
-    c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
+def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound, c: float) -> float:
+    """Conservative bound on the mass of discarded terms beyond the cutoff,
+    with c the density constant of f's semigroup up to its cutoff."""
     A = growth.A
     if A == 0.0:
         return 0.0
@@ -635,6 +639,47 @@ def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound) -> float:
     return pref * c * sigma ** N / (1.0 - sigma)
 
 
+# below this real part np.exp and cmath.exp round alike; from log(DBL_MAX / 4)
+# = 708.4 on cmath.exp rescales, and past 709.8 it raises OverflowError
+_EXP_SAFE = 708.0
+
+
+class _EvalPlan(NamedTuple):
+    """What ``evaluate`` reads of a series, computed once per series."""
+
+    powers: np.ndarray         # sign * (gamma + shift) by ascending gamma; sign -1 if DESCENDING
+    reach: float               # max |power|; 0 when no term needs the log
+    re: np.ndarray             # real parts of the coefficients
+    im: np.ndarray             # imaginary parts
+    gamma: np.ndarray | None   # Gamma(gamma + 1) under GAMMA normalization, else None
+    growth: GrowthBound        # the default growth fit
+    c: float                   # density constant up to the cutoff
+    guard_scale: float         # guard radius per unit of A (it is linear in A)
+
+
+def _eval_plan(f: GenSeries) -> _EvalPlan:
+    """The evaluation plan of f, built on first use and kept on f; terms
+    are never changed after construction, so it cannot go stale."""
+    plan = f.__dict__.get("_plan")
+    if plan is None:
+        keys = list(f.terms)  # ascending since __post_init__
+        coefs = np.array(list(f.terms.values()), dtype=np.complex128)
+        sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
+        powers = np.array([sign * (k + f.exponent_shift) for k in keys])
+        horizon = max(1, int(math.ceil(f.cutoff)))
+        plan = _EvalPlan(
+            powers=powers, reach=float(np.max(np.abs(powers), initial=0.0)),
+            re=np.ascontiguousarray(coefs.real), im=np.ascontiguousarray(coefs.imag),
+            gamma=(np.array([gamma_factor(k + 1.0) for k in keys])
+                   if f.normalization is Normalization.GAMMA else None),
+            growth=(growth_fit(f) if keys
+                    else GrowthBound(0.0, BoundShape.PER_EXPONENT, f.cutoff)),
+            c=density_constant(f.spec, horizon),
+            guard_scale=guard_radius(f.spec, 1.0, horizon))
+        object.__setattr__(f, "_plan", plan)
+    return plan
+
+
 def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
              growth: GrowthBound | None = None) -> EvalResult:
     """Partial sum at z with powers on the chosen branch.
@@ -643,24 +688,39 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
     DivergenceGuardWarning inside |z| <= 1.25 * c * A; the value is
     still returned.  The tail bound is a conservative estimate of the
     discarded terms' total mass from the fitted growth bound.
+
+    The products and the division by Gamma are spelled out in real parts
+    as Python's complex arithmetic does them, and the sum is sequential,
+    so the value is the one a term-by-term loop gives.
     """
     z = complex(z)
-    sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
-    needs_log = any((k + f.exponent_shift) != 0 for k in f.terms)
-    L = _branch_log(z, branch) if needs_log else 0j
+    plan = _eval_plan(f)
     total = 0j
-    gamma_norm = f.normalization is Normalization.GAMMA
-    for k, c in sorted(f.terms.items()):
-        e = k + f.exponent_shift
-        term = c if e == 0 else c * cmath.exp(sign * e * L)
-        if gamma_norm:
-            term /= gamma_factor(k + 1.0)
-        total += term
+    if len(plan.powers):
+        if plan.reach:
+            L = _branch_log(z, branch)
+            arg = plan.powers * L
+            if plan.reach * abs(L.real) < _EXP_SAFE:
+                w = np.exp(arg)
+            else:  # a power near or past overflow: round and raise as cmath does
+                w = np.array([cmath.exp(a) for a in arg.tolist()])
+            wr, wi = w.real, w.imag
+            re = plan.re * wr - plan.im * wi
+            im = plan.re * wi + plan.im * wr
+        else:
+            re, im = plan.re, plan.im
+        if plan.gamma is not None:
+            re, im = re / plan.gamma, im / plan.gamma
+        # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
+        total = complex(0.0 + np.add.accumulate(re)[-1], 0.0 + np.add.accumulate(im)[-1])
     if growth is None:
-        growth = growth_fit(f) if f.terms else GrowthBound(0.0, BoundShape.PER_EXPONENT, f.cutoff)
+        growth = plan.growth
     absz = abs(z)
-    if f.variable is Variable.DESCENDING and absz <= divergence_guard_radius(f, growth):
-        warnings.warn(DivergenceGuardWarning(
-            "|z| = %g is inside the divergence guard radius %g; partial sum "
-            "carries no convergence guarantee" % (absz, divergence_guard_radius(f, growth))))
-    return EvalResult(value=total, tail_bound=_tail_bound(f, absz, growth) if absz > 0 else math.inf)
+    if f.variable is Variable.DESCENDING:
+        radius = plan.guard_scale * growth.A
+        if absz <= radius:
+            warnings.warn(DivergenceGuardWarning(
+                "|z| = %g is inside the divergence guard radius %g; partial sum "
+                "carries no convergence guarantee" % (absz, radius)))
+    return EvalResult(value=total,
+                      tail_bound=_tail_bound(f, absz, growth, plan.c) if absz > 0 else math.inf)

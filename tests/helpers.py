@@ -1,10 +1,14 @@
 """Shared builders for the test suite: a few standard laws as moment
-series, and termwise comparison utilities."""
+series, termwise comparison utilities, and the term-by-term series
+evaluator that ``series.evaluate`` must reproduce bit for bit."""
 
 import cmath
 import math
 
-from powertail.semigroup import SemigroupSpec
+from powertail import series
+from powertail.semigroup import SemigroupSpec, density_constant
+from powertail.series import (Branch, BoundShape, EvalResult, GrowthBound,
+                              Normalization, Variable, gamma_factor, growth_fit)
 from powertail.transforms import moment_series
 
 NAT = SemigroupSpec.natural()
@@ -54,3 +58,26 @@ def worst_termwise_rel(a, b):
         y = b.terms.get(k, 0j)
         out = max(out, abs(x - y) / max(1.0, abs(y)))
     return out
+
+
+def reference_evaluate(f, z, branch=Branch.PRINCIPAL, growth=None):
+    """Partial sum at z one term at a time in Python complex arithmetic,
+    with the tail bound of ``series.evaluate`` (no guard warning)."""
+    z = complex(z)
+    sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
+    needs_log = any((k + f.exponent_shift) != 0 for k in f.terms)
+    L = series._branch_log(z, branch) if needs_log else 0j
+    total = 0j
+    for k, c in sorted(f.terms.items()):
+        e = k + f.exponent_shift
+        term = c if e == 0 else c * cmath.exp(sign * e * L)
+        if f.normalization is Normalization.GAMMA:
+            term /= gamma_factor(k + 1.0)
+        total += term
+    if growth is None:
+        growth = growth_fit(f) if f.terms else GrowthBound(0.0, BoundShape.PER_EXPONENT,
+                                                           f.cutoff)
+    absz = abs(z)
+    c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
+    return EvalResult(value=total, tail_bound=series._tail_bound(f, absz, growth, c)
+                      if absz > 0 else math.inf)

@@ -465,6 +465,71 @@ def test_any_classify_text_exits_cleanly(rational, transform):
     assert code == 0 or err.count("\n") == 1
 
 
+# a flag value: a number in the range most laws take, any plausible number,
+# a spelling the parsers must refuse, or any text
+_FLAG_VALUE = hst.one_of(
+    hst.floats(0.0, 2.5).map(repr),
+    hst.integers(-3, 60).map(str),
+    hst.floats(-5.0, 50.0).map(repr),
+    hst.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "", "1j", "0.5+0.5j",
+                      "-1-1j", "2/3", "1e-300"]),
+    hst.text(max_size=6))
+_LAW_FLAGS = ("--alpha", "--b", "--gamma0", "--c", "--beta-hat", "--beta", "--R",
+              "--r", "--rho", "--M", "--N", "--d", "--nu", "--cutoff")
+_INT_VALUE = hst.one_of(hst.integers(-3, 60).map(str), _FLAG_VALUE)
+
+
+def _choices(names):
+    """The names a choice flag accepts, and two it refuses."""
+    return hst.sampled_from(list(names) + ["", "nope"])
+
+
+def _laws(*parts):
+    return _choices(name for name, law in cli.LAWS.items()
+                    if any(getattr(law, part) for part in parts))
+
+
+# per subcommand: (flags every argv carries, flags drawn from)
+_COMMAND_FLAGS = {
+    "expand": (("--law",), ("--repr",) + _LAW_FLAGS),
+    "density": (("--law", "--x-min", "--x-max"), ("--points",) + _LAW_FLAGS),
+    "convolve": (("--kind", "--law-a", "--law-b"), _LAW_FLAGS),
+}
+_VALUES = {
+    ("expand", "--law"): _laws("moments", "expand"),
+    ("density", "--law"): _laws("density"),
+    ("convolve", "--law-a"): _laws("moments"),
+    ("convolve", "--law-b"): _laws("moments"),
+    "--repr": _choices(["moments", "fourier", "stieltjes", "F", "voiculescu", "tail"]),
+    "--kind": _choices(["classical", "free", "boolean", "monotone"]),
+    "--nu": _choices(["uniform", "delta1"]),
+    "--M": _INT_VALUE, "--N": _INT_VALUE, "--d": _INT_VALUE, "--points": _INT_VALUE,
+}
+
+
+@hst.composite
+def _law_argv(draw):
+    command = draw(hst.sampled_from(sorted(_COMMAND_FLAGS)))
+    required, optional = _COMMAND_FLAGS[command]
+    flags = draw(hst.lists(hst.sampled_from(optional), unique=True, max_size=6))
+    argv = [command]
+    for flag in required + tuple(flags):
+        value = _VALUES.get((command, flag), _VALUES.get(flag, _FLAG_VALUE))
+        argv.append(flag + "=" + draw(value))
+    return argv
+
+
+@given(argv=_law_argv())
+def test_any_law_flags_exit_cleanly(argv):
+    code, err = run_main(argv)
+    assert code in (0, 2, 3, 4), err
+    lines = err.splitlines()
+    if code:
+        assert len(lines) == 1 and err.endswith("\n"), err
+    else:
+        assert all(line.startswith("warning: ") for line in lines), err
+
+
 # -------------------------------------------------------------- law table
 
 

@@ -9,13 +9,16 @@ fixed-point iteration (checked against the Lagrange-Buermann closed
 form, which stands in for it at depth).  None of them shares code or
 method with the recurrence.
 
-Everything lives on the semigroup generated by 1 and alpha = 2/5,
-with exponents kept exactly as integer multiples of 1/5.  The test
-series is the tail of F = z(1 + b w^alpha + 0.3 w), w = 1/z, with b on
-the symmetric phase.
+Each test runs on the semigroup generated by 1 and one alpha, with
+exponents kept exactly as integer multiples of 1/unit: alpha = 2/5,
+and the near-resonant alpha = 5001/10000, whose grid keeps 0.5001 and
+0.5 + 0.0001 k apart from the integers and half-integers they nearly
+hit.  The test series is the tail of F = z(1 + b w^alpha + 0.3 w),
+w = 1/z, with b on the symmetric phase.
 """
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -28,15 +31,35 @@ from powertail.series import (GenSeries, Normalization, Variable,  # noqa: E402
                               identity_f_form, reciprocal, revert_F)
 
 mp.dps = 60
-UNIT = 5                  # exponents in units of 1/5
-ALPHA = 2                 # alpha = 2/5 in those units
-SPEC = SemigroupSpec.with_alphas(0.4)
-B_MP = mpmath.exp(1j * mpmath.pi * (1 - mpf(ALPHA) / UNIT / 2))
-B = complex(B_MP)
-TAIL = {ALPHA: B_MP, UNIT: mpf("0.3")}       # h(w) = b w^alpha + 0.3 w
 # termwise |kernel - oracle| / max(1, |oracle|): a few thousand ulps,
 # room for rounding carried through ~120 bands of a recurrence
 TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Lattice:
+    unit: int     # exponents in units of 1/unit
+    alpha: int    # alpha in those units
+
+    @property
+    def spec(self):
+        return SemigroupSpec.with_alphas(self.alpha / self.unit)
+
+    @property
+    def b(self):
+        return mpmath.exp(1j * mpmath.pi * (1 - mpf(self.alpha) / self.unit / 2))
+
+    @property
+    def tail(self):
+        """h(w) = b w^alpha + 0.3 w."""
+        return {self.alpha: self.b, self.unit: mpf("0.3")}
+
+    def series_tail(self):
+        return {self.alpha / self.unit: complex(self.b), 1.0: 0.3}
+
+
+TWO_FIFTHS = Lattice(5, 2)
+NEAR_HALF = Lattice(10000, 5001)
 
 
 def _mul(a, b, top):
@@ -66,11 +89,12 @@ def _binomial(beta):
     return lambda n: mpmath.binomial(beta, n)
 
 
-def _fixed_point_revert(tail, top):
+def _fixed_point_revert(lat, top):
     """Tail of the inverse form by f <- -sum_g b_g w^g (1 + f)^(1-g).
 
     Pass t is exact below (t + 1) * lead, so it is computed only that
     far; the iteration itself is the unaccelerated one."""
+    tail = lat.tail
     lead = min(tail)
     f, t = {}, 0
     while (t + 1) * lead <= top:
@@ -78,108 +102,125 @@ def _fixed_point_revert(tail, top):
         new = {}
         for g, bg in tail.items():
             part = {e: c for e, c in f.items() if e <= reach - g}
-            pw = _power_sum(part, _binomial(1 - mpf(g) / UNIT), reach - g)
+            pw = _power_sum(part, _binomial(1 - mpf(g) / lat.unit), reach - g)
             for e, c in pw.items():
                 new[e + g] = new.get(e + g, 0) - bg * c
         f, t = new, t + 1
     return f
 
 
-def _multinomial_coefficient(beta, e):
+def _multinomial_coefficient(lat, beta, e):
     """[u^e] (1 + h(u))^beta in closed form: the sum over a alpha + d = e
     of beta (beta - 1) ... (beta - a - d + 1) / (a! d!) b^a 0.3^d."""
+    tail = lat.tail
     total = mpc(0)
-    for a in range(e // ALPHA + 1):
-        rest = e - a * ALPHA
-        if rest % UNIT:
+    for a in range(e // lat.alpha + 1):
+        rest = e - a * lat.alpha
+        if rest % lat.unit:
             continue
-        d = rest // UNIT
+        d = rest // lat.unit
         falling = mpmath.rf(beta - a - d + 1, a + d)
         total += (falling / (math.factorial(a) * math.factorial(d))
-                  * TAIL[ALPHA] ** a * TAIL[UNIT] ** d)
+                  * tail[lat.alpha] ** a * tail[lat.unit] ** d)
     return total
 
 
-def _lagrange_revert(top):
+def _lagrange_revert(lat, top):
     """Tail f of the inverse form by Lagrange-Buermann inversion:
     [w^s] (1 + f) = [u^s] (phi^(s-1) - u phi'(u) phi^(s-2)) with
-    phi = 1 + h, one closed-form coefficient per exponent s."""
+    phi = 1 + h, one closed-form coefficient per lattice exponent s."""
+    lattice = {a * lat.alpha + d * lat.unit
+               for a in range(top // lat.alpha + 1) for d in range(top // lat.unit + 1)}
     f = {}
-    for s in range(1, top + 1):
-        beta = mpf(s) / UNIT
-        c = _multinomial_coefficient(beta - 1, s)
-        for g, bg in TAIL.items():
+    for s in sorted(e for e in lattice if 0 < e <= top):
+        beta = mpf(s) / lat.unit
+        c = _multinomial_coefficient(lat, beta - 1, s)
+        for g, bg in lat.tail.items():
             if s >= g:
-                c -= mpf(g) / UNIT * bg * _multinomial_coefficient(beta - 2, s - g)
+                c -= mpf(g) / lat.unit * bg * _multinomial_coefficient(lat, beta - 2, s - g)
         if c != 0:
             f[s] = c
     return f
 
 
-def _worst(series, ref, top):
+def _worst(lat, series, ref, top):
     """Largest |kernel - oracle| / max(1, |oracle|) over every exponent."""
-    keys = set(ref) | {round(g * UNIT) for g in series.terms}
+    keys = set(ref) | {round(g * lat.unit) for g in series.terms}
     worst = 0.0
     for e in keys:
         if e > top:
             continue
         want = complex(ref.get(e, 0))
-        got = series.coefficient(e / UNIT)
+        got = series.coefficient(e / lat.unit)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return worst
 
 
-def _one_plus_tail(cutoff):
-    return GenSeries(SPEC, Variable.DESCENDING, Normalization.RAW,
-                     {0.0: 1.0, 0.4: B, 1.0: 0.3}, cutoff)
+def _one_plus_tail(lat, cutoff):
+    return GenSeries(lat.spec, Variable.DESCENDING, Normalization.RAW,
+                     {0.0: 1.0, **lat.series_tail()}, cutoff)
 
 
-@pytest.mark.parametrize("cutoff", [24, 48])
-def test_reciprocal_matches_geometric_series(cutoff):
-    top = cutoff * UNIT
-    minus_h = {e: -c for e, c in TAIL.items()}
+def _case(lat, *params):
+    """A parametrize case named by its params, the near-resonant lattice
+    marked; that grid has about 600 exponents at cutoff 24."""
+    name = "-".join(str(p) for p in params)
+    return pytest.param(lat, *params, id=name if lat is TWO_FIFTHS else "0.5001-" + name)
+
+
+DEPTHS = [_case(TWO_FIFTHS, 24), _case(TWO_FIFTHS, 48), _case(NEAR_HALF, 24)]
+
+
+@pytest.mark.parametrize("lat,cutoff", DEPTHS)
+def test_reciprocal_matches_geometric_series(lat, cutoff):
+    top = cutoff * lat.unit
+    minus_h = {e: -c for e, c in lat.tail.items()}
     ref = _power_sum(minus_h, lambda n: 1, top)
-    assert _worst(reciprocal(_one_plus_tail(cutoff)), ref, top) < TOL
+    assert _worst(lat, reciprocal(_one_plus_tail(lat, cutoff)), ref, top) < TOL
 
 
-@pytest.mark.parametrize("cutoff,beta", [(24, 2.5), (48, -0.7), (48, 2.5)])
-def test_binomial_power_matches_binomial_sum(cutoff, beta):
-    top = cutoff * UNIT
-    ref = _power_sum(TAIL, _binomial(mpf(beta)), top)
-    got = binomial_power(_one_plus_tail(cutoff), beta)
-    assert _worst(got, ref, top) < TOL
+@pytest.mark.parametrize("lat,cutoff,beta", [
+    _case(TWO_FIFTHS, 24, 2.5), _case(TWO_FIFTHS, 48, -0.7), _case(TWO_FIFTHS, 48, 2.5),
+    _case(NEAR_HALF, 24, -0.7)])
+def test_binomial_power_matches_binomial_sum(lat, cutoff, beta):
+    top = cutoff * lat.unit
+    ref = _power_sum(lat.tail, _binomial(mpf(beta)), top)
+    got = binomial_power(_one_plus_tail(lat, cutoff), beta)
+    assert _worst(lat, got, ref, top) < TOL
 
 
-@pytest.mark.parametrize("cutoff", [24, 48])
-def test_graded_exp_matches_power_series(cutoff):
-    top = cutoff * UNIT
-    ref = _power_sum(TAIL, lambda n: 1 / mpmath.factorial(n), top)
-    h = GenSeries(SPEC, Variable.ASCENDING, Normalization.RAW,
-                  {0.4: B, 1.0: 0.3}, float(cutoff))
-    assert _worst(graded_exp(h), ref, top) < TOL
+@pytest.mark.parametrize("lat,cutoff", DEPTHS)
+def test_graded_exp_matches_power_series(lat, cutoff):
+    top = cutoff * lat.unit
+    ref = _power_sum(lat.tail, lambda n: 1 / mpmath.factorial(n), top)
+    h = GenSeries(lat.spec, Variable.ASCENDING, Normalization.RAW,
+                  lat.series_tail(), float(cutoff))
+    assert _worst(lat, graded_exp(h), ref, top) < TOL
 
 
 def test_lagrange_oracle_agrees_with_fixed_point_reversion():
-    top = 8 * UNIT
-    fixed = _fixed_point_revert(TAIL, top)
-    closed = _lagrange_revert(top)
-    for e in set(fixed) | set(closed):
-        assert abs(fixed.get(e, 0) - closed.get(e, 0)) < mpf(10) ** -50
+    for lat in (TWO_FIFTHS, NEAR_HALF):
+        top = 8 * lat.unit
+        fixed = _fixed_point_revert(lat, top)
+        closed = _lagrange_revert(lat, top)
+        for e in set(fixed) | set(closed):
+            assert abs(fixed.get(e, 0) - closed.get(e, 0)) < mpf(10) ** -50
 
 
-@pytest.mark.parametrize("cutoff", [24, 48])
-def test_revert_matches_lagrange_inversion(cutoff):
-    top = cutoff * UNIT
-    ref = {0: mpc(1), **_lagrange_revert(top)}
-    F = f_form(SPEC, {0.4: B, 1.0: 0.3}, float(cutoff))
-    assert _worst(revert_F(F), ref, top) < TOL
+@pytest.mark.parametrize("lat,cutoff", DEPTHS)
+def test_revert_matches_lagrange_inversion(lat, cutoff):
+    top = cutoff * lat.unit
+    ref = {0: mpc(1), **_lagrange_revert(lat, top)}
+    F = f_form(lat.spec, lat.series_tail(), float(cutoff))
+    assert _worst(lat, revert_F(F), ref, top) < TOL
 
 
-@pytest.mark.parametrize("cutoff", [24.0, 32.0])
-def test_compose_with_reversion_is_identity(cutoff):
-    F = f_form(SPEC, {0.4: B, 1.0: 0.3}, cutoff)
+@pytest.mark.parametrize("lat,cutoff", [
+    _case(TWO_FIFTHS, 24.0), _case(TWO_FIFTHS, 32.0), _case(NEAR_HALF, 24.0)])
+def test_compose_with_reversion_is_identity(lat, cutoff):
+    F = f_form(lat.spec, lat.series_tail(), cutoff)
     back = compose_F(F, revert_F(F))
-    ident = identity_f_form(SPEC, cutoff)
+    ident = identity_f_form(lat.spec, cutoff)
     worst = max(abs(back.terms.get(g, 0j) - ident.terms.get(g, 0j))
                 for g in set(back.terms) | set(ident.terms))
     assert worst < TOL

@@ -7,12 +7,14 @@ reported uncertainty; that bracketing is itself under test here.
 """
 
 import cmath
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from helpers import HALF, NAT, cauchy_moments
+from powertail import oracles
 from powertail.errors import OutsideValidityRegionError
 from powertail.oracles import (IntegrableDensity, brute_revert,
                                brute_series_product,
@@ -155,3 +157,49 @@ def test_brute_reversion_of_surd_map():
     keys = set(got.terms) | set(fast.terms)
     assert max(abs(got.terms.get(k, 0j) - fast.terms.get(k, 0j))
                for k in keys) < 1e-12
+
+
+# ------------------------------------------------- one evaluation per node
+
+def _hex(value, err):
+    return value.real.hex(), value.imag.hex(), err.hex()
+
+
+def _counting(fn):
+    calls = collections.Counter()
+
+    def counted(x):
+        calls[x] += 1
+        return fn(x)
+
+    return counted, calls
+
+
+def test_quad_complex_evaluates_each_node_once():
+    from scipy.integrate import quad
+
+    def fn(x):
+        return complex(math.cos(x), math.sin(2.0 * x)) / (1.0 + x * x)
+
+    counted, calls = _counting(fn)
+    value, err = oracles._quad_complex(counted, 0.0, 5.0, points=[1.0])
+    assert calls and max(calls.values()) == 1
+    re, re_err = quad(lambda x: fn(x).real, 0.0, 5.0, points=[1.0], **oracles._QUAD_OPTS)
+    im, im_err = quad(lambda x: fn(x).imag, 0.0, 5.0, points=[1.0], **oracles._QUAD_OPTS)
+    assert _hex(value, err) == _hex(complex(re, im), re_err + im_err)
+
+
+@pytest.mark.parametrize("z", [0.5, 1.0, -2.0])
+def test_fourier_quadrature_evaluates_each_node_once(monkeypatch, z):
+    density, calls = _counting(cauchy_density().fn)
+    den = IntegrableDensity(fn=density, envelope_scale=1.0 / math.pi,
+                            envelope_exponent=1.0, envelope_start=1.0)
+    got = quadrature_fourier(den, z)
+    assert max(calls.values()) == 1
+    once = sum(calls.values())
+    # without the memo each quad run evaluates its nodes again
+    calls.clear()
+    monkeypatch.setattr(oracles, "_once_per_node", lambda fn: fn)
+    want = quadrature_fourier(den, z)
+    assert sum(calls.values()) > 2 * once
+    assert _hex(got.value, got.error_estimate) == _hex(want.value, want.error_estimate)

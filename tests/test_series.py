@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as hst
 
 import powertail.series as series_module
-from helpers import HALF, NAT, cauchy_moments, worst_termwise
+from helpers import HALF, NAT, cauchy_moments, reference_evaluate, worst_termwise
 from powertail.errors import (DomainBranchError, IncompatibleSeriesError,
                               InvalidFormError, NormalizationError,
                               NotInvertibleError, ResourceGuardError,
@@ -28,7 +28,9 @@ from powertail.series import (Branch, BoundShape, DivergenceGuardWarning,
                               gamma_factor, growth_fit, identity_f_form,
                               is_f_form, linear_combine, product, reciprocal,
                               revert_F, scale, unit_series)
-from powertail.transforms import moment_series, stieltjes_from_moments
+from powertail.stable import monotone_stable_form
+from powertail.transforms import (FourierEvaluator, moment_series,
+                                  stieltjes_from_moments)
 
 
 def desc(terms, cutoff=8.0, spec=NAT):
@@ -325,6 +327,87 @@ def test_evaluate_is_linear_in_the_series():
     z = 3.0 + 2.0j
     want = 2.0 * evaluate(f, z).value - 1.5j * evaluate(g, z).value
     assert abs(evaluate(comb, z).value - want) < 1e-12
+
+
+def _bits(res):
+    v = complex(res.value)
+    return v.real.hex(), v.imag.hex(), float(res.tail_bound).hex()
+
+
+def _points(n, lo, hi, im):
+    return [complex(lo + (hi - lo) * (i + 0.37) / n, im) for i in range(n)]
+
+
+# name: (series, points, branch), one per layout evaluate handles
+_PLAN_CASES = {
+    "fourier": (FourierEvaluator(cauchy_moments(20.0)).series,
+                [0.02, 0.3, 0.7, 1.0, 1.9, 5.0], Branch.PRINCIPAL),
+    "half-gamma": (GenSeries(HALF, Variable.ASCENDING, Normalization.GAMMA,
+                             {0.5 * i: complex(math.cos(i), math.sin(2 * i)) for i in range(41)},
+                             20.0),
+                   _points(20, 0.01, 6.0, 0.0) + _points(20, -3.0, 3.0, 0.7), Branch.PRINCIPAL),
+    # Gamma(k + 1) overflows from k = 171 on, where each term must read 0
+    "naturals-200": (GenSeries(NAT, Variable.ASCENDING, Normalization.GAMMA,
+                               {float(k): 1.0 for k in range(201)}, 200.0),
+                     [0.5, 2.0, 7.5 + 1j, -3.0 - 2j], Branch.PRINCIPAL),
+    "shift+1": (cauchy_resolvent(), _points(40, -6.0, 6.0, -0.5) + [-3j, 0.5 + 0.1j],
+                Branch.PRINCIPAL),
+    "shift-1": (f_form(HALF, {0.5: 0.3 - 0.2j, 1.0: 1j, 2.5: -0.1}, 8.0),
+                _points(40, -6.0, 6.0, 1.5) + [4.0, 0.2 - 0.2j], Branch.PRINCIPAL),
+    "monotone": (monotone_stable_form(0.7, 0.5, 16.0)[0],
+                 _points(40, -6.0, 6.0, 0.8) + _points(20, -6.0, 6.0, -0.8), Branch.MONOTONE),
+    # no term needs the log, so no DomainBranchError on the cut
+    "constant-on-cut": (desc({0.0: 2.5 - 1j}), [-1.0, 0.0, 3.0 - 1j], Branch.PRINCIPAL),
+    "empty": (desc({}), [-1.0, 0.0, 2.0 + 1j], Branch.PRINCIPAL),
+    # z^-8 underflows to (-0.0, +0.0) at the first point, where the loop's
+    # sum from 0j reads +0.0, and is subnormal at the second
+    "underflow": (desc({8.0: 1.0}), [1e200 * cmath.exp(-3j * math.pi / 32),
+                                     math.exp(92.5) * cmath.exp(0.3j)], Branch.PRINCIPAL),
+}
+
+
+@pytest.mark.parametrize("case", list(_PLAN_CASES))
+def test_evaluate_is_the_term_loop_bit_for_bit(case):
+    f, points, branch = _PLAN_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergenceGuardWarning)
+        for z in points:
+            want = reference_evaluate(f, z, branch)
+            assert _bits(evaluate(f, z, branch)) == _bits(want), z
+            g = growth_fit(f) if f.terms else None
+            assert _bits(evaluate(f, z, branch, g)) == _bits(
+                reference_evaluate(f, z, branch, g)), z
+
+
+def test_evaluate_raises_where_a_term_overflows_as_the_loop_does():
+    f = desc({0.0: 1.0, 8.0: 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergenceGuardWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError):
+            reference_evaluate(f, 1e-100j)
+        with pytest.raises(OverflowError):
+            evaluate(f, 1e-100j)
+        # near overflow a power may stay finite, rounded as the loop rounds it
+        for r in (707.9, 708.1, 709.0, 709.5):
+            z = math.exp(-r / 8) * cmath.exp(0.1j)
+            assert _bits(evaluate(f, z)) == _bits(reference_evaluate(f, z)), r
+
+
+def test_evaluate_naturals_past_gamma_overflow_read_zero():
+    f = _PLAN_CASES["naturals-200"][0]
+    head = f.truncated(170.0)
+    assert evaluate(f, 2.0).value == evaluate(head, 2.0).value
+    assert abs(evaluate(f, 2.0).value - math.e ** 2) < 1e-13
+
+
+def test_a_planned_series_still_equals_a_fresh_copy():
+    f = cauchy_resolvent()
+    fresh = cauchy_resolvent()
+    evaluate(f, -3j)
+    assert f == fresh and fresh == f
+    assert repr(f) == repr(fresh)
+    assert f.with_terms(f.terms) == f
 
 
 def test_gamma_factor_matches_scipy_with_poles_and_overflow():
