@@ -48,6 +48,8 @@ from .errors import (
 _MAX_QUOTIENT_DIGITS = 100_000
 # hard cap on the length of a sine growth profile
 MAX_PROFILE_N = 100_000
+# largest q_limit: the first convergent past it still has a float 1 / q
+MAX_Q_LIMIT = 10 ** 300
 
 
 class Verdict(Enum):
@@ -104,9 +106,17 @@ class DiophantineEvidence:
 
 @dataclass(frozen=True)
 class ClassifyParams:
-    q_limit: int = 10 ** 5
+    q_limit: int = 10 ** 5     # largest convergent denominator tested
     candidate_b: float = 10.0  # implied base at/above which we flag a candidate
     min_witness_q: int = 3     # ignore spurious strength at tiny denominators
+
+    def __post_init__(self):
+        q = self.q_limit
+        if isinstance(q, bool) or not isinstance(q, int) or not 1 <= q <= MAX_Q_LIMIT:
+            got = ("an integer of %d bits" % q.bit_length()
+                   if isinstance(q, int) and q.bit_length() > 64 else repr(q))
+            raise InvalidArgumentError(
+                "q limit must be an integer from 1 to 10**300, got %s" % got)
 
 
 # -- certificates --------------------------------------------------------

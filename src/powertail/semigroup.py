@@ -361,13 +361,14 @@ def _bands(i: np.ndarray, j: np.ndarray, starts: np.ndarray) -> np.ndarray:
         raise UnsupportedSemigroupError(
             "grid sums are out of order: an exponent pair lands at or below one "
             "of its summands")
-    bands = [0]
-    start = 1
-    while start < n:
-        bands.append(start)
-        later = np.flatnonzero(dep[start:] >= start)
-        start = start + int(later[0]) if len(later) else n
-    bands.append(n)
+    bands, start = [0], 1
+    for k, d in enumerate(dep.tolist()):
+        if d >= start:  # k needs an index of the open band: a new band opens at k
+            bands.append(start)
+            start = k
+    bands.append(start)
+    if start < n:
+        bands.append(n)
     return np.array(bands, dtype=np.int64)
 
 

@@ -29,7 +29,9 @@ exponents, and the grid's bands group the exponents that can be filled
 at once; composition and reversion fill one power series per term of
 the outer form together, reversion online, as each new coefficient of
 the inverse becomes known (van der Hoeven, "Relax, but don't be too
-lazy", JSC 34, 2002).
+lazy", JSC 34, 2002).  The per-pair factors of the recurrence are
+gathered once per kernel call, so a band is one gather, one product and
+one grouped sum for all rows.
 
 Evaluation reads a per-series plan, built on the first ``evaluate`` and
 kept on the instance, so a point costs one vectorised exp; the value is
@@ -238,8 +240,10 @@ def _require_plain(f: GenSeries, what: str) -> None:
 
 # hard cap on the complex cells of one kernel's row matrix (rows x grid)
 MAX_KERNEL_CELLS = 1 << 24
-# cells gathered at once inside a band; bounds the kernel's temporaries
-_CHUNK_CELLS = 1 << 20
+# cells of one kernel temporary (a band's gather, a slab of per-pair
+# factors): 1 MB of complex.  A slab spans many bands, so unlike a band it
+# usually fills its budget; at 1 << 20 it raised peak memory by 15 MB.
+_CHUNK_CELLS = 1 << 16
 
 
 def _dense(terms: Mapping[float, complex], grid: ExponentGrid) -> np.ndarray:
@@ -258,10 +262,13 @@ def _sparse(vec: np.ndarray, grid: ExponentGrid) -> dict[float, complex]:
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of sorted non-negative ``keys`` and the offset of
+    """Distinct values of sorted ``keys``, as indices, and the offset of
     each run."""
-    heads = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[heads], heads
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    return keys[heads].astype(np.intp), heads
 
 
 def _band_groups(keys: np.ndarray, bands: np.ndarray):
@@ -296,6 +303,14 @@ def _shift_pairs(pl: PairList, index: np.ndarray):
     return pl.i[sel], rows[sel], pl.k[sel]
 
 
+def _offsets(heads: np.ndarray, starts) -> np.ndarray:
+    """``reduceat`` offsets of sorted group ``heads``, each from the head
+    of the latest group in ``starts`` at or before it."""
+    base = np.zeros(len(heads), dtype=heads.dtype)
+    base[starts] = heads[starts]
+    return heads - np.maximum.accumulate(base)
+
+
 def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
                 shifts: np.ndarray | None = None,
                 tail_coef: np.ndarray | None = None) -> np.ndarray:
@@ -309,14 +324,18 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
     * ``"exp"``: p = exp(h), w_k p_k = sum p_i h_j w_j (beta = 1);
     * ``"reciprocal"``: p = 1/(1 + h), p_k = -sum p_i h_j, free of w.
 
-    Each band of the grid depends only on earlier bands, so it is one
-    gather and one grouped sum for all rows at once.  When row r is to
+    h has no constant term.  Each band of the grid depends only on
+    earlier bands.  The per-pair factors h_j (beta_r u_j - v_i) do not
+    depend on p, so they are gathered before the band loop, in slabs of
+    at most ``_CHUNK_CELLS`` cells; a band is then one gather of p, one
+    product and one grouped sum for all rows at once.  When row r is to
     be shifted by the grid exponent at index ``shifts[r]``, it is needed
     only where the shift stays under the cutoff; shifts must ascend.
 
     ``tail_coef`` makes h unknown on entry: before each band it is set
     to h_k = -sum_r tail_coef_r p_r[k - exponent at shifts[r]], the
-    fixed point that compositional reversion solves.
+    fixed point that compositional reversion solves, and the slabs hold
+    beta_r u_j - v_i, to be multiplied by h_j band by band.
     """
     if len(betas) * len(grid) > MAX_KERNEL_CELLS:
         raise ResourceGuardError(
@@ -328,43 +347,70 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
     w, zero, one = pl.weights, np.zeros(n), np.ones(n)
     u, v, d = {"power": (w, w, w), "exp": (w, zero, w),
                "reciprocal": (zero, one, one)}[kind]
-    P = np.zeros((len(betas), n), dtype=np.complex128)
-    P[:, 0] = 1.0
+    # exponents down, rows across, so a band gathers and scatters whole
+    # lines; a single row is kept as a vector
+    R = len(betas)
+    P = np.zeros((n, R) if R > 1 else n, dtype=np.complex128)
+    P[0] = 1.0
+    col = np.s_[:, None] if R > 1 else np.s_[:]
+    u, v, d, hc = u[col], v[col], d[col], h[col]
     # active rows per band: shifted rows drop out once the shift passes the cutoff
     if shifts is None:
-        active = [len(betas)] * len(bands)
+        active = [R] * len(bands)
     else:
         active = np.searchsorted(-pl.reach[shifts], -bands, side="left").tolist()
     if tail_coef is None:
-        keep = h[pl.j] != 0
+        keep = np.flatnonzero((h != 0).take(pl.j))
     else:
-        keep = pl.j > 0
+        keep = np.flatnonzero(pl.j)
         ti, tr, tk = _shift_pairs(pl, shifts)
-        tc = tail_coef[tr]
+        tc, flat, tflat = tail_coef[tr], P.reshape(-1), ti * R + tr
         tks, theads, tends, tcut = _band_groups(tk, bands)
-    I, J, K = pl.i[keep], pl.j[keep], pl.k[keep]
+        trel = _offsets(theads, [t for t, t1 in zip(tcut, tcut[1:]) if t < t1])
+    I, J, K = pl.i[keep].astype(np.intp), pl.j[keep], pl.k[keep]
     ks, heads, ends, gcut = _band_groups(K, bands)
     first, last = heads.tolist(), ends.tolist()
+    # segments of a band: whole output groups, about _CHUNK_CELLS gathered
+    # cells each; slabs: the factors of consecutive segments with one row
+    # count, in at most _CHUNK_CELLS cells unless one segment needs more
+    segs, slabs = [[] for _ in bands], []
     for b in range(1, len(bands) - 1):
-        if tail_coef is not None and tcut[b] < tcut[b + 1]:
-            t0, t1 = tcut[b], tcut[b + 1]
-            lo, hi = theads[t0], tends[t1 - 1]
-            h[tks[t0:t1]] = -np.add.reduceat(tc[lo:hi] * P[tr[lo:hi], ti[lo:hi]],
-                                             theads[t0:t1] - lo)
         g0, g_end, rows = gcut[b], gcut[b + 1], active[b]
-        while g0 < g_end:
-            # whole output groups at a time, about _CHUNK_CELLS gathered cells each
+        while rows and g0 < g_end:
             g1 = g_end
             if (last[g1 - 1] - first[g0]) * rows > _CHUNK_CELLS:
                 g1 = int(np.searchsorted(ends, first[g0] + _CHUNK_CELLS // rows, side="right"))
                 g1 = min(g_end, max(g0 + 1, g1))
             lo, hi = first[g0], last[g1 - 1]
-            i, j = I[lo:hi], J[lo:hi]
-            terms = P[:rows, i] * (h[j] * (betas[:rows, None] * u[j] - v[i]))
-            P[:rows, ks[g0:g1]] = (np.add.reduceat(terms, heads[g0:g1] - lo, axis=1)
-                                   / d[ks[g0:g1]])
+            if not slabs or slabs[-1][2] != rows or (hi - slabs[-1][0]) * rows > _CHUNK_CELLS:
+                slabs.append([lo, hi, rows])
+            slabs[-1][1] = hi
+            segs[b].append((rows, g0, g1, lo, hi, len(slabs) - 1))
             g0 = g1
-    return P
+    rel = _offsets(heads, [seg[1] for band in segs for seg in band])
+    dks, built = d[ks], -1
+    for b in range(1, len(bands) - 1):
+        if tail_coef is not None and tcut[b] < tcut[b + 1]:
+            t0, t1 = tcut[b], tcut[b + 1]
+            lo, hi = theads[t0], tends[t1 - 1]
+            h[tks[t0:t1]] = -np.add.reduceat(tc[lo:hi] * flat[tflat[lo:hi]], trel[t0:t1])
+        for rows, g0, g1, lo, hi, slab in segs[b]:
+            if slab != built:
+                built, (slab_lo, slab_hi, _) = slab, slabs[slab]
+                i, j = I[slab_lo:slab_hi], J[slab_lo:slab_hi]
+                fac = betas[:rows] * u[j] - v[i]
+                if tail_coef is None:
+                    fac = hc[j] * fac
+            f, i = fac[lo - slab_lo:hi - slab_lo], I[lo:hi]
+            if rows < R:  # shifted rows that have dropped out stay as they are
+                Q, line = P[:, :rows], P[i, :rows]
+            else:  # whole lines: take is the faster gather
+                Q, line = P, P.take(i, axis=0)
+            if tail_coef is not None:
+                f = hc[J[lo:hi]] * f
+            sums = np.add.reduceat(line * f, rel[g0:g1], axis=0)
+            Q[ks[g0:g1]] = np.divide(sums, dks[g0:g1], out=sums)
+    return P.reshape(n, -1).T
 
 
 # -- algebra -----------------------------------------------------------

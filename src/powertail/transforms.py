@@ -346,7 +346,9 @@ def tail_real_to_complex(b: dict, spec: SemigroupSpec) -> dict:
 
 def _on_common_spec(m1: MomentSeries, m2: MomentSeries) -> tuple[MomentSeries, ...]:
     """Both operands on the semigroup their generators generate together;
-    each keeps its terms, which lie on that larger grid too."""
+    each keeps its terms, which lie on that larger grid too.  An operand
+    already on it passes through, so a self-convolution's two operands
+    stay one object and are converted once."""
     spec = SemigroupSpec(tuple(set(m1.spec.fractional_generators + m2.spec.fractional_generators)))
     return tuple(m if m.spec == spec else moment_series(spec, m.terms, m.cutoff) for m in (m1, m2))
 
@@ -361,7 +363,7 @@ def boolean_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
     """Boolean convolution: reciprocal-Cauchy tails add."""
     m1, m2 = _on_common_spec(m1, m2)
     F1 = F_from_moments(m1)
-    F2 = F_from_moments(m2)
+    F2 = F1 if m2 is m1 else F_from_moments(m2)
     combined = linear_combine(1.0, F1, 1.0, F2)
     terms = dict(combined.terms)
     terms[0.0] = terms.get(0.0, 0j) - 1.0  # the two unit terms collapse to one
@@ -373,12 +375,13 @@ def boolean_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
 def monotone_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
     """Monotone convolution: reciprocal-Cauchy forms compose (left acts)."""
     m1, m2 = _on_common_spec(m1, m2)
-    return moments_from_F(compose_F(F_from_moments(m1), F_from_moments(m2)))
+    F1 = F_from_moments(m1)
+    return moments_from_F(compose_F(F1, F1 if m2 is m1 else F_from_moments(m2)))
 
 
 def free_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
     """Free convolution: Voiculescu series add."""
     m1, m2 = _on_common_spec(m1, m2)
     p1 = voiculescu_from_moments(m1)
-    p2 = voiculescu_from_moments(m2)
+    p2 = p1 if m2 is m1 else voiculescu_from_moments(m2)
     return moments_from_voiculescu(linear_combine(1.0, p1, 1.0, p2))

@@ -1,9 +1,13 @@
 """Shared builders for the test suite: a few standard laws as moment
-series, termwise comparison utilities, and the term-by-term series
-evaluator that ``series.evaluate`` must reproduce bit for bit."""
+series, termwise comparison utilities, the term-by-term series
+evaluator that ``series.evaluate`` must reproduce bit for bit, and the
+band-by-band Euler-operator kernel that ``series._euler_rows`` must
+reproduce."""
 
 import cmath
 import math
+
+import numpy as np
 
 from powertail import series
 from powertail.semigroup import SemigroupSpec, density_constant
@@ -81,3 +85,49 @@ def reference_evaluate(f, z, branch=Branch.PRINCIPAL, growth=None):
     c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
     return EvalResult(value=total, tail_bound=series._tail_bound(f, absz, growth, c)
                       if absz > 0 else math.inf)
+
+
+def reference_euler_rows(grid, h, betas, kind, shifts=None, tail_coef=None):
+    """``series._euler_rows`` as one gather and one grouped sum per band,
+    every per-pair factor re-gathered inside the band loop."""
+    pl = grid.pairs()
+    n, bands = len(grid), pl.bands
+    w, zero, one = pl.weights, np.zeros(n), np.ones(n)
+    u, v, d = {"power": (w, w, w), "exp": (w, zero, w),
+               "reciprocal": (zero, one, one)}[kind]
+    P = np.zeros((len(betas), n), dtype=np.complex128)
+    P[:, 0] = 1.0
+    if shifts is None:
+        active = [len(betas)] * len(bands)
+    else:
+        active = np.searchsorted(-pl.reach[shifts], -bands, side="left").tolist()
+    if tail_coef is None:
+        keep = h[pl.j] != 0
+    else:
+        keep = pl.j > 0
+        ti, tr, tk = series._shift_pairs(pl, shifts)
+        tc = tail_coef[tr]
+        tks, theads, tends, tcut = series._band_groups(tk, bands)
+    I, J, K = pl.i[keep], pl.j[keep], pl.k[keep]
+    ks, heads, ends, gcut = series._band_groups(K, bands)
+    first, last = heads.tolist(), ends.tolist()
+    for b in range(1, len(bands) - 1):
+        if tail_coef is not None and tcut[b] < tcut[b + 1]:
+            t0, t1 = tcut[b], tcut[b + 1]
+            lo, hi = theads[t0], tends[t1 - 1]
+            h[tks[t0:t1]] = -np.add.reduceat(tc[lo:hi] * P[tr[lo:hi], ti[lo:hi]],
+                                             theads[t0:t1] - lo)
+        g0, g_end, rows = gcut[b], gcut[b + 1], active[b]
+        while g0 < g_end:
+            g1 = g_end
+            if (last[g1 - 1] - first[g0]) * rows > series._CHUNK_CELLS:
+                g1 = int(np.searchsorted(ends, first[g0] + series._CHUNK_CELLS // rows,
+                                         side="right"))
+                g1 = min(g_end, max(g0 + 1, g1))
+            lo, hi = first[g0], last[g1 - 1]
+            i, j = I[lo:hi], J[lo:hi]
+            terms = P[:rows, i] * (h[j] * (betas[:rows, None] * u[j] - v[i]))
+            P[:rows, ks[g0:g1]] = (np.add.reduceat(terms, heads[g0:g1] - lo, axis=1)
+                                   / d[ks[g0:g1]])
+            g0 = g1
+    return P

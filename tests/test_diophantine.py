@@ -114,6 +114,14 @@ def test_q_limit_caps_the_witness_stream():
     assert max(w.q for w in ev.witnesses) <= 100
 
 
+def test_q_limit_is_a_positive_integer_with_a_float_reciprocal():
+    ev = classify(golden_ratio_certificate(), ClassifyParams(q_limit=10 ** 300))
+    assert ev.tested_q_limit == 10 ** 300
+    for bad in (0, -5, 10 ** 300 + 1, 2.5, True, "100"):
+        with pytest.raises(InvalidArgumentError, match="q limit"):
+            ClassifyParams(q_limit=bad)
+
+
 def test_float_certificate_is_precision_limited():
     fc = FloatCertificate(0.7390851332151607)
     cs = convergents(fc, 60)

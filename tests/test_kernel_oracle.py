@@ -23,14 +23,22 @@ from dataclasses import dataclass
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
-from mpmath import mp, mpc, mpf  # noqa: E402
+from mpmath import mpc, mpf  # noqa: E402
 
 from powertail.semigroup import SemigroupSpec  # noqa: E402
 from powertail.series import (GenSeries, Normalization, Variable,  # noqa: E402
                               binomial_power, compose_F, f_form, graded_exp,
                               identity_f_form, reciprocal, revert_F)
 
-mp.dps = 60
+
+@pytest.fixture(autouse=True)
+def _sixty_digits():
+    """Every oracle runs at 60 digits, whatever precision an earlier test
+    module left in mpmath's global context."""
+    with mpmath.workdps(60):
+        yield
+
+
 # termwise |kernel - oracle| / max(1, |oracle|): a few thousand ulps,
 # room for rounding carried through ~120 bands of a recurrence
 TOL = 1e-12

@@ -11,11 +11,13 @@ import cmath
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
 import powertail.series as series_module
-from helpers import HALF, NAT, cauchy_moments, reference_evaluate, worst_termwise
+from helpers import (HALF, NAT, cauchy_moments, reference_euler_rows,
+                     reference_evaluate, symmetric_phase, worst_termwise)
 from powertail.errors import (DomainBranchError, IncompatibleSeriesError,
                               InvalidFormError, NormalizationError,
                               NotInvertibleError, ResourceGuardError,
@@ -255,6 +257,65 @@ def test_chunked_bands_give_identical_coefficients(monkeypatch):
     assert runs[0] == runs[1]
 
 
+# the kernel-oracle lattices: 2/5, and the near-resonant 5001/10000 (about
+# 600 exponents at cutoff 24)
+KERNEL_LATTICES = [pytest.param(0.4, 48.0, id="0.4-48"),
+                   pytest.param(0.5001, 24.0, id="0.5001-24")]
+
+
+def _kernel_inputs(alpha, cutoff):
+    """The oracle test form F = z(1 + b w^alpha + 0.3 w) on its grid: its
+    tail h as a grid vector, and the rows, shifts and coefficients of its
+    terms."""
+    F = f_form(SemigroupSpec.with_alphas(alpha),
+               {alpha: symmetric_phase(alpha), 1.0: 0.3}, cutoff)
+    grid = F.grid()
+    h = series_module._dense(F.terms, grid)
+    h[0] = 0.0
+    index, coef, betas = series_module._outer_rows(
+        {g: c for g, c in F.terms.items() if g > 0}, grid)
+    return grid, h, index, coef, betas
+
+
+def _kernel_cases(grid, h, index, coef, betas):
+    """(args, kwargs) of every way the library runs the kernel, with one
+    row and with several, plus a tail with no zero coefficient."""
+    full = h + np.where(np.arange(len(grid)) > 0, 0.01j / (1.0 + grid.values), 0.0)
+    return [((h, np.ones(1), "reciprocal"), {}),
+            ((full, np.ones(1), "reciprocal"), {}),
+            ((h, np.array([-0.7 + 0j]), "power"), {}),
+            ((h, np.ones(1), "exp"), {}),
+            ((h, np.array([2.5, -0.7, 0.5j]), "power"), {}),
+            ((full, np.array([2.5, -0.7, 0.5j]), "power"), {}),
+            ((h, betas, "power"), {"shifts": index}),
+            ((h, betas[:1], "power"), {"shifts": index[:1]}),
+            ((np.zeros(len(grid), dtype=np.complex128), betas, "power"),
+             {"shifts": index, "tail_coef": coef}),
+            ((np.zeros(len(grid), dtype=np.complex128), betas[:1], "power"),
+             {"shifts": index[:1], "tail_coef": coef[:1]})]
+
+
+@pytest.mark.parametrize("cells", ["default", 1000, 3])
+@pytest.mark.parametrize("alpha,cutoff", KERNEL_LATTICES)
+def test_euler_kernel_is_the_band_loop_bit_for_bit(monkeypatch, alpha, cutoff, cells):
+    # both read _CHUNK_CELLS: 1000 splits the slabs and large bands, 3
+    # leaves one output group per segment.  Bit for bit holds because both
+    # multiply p by the factor in that order (numpy's complex product is not
+    # commutative to the bit where it fuses multiply-adds); past 256 KiB the
+    # loop's product reuses its temporary factor and swaps them, a size no
+    # case here reaches.
+    if cells != "default":
+        monkeypatch.setattr(series_module, "_CHUNK_CELLS", cells)
+    grid, *inputs = _kernel_inputs(alpha, cutoff)
+    for (h, betas, kind), kw in _kernel_cases(grid, *inputs):
+        h_ref = h.copy()
+        got = series_module._euler_rows(grid, h, betas, kind, **kw)
+        want = reference_euler_rows(grid, h_ref, betas, kind, **kw)
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (kind, kw.keys())
+        assert h.tobytes() == h_ref.tobytes()
+
+
 # -------------------------------------------------------------- evaluate
 
 def test_evaluate_resolvent_of_cauchy_at_negative_imaginary():
@@ -439,12 +500,12 @@ def test_poisson_tail_matches_scipy_incomplete_gamma():
 
 def test_poisson_tail_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    for N in (1, 7, 20, 48, 64):
-        for x in (1e-3, 0.3, 5.0, N - 0.5, N + 0.5, 90.0, 700.0):
-            want = mpmath.exp(x) * mpmath.gammainc(N, 0, x, regularized=True)
-            got = series_module._poisson_tail(N, x)
-            assert abs(got - want) <= 1e-14 * want, (N, x)
+    with mpmath.workdps(40):  # mpmath's precision is global: restore it on exit
+        for N in (1, 7, 20, 48, 64):
+            for x in (1e-3, 0.3, 5.0, N - 0.5, N + 0.5, 90.0, 700.0):
+                want = mpmath.exp(x) * mpmath.gammainc(N, 0, x, regularized=True)
+                got = series_module._poisson_tail(N, x)
+                assert abs(got - want) <= 1e-14 * want, (N, x)
 
 
 # ------------------------------------------------------------ growth fit

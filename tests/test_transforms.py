@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
+import powertail.transforms as transforms_module
+
 from helpers import (HALF, NAT, bernoulli_moments, cauchy_moments,
                      semicircle_moments, symmetric_phase, worst_termwise)
 from powertail.errors import (LogTermObstructionError,
@@ -247,6 +249,30 @@ def test_point_mass_lifts_to_the_semigroup_of_the_other_operand():
         for out in (conv(e, m), conv(m, e)):
             assert out.spec == m.spec
             assert worst_termwise(out, m) < 1e-14
+
+
+def _bits(m):
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in m.terms.items()}
+
+
+@pytest.mark.parametrize("conv,converter", [
+    (boolean_convolve, "F_from_moments"), (monotone_convolve, "F_from_moments"),
+    (free_convolve, "voiculescu_from_moments")])
+def test_self_convolution_converts_its_operand_once(monkeypatch, conv, converter):
+    m, _ = classical_stable(StableParams(0.5, -1.0), 12.0)
+    twin = moment_series(m.spec, m.terms, m.cutoff)
+    assert twin == m and twin is not m
+    real, calls = getattr(transforms_module, converter), []
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(transforms_module, converter, counted)
+    same = conv(m, m)
+    assert len(calls) == 1
+    assert _bits(same) == _bits(conv(m, twin))
+    assert len(calls) == 3
 
 
 @given(hst.integers(min_value=0, max_value=200))
