@@ -519,14 +519,15 @@ def _witnesses_from_convergents(cert: RealCertificate,
     for p, q in convergents_stream(cert):
         if prev is not None:
             p0, q0 = prev
-            # |q0 beta - p0| lies within (1/(q+q0), 1/q]
-            dist_hi = 1.0 / q
+            # |q0 beta - p0| lies within (1/(q+q0), 1/q], so the implied
+            # base is q^(1/q0); q may be past the float range, its log is not
             if q0 >= 1:
+                try:
+                    implied_b = 10.0 ** (math.log10(q) / q0)
+                except OverflowError:
+                    implied_b = math.inf
                 out.append(ApproximationWitness(
-                    q=q0,
-                    log10_distance=-math.log10(q),
-                    implied_b=dist_hi ** (-1.0 / q0) if q0 else math.inf,
-                ))
+                    q=q0, log10_distance=-math.log10(q), implied_b=implied_b))
         if q > params.q_limit:
             break
         prev = (p, q)

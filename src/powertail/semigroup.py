@@ -8,13 +8,13 @@ the series layer indexes into.
 
 Two generators whose combination values collide are merged:  values
 v1 <= v2 are identified when |v1 - v2| <= 1e-9 * max(1, v1).  When
-every generator is recognizably rational (denominator <= 10**6 and
-relative agreement 1e-12), enumeration and merging run exactly over a
-common integer lattice instead, so collisions like 3*(1/3) == 1 are
-exact rather than tolerance-based.  Either way the grid comes from one
-numpy enumeration over integer count vectors; a lattice whose cutoff
-reaches 2^53 is refused, since its integers would no longer be exact
-in a double.
+every generator is recognizably rational (a fraction with denominator
+<= 10**6 whose double is within 4 ulps of the generator), enumeration
+and merging run exactly over a common integer lattice instead, so
+collisions like 3*(1/3) == 1 are exact rather than tolerance-based.
+Either way the grid comes from one numpy enumeration over integer count
+vectors; a lattice whose cutoff reaches 2^53 is refused, since its
+integers would no longer be exact in a double.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .errors import (
 )
 
 MERGE_REL_TOL = 1e-9
-RATIONAL_DETECT_REL_TOL = 1e-12
+# a generator computed as p/q in a few roundings is still read as p/q; the
+# best fraction for a generic real is thousands of ulps away
+RATIONAL_DETECT_ULPS = 4
 RATIONAL_MAX_DENOMINATOR = 10**6
 
 # hard cap on enumerated lattice points before merging
@@ -48,9 +50,10 @@ _EXACT_INTS = 2**53
 
 
 def _rational_form(g: float) -> Fraction | None:
-    """Fraction with denominator <= 10**6 reproducing g, or None."""
+    """Fraction with denominator <= 10**6 whose double is within a few
+    ulps of g, or None."""
     fr = Fraction(g).limit_denominator(RATIONAL_MAX_DENOMINATOR)
-    if abs(g - float(fr)) <= RATIONAL_DETECT_REL_TOL * max(1.0, abs(g)):
+    if abs(g - float(fr)) <= RATIONAL_DETECT_ULPS * math.ulp(g):
         return fr
     return None
 

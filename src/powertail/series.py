@@ -1,7 +1,9 @@
 """Truncated generalized power series over an exponent semigroup.
 
-A series is a finite coefficient map {exponent: complex} on the
-canonical grid of its semigroup, truncated at a cutoff exponent.
+A series is one complex coefficient vector aligned with the canonical
+grid of its semigroup, truncated at a cutoff exponent; its ``terms``
+read the same coefficients as a map {exponent: complex}.  Kernels read
+and write the vector, and a change of reading passes it on unchanged.
 The variable direction says whether terms mean c * z^gamma (ASCENDING,
 densities and characteristic functions near zero) or c * z^(-gamma)
 (DESCENDING, transforms at infinity).  GAMMA normalization divides
@@ -43,8 +45,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -123,79 +127,106 @@ def gamma_factor(x: float) -> float:
         return math.copysign(math.inf, x)
 
 
-@dataclass(frozen=True)
 class GenSeries:
-    spec: SemigroupSpec
-    variable: Variable
-    normalization: Normalization
-    terms: dict
-    cutoff: float = DEFAULT_CUTOFF
-    exponent_shift: int = 0
-    dropped: int = field(default=0, compare=False)
+    """An immutable truncated series.  It holds one read-only complex
+    vector ``coefs`` aligned with the exponent grid of (spec, cutoff).
 
-    def __post_init__(self):
-        if not isinstance(self.spec, SemigroupSpec):
+    ``terms`` is either that vector or a map {exponent: coefficient}.
+    In a map, exponents that merge to one grid value add up, an
+    exponent past the cutoff is dropped and counted in ``dropped``, and
+    one off the grid at or below it raises.  Either way the stored
+    vector is a fresh copy with no negative zero.  The ``terms``
+    property reads it back as a read-only map of the nonzero
+    coefficients by ascending exponent.
+    """
+
+    def __init__(self, spec: SemigroupSpec, variable: Variable,
+                 normalization: Normalization, terms: Mapping | np.ndarray,
+                 cutoff: float = DEFAULT_CUTOFF, exponent_shift: int = 0):
+        if not isinstance(spec, SemigroupSpec):
             raise InvalidArgumentError("spec must be a SemigroupSpec")
-        if not isinstance(self.variable, Variable) or not isinstance(
-                self.normalization, Normalization):
+        if not isinstance(variable, Variable) or not isinstance(normalization, Normalization):
             raise InvalidArgumentError("variable/normalization must use the package enums")
-        cutoff = float(self.cutoff)
+        cutoff = float(cutoff)
         if not math.isfinite(cutoff) or cutoff <= 0:
             raise InvalidArgumentError("cutoff must be a positive real")
-        shift = int(self.exponent_shift)
-        if self.normalization is Normalization.GAMMA and shift != 0:
+        shift = int(exponent_shift)
+        if normalization is Normalization.GAMMA and shift != 0:
             raise InvalidArgumentError("GAMMA normalization does not combine with a shift")
-        grid = exponent_grid(self.spec, cutoff)
-        clean: dict[float, complex] = {}
+        grid = exponent_grid(spec, cutoff)
         dropped = 0
-        for k, c in self.terms.items():
-            k = float(k)
-            c = complex(c)
-            i = grid.index_of(k)
-            if i < 0:
-                if k > cutoff:
-                    dropped += 1
-                    continue
+        if isinstance(terms, np.ndarray):
+            if terms.shape != (len(grid),):
                 raise InvalidArgumentError(
-                    "exponent %r is not on the grid of %s" % (k, self.spec.describe()))
-            key = float(grid.values[i])
-            clean[key] = clean.get(key, 0j) + c
-        clean = {k: v for k, v in sorted(clean.items()) if v != 0}
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "exponent_shift", shift)
-        object.__setattr__(self, "dropped", dropped)
+                    "a coefficient vector on the %d-exponent grid of %s has shape %r"
+                    % (len(grid), spec.describe(), terms.shape))
+            # + 0j: a copy, and -0.0 reads +0.0 as when a sum starts from 0j
+            coefs = np.asarray(terms, dtype=np.complex128) + 0j
+        else:
+            coefs = np.zeros(len(grid), dtype=np.complex128)
+            for k, c in terms.items():
+                k = float(k)
+                i = grid.index_of(k)
+                if i < 0:
+                    if k > cutoff:
+                        dropped += 1
+                        continue
+                    raise InvalidArgumentError(
+                        "exponent %r is not on the grid of %s" % (k, spec.describe()))
+                coefs[i] += complex(c)
+        coefs.flags.writeable = False
+        self.__dict__.update(spec=spec, variable=variable, normalization=normalization,
+                             coefs=coefs, cutoff=cutoff, exponent_shift=shift,
+                             dropped=dropped)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a GenSeries cannot be changed")
+
+    def __reduce__(self):  # copies rebuild from the vector; the cached map does not pickle
+        return GenSeries, (self.spec, self.variable, self.normalization, self.coefs,
+                           self.cutoff, self.exponent_shift)
+
+    def __eq__(self, other):
+        if not isinstance(other, GenSeries):
+            return NotImplemented
+        mine, theirs = ((f.spec, f.variable, f.normalization, f.cutoff, f.exponent_shift)
+                        for f in (self, other))
+        return mine == theirs and np.array_equal(self.coefs, other.coefs)
+
+    @cached_property
+    def terms(self) -> Mapping[float, complex]:
+        """The nonzero coefficients by ascending exponent, read-only."""
+        idx = np.flatnonzero(self.coefs)
+        return MappingProxyType(dict(zip(self.grid().values[idx].tolist(),
+                                         self.coefs[idx].tolist())))
 
     # -- inspection ----------------------------------------------------
 
     def coefficient(self, exponent: float) -> complex:
-        grid = self.grid()
-        i = grid.index_of(float(exponent))
-        if i < 0:
-            return 0j
-        return self.terms.get(float(grid.values[i]), 0j)
+        i = self.grid().index_of(float(exponent))
+        return complex(self.coefs[i]) if i >= 0 else 0j
 
     def min_order(self) -> float | None:
-        if not self.terms:
-            return None
-        return min(self.terms)
+        return next(iter(self.terms), None)  # terms ascend
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coefs.any()
 
     def grid(self) -> ExponentGrid:
         return exponent_grid(self.spec, self.cutoff)
 
-    def with_terms(self, terms: Mapping, **overrides) -> "GenSeries":
+    def with_terms(self, terms: Mapping | np.ndarray, **overrides) -> "GenSeries":
         kw = dict(spec=self.spec, variable=self.variable,
                   normalization=self.normalization, cutoff=self.cutoff,
                   exponent_shift=self.exponent_shift)
         kw.update(overrides)
-        return GenSeries(terms=dict(terms), **kw)
+        return GenSeries(terms=terms, **kw)
 
     def truncated(self, cutoff: float) -> "GenSeries":
         if cutoff > self.cutoff:
             raise InvalidArgumentError("cannot extend a truncated series")
+        if cutoff == self.cutoff:
+            return self
         return self.with_terms(self.terms, cutoff=cutoff)
 
     def __repr__(self):
@@ -244,21 +275,6 @@ MAX_KERNEL_CELLS = 1 << 24
 # factors): 1 MB of complex.  A slab spans many bands, so unlike a band it
 # usually fills its budget; at 1 << 20 it raised peak memory by 15 MB.
 _CHUNK_CELLS = 1 << 16
-
-
-def _dense(terms: Mapping[float, complex], grid: ExponentGrid) -> np.ndarray:
-    vec = np.zeros(len(grid), dtype=np.complex128)
-    for k, c in terms.items():
-        i = grid.index_of(k)
-        if i >= 0:
-            vec[i] += c
-    return vec
-
-
-def _sparse(vec: np.ndarray, grid: ExponentGrid) -> dict[float, complex]:
-    idx = np.nonzero(vec)[0]
-    vals = grid.values
-    return {float(vals[i]): complex(vec[i]) for i in idx}
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,16 +435,12 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
 def linear_combine(a: complex, f: GenSeries, b: complex, g: GenSeries) -> GenSeries:
     _require_combinable(f, g, "linear_combine")
     cutoff = min(f.cutoff, g.cutoff)
-    out: dict[float, complex] = {}
-    for k, c in f.terms.items():
-        out[k] = out.get(k, 0j) + complex(a) * c
-    for k, c in g.terms.items():
-        out[k] = out.get(k, 0j) + complex(b) * c
+    out = complex(a) * f.truncated(cutoff).coefs + complex(b) * g.truncated(cutoff).coefs
     return GenSeries(f.spec, f.variable, f.normalization, out, cutoff, f.exponent_shift)
 
 
 def scale(f: GenSeries, a: complex) -> GenSeries:
-    return f.with_terms({k: complex(a) * c for k, c in f.terms.items()})
+    return f.with_terms(complex(a) * f.coefs)
 
 
 def product(f: GenSeries, g: GenSeries) -> GenSeries:
@@ -437,14 +449,13 @@ def product(f: GenSeries, g: GenSeries) -> GenSeries:
     _require_plain(f, "product")
     cutoff = min(f.cutoff, g.cutoff)
     grid = exponent_grid(f.spec, cutoff)
-    a = _dense(f.terms, grid)
-    b = _dense(g.terms, grid)
+    a, b = f.truncated(cutoff).coefs, g.truncated(cutoff).coefs
     if f.normalization is Normalization.GAMMA:
         gw = np.array([gamma_factor(v + 1.0) for v in grid.values.tolist()])
         out = _convolve(a / gw, b / gw, grid) * gw
     else:
         out = _convolve(a, b, grid)
-    return GenSeries(f.spec, f.variable, f.normalization, _sparse(out, grid), cutoff)
+    return GenSeries(f.spec, f.variable, f.normalization, out, cutoff)
 
 
 def reciprocal(f: GenSeries) -> GenSeries:
@@ -453,15 +464,13 @@ def reciprocal(f: GenSeries) -> GenSeries:
     _require_plain(f, "reciprocal")
     if f.normalization is not Normalization.RAW:
         raise InvalidFormError("reciprocal is defined for RAW series")
-    grid = f.grid()
-    c0 = f.terms.get(0.0, 0j)
+    c0 = complex(f.coefs[0])
     if c0 == 0:
         raise NotInvertibleError("constant term vanishes; series has no reciprocal")
-    h = _dense(f.terms, grid) / c0
+    h = f.coefs / c0
     h[0] = 0.0
-    p = _euler_rows(grid, h, np.ones(1), "reciprocal")[0]
-    return GenSeries(f.spec, f.variable, f.normalization,
-                     _sparse(p / c0, grid), f.cutoff)
+    p = _euler_rows(f.grid(), h, np.ones(1), "reciprocal")[0]
+    return f.with_terms(p / c0)
 
 
 def binomial_power(f: GenSeries, beta: complex) -> GenSeries:
@@ -470,13 +479,11 @@ def binomial_power(f: GenSeries, beta: complex) -> GenSeries:
     _require_plain(f, "binomial_power")
     if f.normalization is not Normalization.RAW:
         raise InvalidFormError("binomial_power is defined for RAW series")
-    if f.terms.get(0.0, 0j) != 1:
+    if f.coefs[0] != 1:
         raise NormalizationError("binomial_power needs constant term exactly 1")
-    grid = f.grid()
-    h = _dense(f.terms, grid)
+    h = f.coefs.copy()
     h[0] = 0.0
-    p = _euler_rows(grid, h, np.array([complex(beta)]), "power")[0]
-    return GenSeries(f.spec, f.variable, f.normalization, _sparse(p, grid), f.cutoff)
+    return f.with_terms(_euler_rows(f.grid(), h, np.array([complex(beta)]), "power")[0])
 
 
 def graded_exp(f: GenSeries) -> GenSeries:
@@ -485,11 +492,9 @@ def graded_exp(f: GenSeries) -> GenSeries:
     _require_plain(f, "graded_exp")
     if f.normalization is not Normalization.RAW:
         raise InvalidFormError("graded_exp is defined for RAW series")
-    if 0.0 in f.terms:
+    if f.coefs[0] != 0:
         raise InvalidArgumentError("graded exponential needs a zero constant term")
-    grid = f.grid()
-    p = _euler_rows(grid, _dense(f.terms, grid), np.ones(1), "exp")[0]
-    return f.with_terms(_sparse(p, grid))
+    return f.with_terms(_euler_rows(f.grid(), f.coefs, np.ones(1), "exp")[0])
 
 
 # -- reciprocal-Cauchy forms -------------------------------------------
@@ -499,7 +504,7 @@ def is_f_form(f: GenSeries) -> bool:
     return (f.variable is Variable.DESCENDING
             and f.normalization is Normalization.RAW
             and f.exponent_shift == -1
-            and f.terms.get(0.0, 0j) == 1)
+            and bool(f.coefs[0] == 1))
 
 
 def _require_f_form(f: GenSeries, what: str) -> None:
@@ -526,15 +531,11 @@ def identity_f_form(spec: SemigroupSpec, cutoff: float = DEFAULT_CUTOFF) -> GenS
     return f_form(spec, {}, cutoff)
 
 
-def _outer_rows(terms: Mapping[float, complex], grid: ExponentGrid):
-    """Grid indices, coefficients and powers 1 - g of the terms, by
-    ascending exponent g."""
-    terms = sorted(terms.items())
-    index = np.array([grid.index_of(g) for g, _ in terms], dtype=np.int64)
-    on_grid = index >= 0
-    index = index[on_grid]
-    coef = np.array([c for _, c in terms], dtype=np.complex128)[on_grid]
-    return index, coef, 1.0 - grid.values[index].astype(np.complex128)
+def _outer_rows(coefs: np.ndarray, grid: ExponentGrid):
+    """Grid indices, coefficients and powers 1 - g of the nonzero terms
+    of a grid vector, by ascending exponent g."""
+    index = np.flatnonzero(coefs)
+    return index, coefs[index], 1.0 - grid.values[index].astype(np.complex128)
 
 
 def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
@@ -551,14 +552,14 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
         raise IncompatibleSeriesError("compose_F: exponent semigroups differ")
     cutoff = min(outer.cutoff, inner.cutoff)
     grid = exponent_grid(outer.spec, cutoff)
-    index, coef, betas = _outer_rows(outer.terms, grid)
-    h = _dense(inner.terms, grid)
+    index, coef, betas = _outer_rows(outer.truncated(cutoff).coefs, grid)
+    h = inner.truncated(cutoff).coefs.copy()
     h[0] = 0.0
     P = _euler_rows(grid, h, betas, "power", shifts=index)
     i, r, k = _shift_pairs(grid.pairs(), index)
     out = _group_sum(k, coef[r] * P[r, i], len(grid))
     return GenSeries(outer.spec, Variable.DESCENDING, Normalization.RAW,
-                     _sparse(out, grid), cutoff, exponent_shift=-1)
+                     out, cutoff, exponent_shift=-1)
 
 
 def revert_F(F: GenSeries) -> GenSeries:
@@ -573,7 +574,8 @@ def revert_F(F: GenSeries) -> GenSeries:
     """
     _require_f_form(F, "revert_F")
     grid = F.grid()
-    index, coef, betas = _outer_rows({g: c for g, c in F.terms.items() if g > 0}, grid)
+    # the first row is the unit at exponent 0, which is not part of the tail
+    index, coef, betas = (a[1:] for a in _outer_rows(F.coefs, grid))
     if not len(index):
         return F
     f = np.zeros(len(grid), dtype=np.complex128)
@@ -586,8 +588,7 @@ def revert_F(F: GenSeries) -> GenSeries:
             "reversion recurrence is inconsistent (residual %g)"
             % float(np.max(np.abs(resid))))
     f[0] += 1.0
-    return GenSeries(F.spec, Variable.DESCENDING, Normalization.RAW,
-                     _sparse(f, grid), F.cutoff, exponent_shift=-1)
+    return F.with_terms(f)
 
 
 # -- evaluation --------------------------------------------------------
@@ -708,7 +709,7 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
     are never changed after construction, so it cannot go stale."""
     plan = f.__dict__.get("_plan")
     if plan is None:
-        keys = list(f.terms)  # ascending since __post_init__
+        keys = list(f.terms)  # ascending
         coefs = np.array(list(f.terms.values()), dtype=np.complex128)
         sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
         powers = np.array([sign * (k + f.exponent_shift) for k in keys])
@@ -722,7 +723,7 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
                     else GrowthBound(0.0, BoundShape.PER_EXPONENT, f.cutoff)),
             c=density_constant(f.spec, horizon),
             guard_scale=guard_radius(f.spec, 1.0, horizon))
-        object.__setattr__(f, "_plan", plan)
+        f.__dict__["_plan"] = plan
     return plan
 
 

@@ -215,7 +215,7 @@ def monotone_stable_form(alpha: float, b: complex,
     base = GenSeries(spec, Variable.DESCENDING, Normalization.RAW,
                      {0.0: 1.0 + 0j, float(alpha): -complex(b)}, cutoff)
     B = binomial_power(base, 1.0 / float(alpha))
-    F = B.with_terms(B.terms, exponent_shift=-1)
+    F = B.with_terms(B.coefs, exponent_shift=-1)
     return F, Branch.MONOTONE
 
 
@@ -521,15 +521,12 @@ def mu_br(alpha: float, b: complex, r: float,
         shifted[grid.canonical(max(kk, 0.0))] = -c
     if not shifted:
         # b z^-alpha fully cancels only if the law degenerates; G = 1/z
-        return GenSeries(spec, Variable.DESCENDING, Normalization.RAW,
-                         {0.0: 1.0 + 0j}, cutoff, exponent_shift=1)
+        return inner.with_terms({0.0: 1.0 + 0j}, exponent_shift=1)
     lead = shifted.get(0.0, 0j)
     if lead == 0:
         raise InvalidArgumentError("leading mixture coefficient vanished")
     # normalizing by the computed leading term keeps the constant exactly 1;
     # algebraically lead == b/r, so no compensating prefactor is needed
-    normalized = {k: c / lead for k, c in shifted.items()}
-    M = GenSeries(spec, Variable.DESCENDING, Normalization.RAW, normalized, cutoff)
-    outer = binomial_power(M, 1.0 / alpha)
-    return GenSeries(spec, Variable.DESCENDING, Normalization.RAW,
-                     dict(outer.terms), cutoff, exponent_shift=1)
+    outer = binomial_power(inner.with_terms({k: c / lead for k, c in shifted.items()}),
+                           1.0 / alpha)
+    return outer.with_terms(outer.coefs, exponent_shift=1)

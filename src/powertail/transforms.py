@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import (
     InvalidFormError,
@@ -70,7 +71,7 @@ class MomentSeries:
             raise InvalidFormError("moment series must be ascending and GAMMA-normalized")
         if s.exponent_shift != 0:
             raise InvalidFormError("moment series carries no structural shift")
-        if s.terms.get(0.0, 0j) != 1:
+        if s.coefs[0] != 1:
             raise InvalidFormError("moment series needs m_0 = 1")
 
     @property
@@ -82,7 +83,7 @@ class MomentSeries:
         return self.series.cutoff
 
     @property
-    def terms(self) -> dict:
+    def terms(self) -> Mapping[float, complex]:
         return self.series.terms
 
     def moment(self, gamma: float) -> complex:
@@ -142,7 +143,7 @@ def stieltjes_from_moments(m: MomentSeries) -> GenSeries:
     """Descending series with d_gamma = m_gamma stored at key gamma and a
     structural extra power of 1/z (shift +1): G(z) = sum m_g z^(-g-1)."""
     return GenSeries(m.spec, Variable.DESCENDING, Normalization.RAW,
-                     dict(m.terms), m.cutoff, exponent_shift=1)
+                     m.series.coefs, m.cutoff, exponent_shift=1)
 
 
 def moments_from_stieltjes(G: GenSeries) -> MomentSeries:
@@ -150,7 +151,7 @@ def moments_from_stieltjes(G: GenSeries) -> MomentSeries:
             or G.exponent_shift != 1):
         raise InvalidFormError("expected a Stieltjes-type series (descending, shift +1)")
     return MomentSeries(GenSeries(G.spec, Variable.ASCENDING, Normalization.GAMMA,
-                                  dict(G.terms), G.cutoff))
+                                  G.coefs, G.cutoff))
 
 
 def stieltjes_guard_radius(G: GenSeries) -> float:
@@ -163,18 +164,17 @@ def stieltjes_guard_radius(G: GenSeries) -> float:
 def F_from_moments(m: MomentSeries) -> GenSeries:
     """Form F(z) = z * reciprocal of sum m_gamma z^(-gamma)."""
     D = GenSeries(m.spec, Variable.DESCENDING, Normalization.RAW,
-                  dict(m.terms), m.cutoff)
+                  m.series.coefs, m.cutoff)
     B = reciprocal(D)
-    return B.with_terms(B.terms, exponent_shift=-1)
+    return B.with_terms(B.coefs, exponent_shift=-1)
 
 
 def moments_from_F(F: GenSeries) -> MomentSeries:
     if not is_f_form(F):
         raise InvalidFormError("expected a reciprocal-Cauchy form")
-    B = F.with_terms(F.terms, exponent_shift=0)
-    D = reciprocal(B)
+    D = reciprocal(F.with_terms(F.coefs, exponent_shift=0))
     return MomentSeries(GenSeries(F.spec, Variable.ASCENDING, Normalization.GAMMA,
-                                  dict(D.terms), F.cutoff))
+                                  D.coefs, F.cutoff))
 
 
 # -- Voiculescu series -----------------------------------------------------
@@ -188,26 +188,24 @@ def voiculescu_from_moments(m: MomentSeries) -> GenSeries:
     mass gives the empty series.
     """
     Finv = revert_F(F_from_moments(m))
-    tail = {g: c for g, c in Finv.terms.items() if g > 0}
-    return GenSeries(m.spec, Variable.DESCENDING, Normalization.RAW,
-                     tail, m.cutoff, exponent_shift=-1)
+    tail = Finv.coefs.copy()
+    tail[0] = 0.0
+    return Finv.with_terms(tail)
 
 
 def _require_voiculescu(phi: GenSeries) -> None:
     if (phi.variable is not Variable.DESCENDING
             or phi.normalization is not Normalization.RAW
-            or phi.exponent_shift != -1 or 0.0 in phi.terms):
+            or phi.exponent_shift != -1 or phi.coefs[0] != 0):
         raise InvalidFormError(
             "expected a Voiculescu-type series (descending, shift -1, no unit term)")
 
 
 def moments_from_voiculescu(phi: GenSeries) -> MomentSeries:
     _require_voiculescu(phi)
-    terms = dict(phi.terms)
-    terms[0.0] = 1.0 + 0j
-    Finv = GenSeries(phi.spec, Variable.DESCENDING, Normalization.RAW,
-                     terms, phi.cutoff, exponent_shift=-1)
-    return moments_from_F(revert_F(Finv))
+    form = phi.coefs.copy()
+    form[0] = 1.0
+    return moments_from_F(revert_F(phi.with_terms(form)))
 
 
 # -- tail density ---------------------------------------------------------
@@ -365,11 +363,9 @@ def boolean_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
     F1 = F_from_moments(m1)
     F2 = F1 if m2 is m1 else F_from_moments(m2)
     combined = linear_combine(1.0, F1, 1.0, F2)
-    terms = dict(combined.terms)
-    terms[0.0] = terms.get(0.0, 0j) - 1.0  # the two unit terms collapse to one
-    F = GenSeries(combined.spec, Variable.DESCENDING, Normalization.RAW,
-                  terms, combined.cutoff, exponent_shift=-1)
-    return moments_from_F(F)
+    form = combined.coefs.copy()
+    form[0] -= 1.0  # the two unit terms collapse to one
+    return moments_from_F(combined.with_terms(form))
 
 
 def monotone_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:

@@ -253,6 +253,16 @@ def test_classify_invert_preserves_golden_verdict():
     assert doc["verdict"] == "NOT_IN_D_EVIDENCE"
 
 
+def test_classify_huge_partial_quotient_reads_an_infinite_base():
+    # the second convergent denominator is about 6e319, past the float range
+    out, err = run_cli("classify", "--golden", "--transform", "scale:1/1" + "0" * 320)
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["verdict"] == "NOT_IN_D_EVIDENCE"
+    assert doc["witnesses"][0]["implied_b"] == "inf"
+    assert abs(doc["witnesses"][0]["log10_distance"] + 319.791) < 1e-3
+
+
 def test_classify_float_is_precision_limited():
     doc = run_json("classify", "--float", "0.7390851332151607")
     assert doc["precision_limited"] is True

@@ -170,6 +170,26 @@ def test_pair_guard_refuses_before_allocating():
         product(f, f)
 
 
+@pytest.mark.parametrize("g, want", [
+    # each of these has a fraction with denominator <= 10**6 within 1e-12
+    # of it, but none within a few ulps
+    (math.sqrt(3.0), None), (math.pi, None), (math.e / 10, None),
+    (math.sqrt(2.0) / 20, None),
+    (0.4123, Fraction(4123, 10000)), (1 / 3, Fraction(1, 3)), (0.7, Fraction(7, 10)),
+    (0.5001, Fraction(5001, 10000)), (2 / 3, Fraction(2, 3)), (1 / 7, Fraction(1, 7)),
+    (0.1 + 0.2, Fraction(3, 10)),  # one ulp above the double of 3/10
+])
+def test_generators_are_fractions_only_within_a_few_ulps(g, want):
+    forms = SemigroupSpec.with_alphas(g).rational_forms()
+    assert forms == (None if want is None else (Fraction(1), want))
+
+
+def test_three_irrational_generators_build_a_grid():
+    spec = SemigroupSpec.with_alphas(math.sqrt(3.0), math.sqrt(5.0), math.pi)
+    grid = ExponentGrid(spec, 9.0)
+    assert grid.values[-1] <= 9.0 and grid.pairs().defect < 1e-9
+
+
 def test_tolerance_merge_warns_and_records_its_defect():
     with pytest.warns(ToleranceMergeWarning, match="merged"):
         grid = ExponentGrid(SemigroupSpec.with_alphas(1.0 / 3.0 + 1e-10), 6.0)

@@ -8,7 +8,9 @@ theorem, compositions by direct substitution.
 """
 
 import cmath
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -270,10 +272,10 @@ def _kernel_inputs(alpha, cutoff):
     F = f_form(SemigroupSpec.with_alphas(alpha),
                {alpha: symmetric_phase(alpha), 1.0: 0.3}, cutoff)
     grid = F.grid()
-    h = series_module._dense(F.terms, grid)
+    h = F.coefs.copy()
     h[0] = 0.0
-    index, coef, betas = series_module._outer_rows(
-        {g: c for g, c in F.terms.items() if g > 0}, grid)
+    # the first row is the unit at exponent 0, not a term of the tail
+    index, coef, betas = (a[1:] for a in series_module._outer_rows(F.coefs, grid))
     return grid, h, index, coef, betas
 
 
@@ -469,6 +471,11 @@ def test_a_planned_series_still_equals_a_fresh_copy():
     assert f == fresh and fresh == f
     assert repr(f) == repr(fresh)
     assert f.with_terms(f.terms) == f
+    # a series built from its own vector equals the one built from its map
+    assert f.with_terms(f.coefs) == f
+    assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+    merged = merged_series()
+    assert merged.with_terms(merged.coefs) == merged.with_terms(dict(merged.terms))
 
 
 def test_gamma_factor_matches_scipy_with_poles_and_overflow():
@@ -537,6 +544,21 @@ def test_truncation_drops_high_terms_and_keeps_cutoff():
 def test_min_order_and_is_zero():
     assert desc({}).is_zero()
     assert desc({2.0: 0.5}).min_order() == 2.0
+
+
+def test_stored_coefficients_are_read_only_and_never_negative_zero():
+    f = desc({0.0: 1.0, 2.0: -0.5j})
+    with pytest.raises(TypeError):
+        f.terms[1.0] = 2.0
+    with pytest.raises(ValueError):
+        f.coefs[0] = 2.0
+    vec = np.zeros(len(f.grid()), dtype=np.complex128)
+    vec[1], vec[2] = complex(-0.0, 3.0), complex(2.0, -0.0)
+    g = f.with_terms(vec)
+    vec[1] = 5.0  # the series keeps its own copy
+    assert g.terms == {1.0: 3j, 2.0: 2.0}
+    assert math.copysign(1.0, g.terms[1.0].real) == 1.0
+    assert math.copysign(1.0, g.terms[2.0].imag) == 1.0
 
 
 def test_terms_off_grid_are_rejected():
