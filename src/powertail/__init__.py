@@ -103,13 +103,11 @@ from .pareto import (
     pareto_fourier,
 )
 from .stable import (
-    LastPassageDensity,
     LastPassageParams,
     MembershipDiagnosis,
-    PositiveStableDensity,
+    PowerSumDensity,
     StableKind,
     StableParams,
-    SupremumDensity,
     SupremumSeriesParams,
     boolean_stable,
     classical_stable,

@@ -391,7 +391,7 @@ def _document(command: str, config: dict, body: dict) -> dict:
 # -- density ---------------------------------------------------------------
 
 
-def _supremum_with_clamp(args, cutoff: float) -> "stable.SupremumDensity":
+def _supremum_with_clamp(args, cutoff: float) -> "stable.PowerSumDensity":
     M, N = _param(args, "M"), _param(args, "N")
     while True:
         try:
@@ -407,7 +407,7 @@ def _supremum_with_clamp(args, cutoff: float) -> "stable.SupremumDensity":
                 % (M, N), TruncationWarning, stacklevel=2)
 
 
-def _last_passage(args, cutoff: float) -> "stable.LastPassageDensity":
+def _last_passage(args, cutoff: float) -> "stable.PowerSumDensity":
     return stable.last_passage_density(
         stable.LastPassageParams(alpha=args.alpha, d=args.d, M=_param(args, "M")))
 
@@ -419,15 +419,14 @@ def cmd_density(args) -> int:
     if args.points < 2 or not 0.0 < args.x_max - args.x_min < math.inf:
         raise InvalidArgumentError("need finite x_max > x_min and at least 2 points")
     cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
-    law = _law(args)
-    den = law.density(args, cutoff)
+    den = _law(args).density(args, cutoff)
     lines = ["x,density_re,density_im,remainder_bound,flag"]
     flagged = 0
     for i in range(args.points):
         x = args.x_min + (args.x_max - args.x_min) * i / (args.points - 1)
         try:
             val = complex(den.density(x))
-            bound = float(den.remainder_estimate(x)) if law.remainder else 0.0
+            bound = float(den.remainder_estimate(x))
             row = [x, val.real, val.imag, bound, ""]
         except (OutsideValidityRegionError, InvalidArgumentError):
             flagged += 1
@@ -777,7 +776,7 @@ def _verify_supremum(args, cutoff: float) -> list[dict]:
 def _verify_last_passage(args, cutoff: float) -> list[dict]:
     M = _param(args, "M")
     small, big = (_last_passage(_with(args, M=k), cutoff) for k in (M // 2, M))
-    return _truncation_doubling(small, big, "t", 2.0 * max(small.t_min, big.t_min))
+    return _truncation_doubling(small, big, "t", 2.0 * max(small.x_min, big.x_min))
 
 
 def _verify_mu_br(args, cutoff: float) -> list[dict]:
@@ -807,8 +806,7 @@ class Law:
     defaults: dict = field(default_factory=dict)  # for optional flags left out
     moments: Callable | None = None  # -> (MomentSeries, extra body fields)
     expand: Callable | None = None  # -> expand body, for laws without moments
-    density: Callable | None = None  # -> object with .density(x)
-    remainder: bool = False  # the density object has .remainder_estimate(x)
+    density: Callable | None = None  # -> stable.PowerSumDensity
     verify: Callable | None = None  # -> list of checks
 
 
@@ -848,7 +846,6 @@ LAWS = {
         params=("alpha", "rho"),
         defaults={"M": 12, "N": 12},
         density=_supremum_with_clamp,
-        remainder=True,
         verify=_verify_supremum),
     "last-passage": Law(
         params=("alpha", "d"),

@@ -156,6 +156,10 @@ def _lattice(spec: SemigroupSpec, cutoff: float):
             raise UnsupportedSemigroupError(
                 "the common denominator %d of %s puts cutoff %g past the 2^53 integers "
                 "a double holds exactly" % (den, spec.describe(), cutoff))
+        # a rational just above the cutoff whose double is the cutoff is on
+        # the grid; with den and limit below 2^53 it adds at most two points
+        while float(Fraction(limit + 1, den)) <= cutoff:
+            limit += 1
         # a weight past the limit is only ever taken zero times
         weights = [min(int(f * den), limit + 1) for f in fracs]
         sums = np.zeros(1, np.int64)

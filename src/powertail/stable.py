@@ -4,9 +4,11 @@ Classical stable laws come from expanding exp(i gamma z + i^alpha b z^alpha)
 as a graded exponential; the non-commutative stable laws are declared
 directly on the transform side: the free one by its Voiculescu series
 -gamma + b z^(1-alpha), the Boolean one by F(z) = z + gamma - b z^(1-alpha),
-the monotone one by F(z) = (z^alpha - b)^(1/alpha).  Positive stable,
-stable mixtures, supremum and last-passage densities, and the mu^alpha_{b,r}
-family are explicit series with known coefficients.
+the monotone one by F(z) = (z^alpha - b)^(1/alpha).  Stable mixtures and
+the mu^alpha_{b,r} family are explicit series with known coefficients.
+The positive stable, supremum and last-passage densities are each a
+PowerSumDensity, sum_k c_k x^(-p_k) above a guard radius x_min; their
+builders refuse a coefficient that is not finite in double precision.
 
 The admissible phase window for b (classical/free/Boolean kinds):
 arg b in [(1-alpha)pi, pi] for alpha in (0,1], and in [0, (2-alpha)pi]
@@ -225,54 +227,79 @@ def monotone_stable(alpha: float, b: complex,
     return moments_from_F(F)
 
 
-class PositiveStableDensity:
-    """Density series of the one-sided alpha-stable law, 0 < alpha < 1:
+def _finite_coefficient(c: float, order: int | tuple[int, int]) -> float:
+    if not math.isfinite(c):
+        raise ResourceGuardError(
+            "the coefficient of order %s is %r in double precision; lower the "
+            "truncation order below this limit" % (order, c))
+    return c
 
-        (1/pi) sum_{n>=1} (-1)^(n-1) sin(pi alpha n) Gamma(n alpha + 1)/n! x^(-1-n alpha)
 
-    valid for x above the divergence guard x_min.
+class PowerSumDensity:
+    """A density sum_k c_k x^(-p_k), a finite mixture of Pareto densities,
+    trusted only for x above the guard radius x_min.
+
+    The terms are summed in stored order.  ``edge`` flags the terms on
+    the truncation boundary, whose size bounds what was dropped; a
+    series with no flags has no remainder estimate.
     """
 
-    def __init__(self, alpha: float, cutoff: float = DEFAULT_CUTOFF):
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise InvalidArgumentError("one-sided stable laws need alpha in (0, 1)")
-        self.alpha = alpha
-        self.cutoff = float(cutoff)
-        self.spec = SemigroupSpec.with_alphas(alpha)
-        self.coefficients: dict[float, float] = {}
-        A = 0.0
-        n = 1
-        while n * alpha <= self.cutoff:
-            e = n * alpha
-            if e == round(e):
-                # n alpha integral: sin(pi n alpha) is exactly zero and
-                # float evaluation must not leave a ~1e-16 ghost term
-                n += 1
-                continue
-            mag = gamma_factor(e + 1.0) / gamma_factor(n + 1.0)
-            coef = math.sin(math.pi * e) * mag / math.pi
-            if n % 2 == 0:
-                coef = -coef
-            if coef != 0.0:
-                self.coefficients[e] = coef
-            A = max(A, mag ** (1.0 / e))
-            n += 1
-        self.x_min = guard_radius(self.spec, A, max(1, int(math.ceil(self.cutoff))))
+    def __init__(self, powers, coefs, x_min: float, edge=()):
+        self.powers = tuple(powers)
+        self.coefs = tuple(coefs)
+        self.x_min = float(x_min)
+        self.edge = tuple(edge)
 
     def density(self, x: float) -> float:
         x = float(x)
         if x <= self.x_min:
             raise OutsideValidityRegionError(
                 "series density is trusted only for x > %g" % self.x_min)
-        return sum(c * x ** (-1.0 - e) for e, c in sorted(self.coefficients.items()))
+        return sum(c * x ** -p for p, c in zip(self.powers, self.coefs))
+
+    def remainder_estimate(self, x: float) -> float:
+        """Twice the absolute sum of the edge terms: the dropped terms are
+        dominated by the outermost retained ones."""
+        x = float(x)
+        return 2.0 * sum(abs(c * x ** -p)
+                         for p, c, e in zip(self.powers, self.coefs, self.edge) if e)
 
     __call__ = density
 
 
 def positive_stable_density(alpha: float, cutoff: float = DEFAULT_CUTOFF
-                            ) -> PositiveStableDensity:
-    return PositiveStableDensity(alpha, cutoff)
+                            ) -> PowerSumDensity:
+    """Density series of the one-sided alpha-stable law, 0 < alpha < 1:
+
+        (1/pi) sum_{n>=1} (-1)^(n-1) sin(pi alpha n) Gamma(n alpha + 1)/n! x^(-1-n alpha)
+
+    over n alpha <= cutoff, valid for x above the divergence guard x_min.
+    """
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgumentError("one-sided stable laws need alpha in (0, 1)")
+    cutoff = float(cutoff)
+    # the grid behind the guard radius holds more than cutoff / alpha points,
+    # so its budget check refuses a runaway loop before it starts
+    unit_radius = guard_radius(SemigroupSpec.with_alphas(alpha), 1.0,
+                               max(1, int(math.ceil(cutoff))))
+    powers, coefs = [], []
+    A = 0.0
+    n = 1
+    while n * alpha <= cutoff:
+        e = n * alpha
+        # at integral n alpha, sin(pi n alpha) is exactly zero and float
+        # evaluation must not leave a ~1e-16 ghost term
+        if e != round(e):
+            mag = gamma_factor(e + 1.0) / gamma_factor(n + 1.0)
+            coef = math.sin(math.pi * e) * mag / math.pi
+            coef = _finite_coefficient(-coef if n % 2 == 0 else coef, n)
+            if coef != 0.0:
+                powers.append(1.0 + e)
+                coefs.append(coef)
+            A = max(A, mag ** (1.0 / e))
+        n += 1
+    return PowerSumDensity(powers, coefs, unit_radius * A)
 
 
 def stable_mixture(nu_moments: list, alpha: float,
@@ -359,69 +386,29 @@ def _supremum_term(alpha: float, m: int, n: int, P: list, Q: list) -> float:
         gamma_factor(1.0 + m / alpha + n) * gamma_factor(-m - alpha * n))
 
 
-def _finite_coefficient(c: float, order: int | tuple[int, int]) -> float:
-    if not math.isfinite(c):
+def supremum_density(params: SupremumSeriesParams) -> PowerSumDensity:
+    """Truncated double series for the supremum density,
+    x^(-1-alpha) * sum_{m<=M, 1<=n<=N} b_{m,n} x^(-m-(n-1) alpha), with
+    the outermost row m = M and column n = N as its edge."""
+    count = (params.M + 1) * params.N
+    if count > MAX_SUPREMUM_TERMS:
         raise ResourceGuardError(
-            "the coefficient of order %s is %r in double precision; lower the "
-            "truncation order" % (order, c))
-    return c
-
-
-class SupremumDensity:
-    """Truncated double series for the supremum density:
-    x^(-1-alpha) * sum_{m<=M, 1<=n<=N} b_{m,n} x^(-m-(n-1) alpha)."""
-
-    def __init__(self, params: SupremumSeriesParams):
-        count = (params.M + 1) * params.N
-        if count > MAX_SUPREMUM_TERMS:
-            raise ResourceGuardError(
-                "a supremum series with M = %d, N = %d has %d coefficients, over "
-                "the limit of %d" % (params.M, params.N, count, MAX_SUPREMUM_TERMS))
-        self.params = params
-        a, rho = params.alpha, params.rho
-        self.spec = SemigroupSpec.with_alphas(a)
-        P, Q = _sine_products(a, rho, params.M, params.N)
-        self.coefficients: dict[tuple[int, int], float] = {}
-        for m in range(params.M + 1):
-            for n in range(1, params.N + 1):
-                self.coefficients[(m, n)] = _finite_coefficient(
-                    _supremum_term(a, m, n, P, Q), (m, n))
-        A = 0.0
-        for (m, n), c in self.coefficients.items():
-            e = m + n * a
+            "a supremum series with M = %d, N = %d has %d coefficients, over "
+            "the limit of %d" % (params.M, params.N, count, MAX_SUPREMUM_TERMS))
+    a, M, N = params.alpha, params.M, params.N
+    P, Q = _sine_products(a, params.rho, M, N)
+    powers, coefs, edge = [], [], []
+    A = 0.0
+    for m in range(M + 1):
+        for n in range(1, N + 1):
+            c = _finite_coefficient(_supremum_term(a, m, n, P, Q), (m, n))
+            powers.append(1.0 + m + n * a)
+            coefs.append(c)
+            edge.append(m == M or n == N)
             if c != 0.0:
-                A = max(A, abs(c) ** (1.0 / e))
-        self.x_min = guard_radius(self.spec, A, 24)
-
-    def _terms(self, x: float):
-        a = self.params.alpha
-        for (m, n), c in self.coefficients.items():
-            yield (m, n), c * x ** (-1.0 - m - n * a)
-
-    def density(self, x: float) -> float:
-        x = float(x)
-        if x <= self.x_min:
-            raise OutsideValidityRegionError(
-                "supremum series is trusted only for x > %g" % self.x_min)
-        return sum(t for _, t in self._terms(x))
-
-    def remainder_estimate(self, x: float) -> float:
-        """Size of the truncation boundary: the dropped terms are
-        dominated by the outermost retained row and column."""
-        x = float(x)
-        a = self.params.alpha
-        M, N = self.params.M, self.params.N
-        edge = 0.0
-        for (m, n), t in self._terms(x):
-            if m == M or n == N:
-                edge += abs(t)
-        return 2.0 * edge
-
-    __call__ = density
-
-
-def supremum_density(params: SupremumSeriesParams) -> SupremumDensity:
-    return SupremumDensity(params)
+                A = max(A, abs(c) ** (1.0 / (m + n * a)))
+    return PowerSumDensity(powers, coefs, guard_radius(SemigroupSpec.with_alphas(a), A, 24),
+                           edge)
 
 
 @dataclass(frozen=True)
@@ -451,35 +438,20 @@ def last_passage_coefficient(alpha: float, d: int, m: int) -> float:
     return val
 
 
-class LastPassageDensity:
+def last_passage_density(params: LastPassageParams) -> PowerSumDensity:
     """Series density of the last passage time, exponents (d+2m)/alpha."""
-
-    def __init__(self, params: LastPassageParams):
-        self.params = params
-        a, d = params.alpha, params.d
-        self.spec = SemigroupSpec.with_alphas(1.0 / a)
-        self.coefficients: dict[float, float] = {}
-        A = 0.0
-        for m in range(params.M + 1):
-            e = (d + 2.0 * m) / a
-            c = _finite_coefficient(last_passage_coefficient(a, d, m), m)
-            self.coefficients[e] = c
-            if c != 0.0 and e > 1.0:
-                A = max(A, abs(c) ** (1.0 / (e - 1.0)))
-        self.t_min = guard_radius(self.spec, A, 24)
-
-    def density(self, t: float) -> float:
-        t = float(t)
-        if t <= self.t_min:
-            raise OutsideValidityRegionError(
-                "last passage series is trusted only for t > %g" % self.t_min)
-        return sum(c * t ** (-e) for e, c in sorted(self.coefficients.items()))
-
-    __call__ = density
-
-
-def last_passage_density(params: LastPassageParams) -> LastPassageDensity:
-    return LastPassageDensity(params)
+    a, d = params.alpha, params.d
+    powers, coefs = [], []
+    A = 0.0
+    for m in range(params.M + 1):
+        e = (d + 2.0 * m) / a
+        c = _finite_coefficient(last_passage_coefficient(a, d, m), m)
+        powers.append(e)
+        coefs.append(c)
+        if c != 0.0 and e > 1.0:
+            A = max(A, abs(c) ** (1.0 / (e - 1.0)))
+    return PowerSumDensity(powers, coefs,
+                           guard_radius(SemigroupSpec.with_alphas(1.0 / a), A, 24))
 
 
 def mu_br(alpha: float, b: complex, r: float,
@@ -525,8 +497,9 @@ def mu_br(alpha: float, b: complex, r: float,
     lead = shifted.get(0.0, 0j)
     if lead == 0:
         raise InvalidArgumentError("leading mixture coefficient vanished")
-    # normalizing by the computed leading term keeps the constant exactly 1;
-    # algebraically lead == b/r, so no compensating prefactor is needed
-    outer = binomial_power(inner.with_terms({k: c / lead for k, c in shifted.items()}),
-                           1.0 / alpha)
+    # algebraically lead == b/r, so no compensating prefactor is needed;
+    # lead / lead need not round to exactly 1, so the constant is set
+    scaled = {k: c / lead for k, c in shifted.items()}
+    scaled[0.0] = 1.0 + 0j
+    outer = binomial_power(inner.with_terms(scaled), 1.0 / alpha)
     return outer.with_terms(outer.coefs, exponent_shift=1)

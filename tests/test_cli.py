@@ -304,6 +304,13 @@ def test_verify_classical_stable_flags_growth_instability():
     assert check["flag"] == "growth-instability-expected"
 
 
+def test_expand_keeps_the_lattice_rational_at_half_the_cutoff():
+    # the growth diagnosis truncates at cutoff / 2, the double of 1/3
+    doc = run_json("expand", "--law", "classical-stable", "--alpha", "0.3333333333333333",
+                   "--b=-1", "--cutoff", "0.6666666666666666")
+    assert [r["exponent"] for r in doc["records"]] == [0, 1 / 3, 2 / 3]
+
+
 def test_verify_exit_three_when_a_check_fails():
     out, _ = run_cli(
         "verify", "--law", "cauchy",
@@ -327,6 +334,9 @@ def test_verify_exit_four_on_numeric_guard():
      "--x-min", "2", "--x-max", "8", "--points", "1000000000"),
     ("density", "--law", "supremum", "--alpha", "0.43", "--rho", "0.6",
      "--M", "1000000", "--N", "1000000", "--x-min", "2", "--x-max", "8"),
+    # Gamma(n/2 + 1) / n! is inf / inf at order 343
+    ("density", "--law", "positive-stable", "--alpha", "0.5", "--cutoff", "200",
+     "--x-min", "4", "--x-max", "8", "--points", "3"),
 ])
 def test_oversized_requests_exit_four_with_one_line(argv):
     out, err = run_cli(*argv, expect=4)
@@ -637,11 +647,11 @@ def test_help_still_prints_and_exits_zero():
 @pytest.mark.parametrize("argv, den", [
     (["density", "--law", "supremum", "--alpha", "0.7345", "--rho", "0.5",
       "--M", "0", "--N", "2", "--x-min", "1", "--x-max", "4", "--points", "6"],
-     lambda: stable.SupremumDensity(
+     lambda: stable.supremum_density(
          stable.SupremumSeriesParams(alpha=0.7345, rho=0.5, M=0, N=2))),
     (["density", "--law", "last-passage", "--alpha", "1.5", "--d", "3",
       "--M", "0", "--x-min", "4", "--x-max", "12", "--points", "5"],
-     lambda: stable.LastPassageDensity(stable.LastPassageParams(alpha=1.5, d=3, M=0))),
+     lambda: stable.last_passage_density(stable.LastPassageParams(alpha=1.5, d=3, M=0))),
 ], ids=["supremum", "last-passage"])
 def test_density_at_M_zero_is_the_order_zero_series(argv, den):
     code, out, _ = main_output(argv)
@@ -680,7 +690,7 @@ def test_lattice_past_exact_doubles_is_refused(tmp_path):
 def test_verify_supremum_doubles_the_given_orders():
     code, out, _ = main_output(["verify", "--law", "supremum", "--alpha", "0.43",
                                 "--rho", "0.6", "--M", "3", "--N", "3"])
-    small, big = (stable.SupremumDensity(stable.SupremumSeriesParams(
+    small, big = (stable.supremum_density(stable.SupremumSeriesParams(
         alpha=0.43, rho=0.6, M=k, N=k)) for k in (3, 6))
     x = 5.0 * max(small.x_min, big.x_min)
     gap = abs(small.density(x) - big.density(x)) / abs(big.density(x))

@@ -103,6 +103,17 @@ def test_grid_lookup_agrees_with_enumeration():
     assert list(grid.values) == pytest.approx(values(spec, 4.0))
 
 
+@pytest.mark.parametrize("alpha, cutoff, want", [
+    (1 / 3, 1 / 3, [0.0, 1 / 3]), (1 / 3, 2 / 3, [0.0, 1 / 3, 2 / 3]),
+    (0.1, 0.3, [0.0, 0.1, 0.2, 0.3]), (0.5, 1.5, [0.0, 0.5, 1.0, 1.5])])
+def test_a_rational_whose_double_is_the_cutoff_is_on_the_grid(alpha, cutoff, want):
+    # the doubles of 1/3, 2/3 and 3/10 lie just below the rationals
+    spec = SemigroupSpec.with_alphas(alpha)
+    assert list(exponent_grid(spec, cutoff).values) == want
+    f = GenSeries(spec, Variable.ASCENDING, Normalization.RAW, {alpha: 2.0}, cutoff)
+    assert f.truncated(cutoff).terms[alpha] == 2.0
+
+
 @given(hst.floats(min_value=0.15, max_value=1.9),
        hst.floats(min_value=1.0, max_value=5.0))
 def test_enumeration_sorted_and_closed_under_addition(alpha, cutoff):

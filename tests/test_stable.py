@@ -247,7 +247,7 @@ def test_half_stable_series_drops_vanishing_integer_terms():
     # sin(pi n alpha) is exactly zero at integer exponents; float noise
     # there must not leave ghost coefficients
     d = positive_stable_density(0.5)
-    assert all(k != round(k) for k in d.coefficients)
+    assert all(p != round(p) for p in d.powers)
 
 
 def test_half_stable_tail_mass_matches_erf():
@@ -266,6 +266,12 @@ def test_positive_stable_density_guards():
     for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(InvalidArgumentError):
             positive_stable_density(alpha)
+
+
+def test_positive_stable_density_refuses_coefficients_past_double_range():
+    # at n = 343, Gamma(n/2 + 1) / n! reads inf / inf = nan
+    with pytest.raises(ResourceGuardError, match="in double precision"):
+        positive_stable_density(0.5, 200.0)
 
 
 # ----------------------------------------------------------------- mixture
@@ -407,8 +413,8 @@ def test_last_passage_coefficients_match_scipy_gamma():
 
 def test_last_passage_density_leading_order():
     d = last_passage_density(LastPassageParams(alpha=1.5, d=2, M=16))
-    assert d.t_min == pytest.approx(1.8910155894093807, rel=1e-9)
-    lead = d.coefficients[min(d.coefficients)]
+    assert d.x_min == pytest.approx(1.8910155894093807, rel=1e-9)
+    lead = d.coefs[d.powers.index(min(d.powers))]
     t = 1000.0
     assert abs(d.density(t) * t ** (2.0 / 1.5) / lead - 1.0) < 1e-3
 
@@ -420,7 +426,62 @@ def test_last_passage_guards():
         last_passage_density(LastPassageParams(alpha=1.5, d=0, M=6))
     d = last_passage_density(LastPassageParams(alpha=1.5, d=2, M=8))
     with pytest.raises(OutsideValidityRegionError):
-        d.density(0.5 * d.t_min)
+        d.density(0.5 * d.x_min)
+
+
+# ------------------------------------------------- power-sum densities
+
+def _sum_in_order(terms, x):
+    """Density and edge remainder at x from (exponent of x, coefficient,
+    edge) terms, each summed in the given order."""
+    return (sum(c * x ** q for q, c, _ in terms),
+            2.0 * sum(abs(c * x ** q) for q, c, e in terms if e))
+
+
+def _positive_stable_terms(alpha, cutoff):
+    out = []
+    n = 1
+    while n * alpha <= cutoff:
+        e = n * alpha
+        if e != round(e):
+            c = math.sin(math.pi * e) * (math.gamma(e + 1.0) / math.gamma(n + 1.0)) / math.pi
+            out.append((-1.0 - e, -c if n % 2 == 0 else c, False))
+        n += 1
+    return out
+
+
+def _supremum_terms(alpha, rho, M, N):
+    return [(-1.0 - m - n * alpha, supremum_coefficient(alpha, rho, m, n), m == M or n == N)
+            for m in range(M + 1) for n in range(1, N + 1)]
+
+
+def _last_passage_terms(alpha, d, M):
+    return [(-((d + 2.0 * m) / alpha), last_passage_coefficient(alpha, d, m), False)
+            for m in range(M + 1)]
+
+
+@pytest.mark.parametrize("build, terms", [
+    (lambda: positive_stable_density(0.5), lambda: _positive_stable_terms(0.5, 20.0)),
+    (lambda: positive_stable_density(0.6, 12.0), lambda: _positive_stable_terms(0.6, 12.0)),
+    (lambda: positive_stable_density(0.75), lambda: _positive_stable_terms(0.75, 20.0)),
+    (lambda: supremum_density(SupremumSeriesParams(alpha=0.43, rho=0.6, M=12, N=12)),
+     lambda: _supremum_terms(0.43, 0.6, 12, 12)),
+    (lambda: supremum_density(SupremumSeriesParams(alpha=0.7345, rho=0.5, M=4, N=6)),
+     lambda: _supremum_terms(0.7345, 0.5, 4, 6)),
+    (lambda: last_passage_density(LastPassageParams(alpha=1.5, d=3, M=20)),
+     lambda: _last_passage_terms(1.5, 3, 20)),
+    (lambda: last_passage_density(LastPassageParams(alpha=2.5, d=3, M=7)),
+     lambda: _last_passage_terms(2.5, 3, 7)),
+], ids=["positive-0.5", "positive-0.6", "positive-0.75", "supremum-0.43",
+        "supremum-0.7345", "last-passage-1.5", "last-passage-2.5"])
+def test_density_sums_each_term_in_formula_order(build, terms):
+    # exact equality pins the term order and the rounding of each power
+    d, want = build(), terms()
+    for f in (1.001, 1.5, 2.0, 3.7, 10.0, 100.0):
+        x = f * d.x_min
+        value, edge = _sum_in_order(want, x)
+        assert d.density(x) == d(x) == value
+        assert d.remainder_estimate(x) == edge
 
 
 # -------------------------------------------------- deformed resolvents
@@ -450,6 +511,27 @@ def test_unit_deformation_collapses_to_point_mass():
     assert abs(mono.terms[0.0] - g.terms[0.0]) < 1e-14
     assert abs(mono.terms[2.0] - 0.5) < 1e-14
     assert 2.0 not in g.terms
+
+
+def _mid_window_phase(alpha):
+    if alpha <= 1.0:
+        lo, hi = (1.0 - alpha) * math.pi, math.pi
+    else:
+        lo, hi = 0.0, (2.0 - alpha) * math.pi
+    return cmath.exp(0.5j * (lo + hi))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.3, 1.7, 2.0])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0])
+def test_deformed_resolvent_builds_across_the_phase_window(alpha, r):
+    # at alpha = 1.3, r = 1 the normalizing lead / lead reads 1 + 4.9e-17j
+    b = _mid_window_phase(alpha)
+    g = mu_br(alpha, b, r)
+    assert g.terms[0.0] == 1
+    z = complex(40.0, -30.0)
+    w = b * z ** -alpha
+    want = (r * (1.0 - (1.0 - w) ** (1.0 / r)) / w) ** (1.0 / alpha) / z
+    assert abs(evaluate(g, z).value - want) <= 1e-12 * abs(want)
 
 
 def test_deformed_resolvent_validations():
