@@ -780,16 +780,33 @@ def _verify_last_passage(args, cutoff: float) -> list[dict]:
 
 
 def _verify_mu_br(args, cutoff: float) -> list[dict]:
-    S = stable.mu_br(args.alpha, _parse_complex(args.b), args.r, cutoff=cutoff)
+    alpha, b, r = args.alpha, _parse_complex(args.b), args.r
+    S = stable.mu_br(alpha, b, r, cutoff=cutoff)
     d0 = S.terms.get(0.0)
     checks = [_check("unit-leading-coefficient", d0 == 1.0 + 0j,
                      abs((d0 or 0) - 1.0), 0.0,
                      note="resolvent must start at exactly 1/z")]
-    z = complex(40.0, -30.0)
-    val = complex(evaluate(S, z))
-    d = abs(z * val - 1.0)
-    checks.append(_check("resolvent-decay", d <= 0.1, d, 0.1,
-                         note="z G(z) -> 1 far from the spectrum"))
+    # below the real axis at k times the larger of the guard radius and
+    # |b|^(1/alpha), the series' true radius, with k^-e at most 1e-12 from the
+    # exponent e of the last term (which lacks its share from beyond the
+    # cutoff) on; |z| is taken in logs and kept in [1, e^700]
+    R = transforms.stieltjes_guard_radius(S)
+    e = max(max(S.terms), alpha)
+    log_z = max(math.log(4.0), 12.0 * math.log(10.0) / e) + max(
+        math.log(R) if R > 0 else -math.inf, math.log(abs(b)) / alpha)
+    z = math.exp(min(max(log_z, 0.0), 700.0)) * cmath.exp(-0.25j * math.pi)
+    w = b * z ** -alpha
+    if abs(w) < 1e-15:  # the bracket is 1 + O(w), 1 to a few ulps (and u != 1 below)
+        want = 1.0 / z
+    else:  # log(1 - w) and 1 - (1 - w)^(1/r) = -2 e^(q/2) sinh(q/2), without cancellation
+        u = 1.0 - w
+        q = cmath.log(u) * w / (1.0 - u) / r
+        want = (-2.0 * r * cmath.exp(q / 2) * cmath.sinh(q / 2) / w) ** (1.0 / alpha) / z
+    res = evaluate(S, z)
+    d, tol = abs(res.value - want), 1e-8 * abs(want) + res.tail_bound
+    checks.append(_check("closed-form", d <= tol, d, tol,
+                         note="series against (r (1 - (1 - w)^(1/r)) / w)^(1/alpha) / z, "
+                              "w = b z^-alpha"))
     return checks
 
 

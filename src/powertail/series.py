@@ -37,7 +37,8 @@ one grouped sum for all rows.
 
 Evaluation reads a per-series plan, built on the first ``evaluate`` and
 kept on the instance, so a point costs one vectorised exp; the value is
-bit for bit the term-by-term sum in Python complex arithmetic.
+bit for bit the term-by-term sum in Python complex arithmetic.  The tail
+bound is computed when the result's ``tail_bound`` is first read.
 """
 
 from __future__ import annotations
@@ -107,10 +108,21 @@ class GrowthBound:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Partial-sum value plus a conservative truncation-tail bound."""
+    """Partial-sum value plus a conservative truncation-tail bound.
+
+    ``evaluate`` leaves the bound out and keeps what ``_tail_bound``
+    needs; the first read of ``tail_bound`` computes it and stores it, so
+    a caller that reads only the value never pays for it."""
 
     value: complex
     tail_bound: float
+
+    def __getattr__(self, name):  # reached only while the bound is unread
+        if name != "tail_bound" or "_bound_args" not in self.__dict__:
+            raise AttributeError(name)
+        bound = self.__dict__["tail_bound"] = _tail_bound(*self._bound_args)
+        del self.__dict__["_bound_args"]
+        return bound
 
     def __complex__(self) -> complex:
         return self.value
@@ -677,7 +689,10 @@ def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound, c: float) -> flo
             # bounds is astronomical unless N comfortably exceeds x
             if x >= N + 2.0:
                 return math.inf
-            lead = math.exp((N + 1.0) * math.log(x) - math.lgamma(N + 2.0))
+            try:
+                lead = math.exp((N + 1.0) * math.log(x) - math.lgamma(N + 2.0))
+            except OverflowError:  # the lead term alone is past the largest float
+                return math.inf
             return pref * c * lead / (1.0 - x / (N + 2.0))
         return pref * c * _poisson_tail(N, x)
     sigma = x
@@ -696,8 +711,8 @@ class _EvalPlan(NamedTuple):
 
     powers: np.ndarray         # sign * (gamma + shift) by ascending gamma; sign -1 if DESCENDING
     reach: float               # max |power|; 0 when no term needs the log
-    re: np.ndarray             # real parts of the coefficients
-    im: np.ndarray             # imaginary parts
+    ri: np.ndarray             # (2, n): real parts of the coefficients c over imaginary parts
+    jr: np.ndarray             # the same of i * c, so that c * w = ri * Re w + jr * Im w
     gamma: np.ndarray | None   # Gamma(gamma + 1) under GAMMA normalization, else None
     growth: GrowthBound        # the default growth fit
     c: float                   # density constant up to the cutoff
@@ -716,7 +731,7 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
         horizon = max(1, int(math.ceil(f.cutoff)))
         plan = _EvalPlan(
             powers=powers, reach=float(np.max(np.abs(powers), initial=0.0)),
-            re=np.ascontiguousarray(coefs.real), im=np.ascontiguousarray(coefs.imag),
+            ri=np.array([coefs.real, coefs.imag]), jr=np.array([-coefs.imag, coefs.real]),
             gamma=(np.array([gamma_factor(k + 1.0) for k in keys])
                    if f.normalization is Normalization.GAMMA else None),
             growth=(growth_fit(f) if keys
@@ -734,16 +749,19 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
     Exponent-zero terms never touch the log.  DESCENDING series emit a
     DivergenceGuardWarning inside |z| <= 1.25 * c * A; the value is
     still returned.  The tail bound is a conservative estimate of the
-    discarded terms' total mass from the fitted growth bound.
+    discarded terms' total mass from the fitted growth bound; it is
+    computed when ``tail_bound`` is first read.
 
     The products and the division by Gamma are spelled out in real parts
-    as Python's complex arithmetic does them, and the sum is sequential,
-    so the value is the one a term-by-term loop gives.
+    as Python's complex arithmetic does them (adding -Im c Im w is
+    subtracting Im c Im w), and the sum is sequential, so the value is
+    the one a term-by-term loop gives.
     """
     z = complex(z)
     plan = _eval_plan(f)
     total = 0j
     if len(plan.powers):
+        t = plan.ri
         if plan.reach:
             L = _branch_log(z, branch)
             arg = plan.powers * L
@@ -751,15 +769,12 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
                 w = np.exp(arg)
             else:  # a power near or past overflow: round and raise as cmath does
                 w = np.array([cmath.exp(a) for a in arg.tolist()])
-            wr, wi = w.real, w.imag
-            re = plan.re * wr - plan.im * wi
-            im = plan.re * wi + plan.im * wr
-        else:
-            re, im = plan.re, plan.im
+            t = plan.ri * w.real + plan.jr * w.imag
         if plan.gamma is not None:
-            re, im = re / plan.gamma, im / plan.gamma
+            t = t / plan.gamma
+        s = np.add.accumulate(t, axis=1)[:, -1].tolist()
         # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
-        total = complex(0.0 + np.add.accumulate(re)[-1], 0.0 + np.add.accumulate(im)[-1])
+        total = complex(0.0 + s[0], 0.0 + s[1])
     if growth is None:
         growth = plan.growth
     absz = abs(z)
@@ -769,5 +784,8 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
             warnings.warn(DivergenceGuardWarning(
                 "|z| = %g is inside the divergence guard radius %g; partial sum "
                 "carries no convergence guarantee" % (absz, radius)))
-    return EvalResult(value=total,
-                      tail_bound=_tail_bound(f, absz, growth, plan.c) if absz > 0 else math.inf)
+    if absz == 0:
+        return EvalResult(value=total, tail_bound=math.inf)
+    res = object.__new__(EvalResult)  # the bound waits for its first read
+    res.__dict__.update(value=total, _bound_args=(f, absz, growth, plan.c))
+    return res

@@ -304,6 +304,43 @@ def test_verify_classical_stable_flags_growth_instability():
     assert check["flag"] == "growth-instability-expected"
 
 
+# a slowly decaying deformed resolvent: |z G(z) - 1| at z = 40 - 30i reads 0.267
+_MU_BR_SLOW = ["verify", "--law", "mu-br", "--alpha", "0.3",
+               "--b=-0.8910065241883678+0.45399049973954686j", "--r", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _MU_BR_SLOW,
+    # low cutoffs, where the fitted growth understates the coefficients'
+    ["verify", "--law", "mu-br", "--alpha", "1", "--b=1", "--r", "1.5", "--cutoff", "8"],
+    ["verify", "--law", "mu-br", "--alpha", "2", "--b=0.2", "--r", "1.5", "--cutoff", "6"],
+    # below the cutoff 2 alpha the series is the leading 1 / z alone
+    ["verify", "--law", "mu-br", "--alpha", "0.3", "--b=-1", "--r", "3", "--cutoff", "0.5"],
+    # b z^-alpha is far below an ulp of 1 at the point
+    ["verify", "--law", "mu-br", "--alpha", "0.3", "--b=-1e-300", "--r", "3"],
+], ids=["slow", "cutoff-8", "cutoff-6", "leading-term-only", "tiny-b"])
+def test_verify_mu_br_passes_a_correct_series(argv):
+    code, out, _ = main_output(argv)
+    assert code == 0
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["closed-form"]
+    assert check["status"] == "pass"
+    assert check["discrepancy"] <= 1e-3 * check["tolerance"]
+
+
+def test_verify_mu_br_fails_a_series_with_one_wrong_coefficient(monkeypatch):
+    build = stable.mu_br
+
+    def perturbed(alpha, b, r, cutoff):
+        S = build(alpha, b, r, cutoff=cutoff)
+        return S.with_terms({**S.terms, 2 * alpha: S.terms[2 * alpha] * (1 + 1e-4)})
+
+    monkeypatch.setattr(stable, "mu_br", perturbed)
+    code, out, _ = main_output(_MU_BR_SLOW)
+    assert code == 3
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["closed-form"]
+    assert check["status"] == "fail"
+
+
 def test_expand_keeps_the_lattice_rational_at_half_the_cutoff():
     # the growth diagnosis truncates at cutoff / 2, the double of 1/3
     doc = run_json("expand", "--law", "classical-stable", "--alpha", "0.3333333333333333",

@@ -26,13 +26,13 @@ from powertail.errors import (DomainBranchError, IncompatibleSeriesError,
                               ToleranceMergeWarning)
 from powertail.semigroup import SemigroupSpec
 from powertail.series import (Branch, BoundShape, DivergenceGuardWarning,
-                              GenSeries, Normalization, Variable,
+                              EvalResult, GenSeries, Normalization, Variable,
                               binomial_power, compose_F,
                               divergence_guard_radius, evaluate, f_form,
                               gamma_factor, growth_fit, identity_f_form,
                               is_f_form, linear_combine, product, reciprocal,
                               revert_F, scale, unit_series)
-from powertail.stable import monotone_stable_form
+from powertail.stable import StableParams, classical_stable, monotone_stable_form
 from powertail.transforms import (FourierEvaluator, moment_series,
                                   stieltjes_from_moments)
 
@@ -401,10 +401,20 @@ def _points(n, lo, hi, im):
     return [complex(lo + (hi - lo) * (i + 0.37) / n, im) for i in range(n)]
 
 
+def _stable_fourier(alpha):
+    m = classical_stable(StableParams(alpha, symmetric_phase(alpha)), 20.0)[0]
+    return FourierEvaluator(m).series
+
+
 # name: (series, points, branch), one per layout evaluate handles
 _PLAN_CASES = {
     "fourier": (FourierEvaluator(cauchy_moments(20.0)).series,
                 [0.02, 0.3, 0.7, 1.0, 1.9, 5.0], Branch.PRINCIPAL),
+    # real z, where each power has imaginary part +-0
+    **{"stable-fourier-%g" % a: (_stable_fourier(a), _points(30, 0.01, 4.0, 0.0),
+                                 Branch.PRINCIPAL) for a in (0.5, 0.75, 1.5)},
+    "shift+1-real": (cauchy_resolvent(), _points(30, 0.5, 12.0, 0.0)
+                     + [complex(3.0, -0.0), complex(0.7, -0.0)], Branch.PRINCIPAL),
     "half-gamma": (GenSeries(HALF, Variable.ASCENDING, Normalization.GAMMA,
                              {0.5 * i: complex(math.cos(i), math.sin(2 * i)) for i in range(41)},
                              20.0),
@@ -423,9 +433,10 @@ _PLAN_CASES = {
     "constant-on-cut": (desc({0.0: 2.5 - 1j}), [-1.0, 0.0, 3.0 - 1j], Branch.PRINCIPAL),
     "empty": (desc({}), [-1.0, 0.0, 2.0 + 1j], Branch.PRINCIPAL),
     # z^-8 underflows to (-0.0, +0.0) at the first point, where the loop's
-    # sum from 0j reads +0.0, and is subnormal at the second
+    # sum from 0j reads +0.0, and is subnormal at the second; to 0.0 at the third
     "underflow": (desc({8.0: 1.0}), [1e200 * cmath.exp(-3j * math.pi / 32),
-                                     math.exp(92.5) * cmath.exp(0.3j)], Branch.PRINCIPAL),
+                                     math.exp(92.5) * cmath.exp(0.3j), 1e200],
+                  Branch.PRINCIPAL),
 }
 
 
@@ -451,10 +462,44 @@ def test_evaluate_raises_where_a_term_overflows_as_the_loop_does():
             reference_evaluate(f, 1e-100j)
         with pytest.raises(OverflowError):
             evaluate(f, 1e-100j)
+        with pytest.raises(OverflowError):
+            evaluate(f, 1e-100)
         # near overflow a power may stay finite, rounded as the loop rounds it
         for r in (707.9, 708.1, 709.0, 709.5):
-            z = math.exp(-r / 8) * cmath.exp(0.1j)
-            assert _bits(evaluate(f, z)) == _bits(reference_evaluate(f, z)), r
+            for z in (math.exp(-r / 8) * cmath.exp(0.1j), math.exp(-r / 8)):
+                assert _bits(evaluate(f, z)) == _bits(reference_evaluate(f, z)), (r, z)
+
+
+def test_the_tail_bound_is_computed_on_first_read_only(monkeypatch):
+    f, z = cauchy_resolvent(), 4.0 - 1.0j
+    want = reference_evaluate(f, z)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eager(*args)
+
+    eager = series_module._tail_bound
+    monkeypatch.setattr(series_module, "_tail_bound", counted)
+    res = evaluate(f, z)
+    assert res.value == want.value and calls == []
+    assert float(res.tail_bound).hex() == float(want.tail_bound).hex()
+    assert len(calls) == 1
+    assert res == want and repr(res) == repr(want) and hash(res) == hash(want)
+    assert len(calls) == 1 and "_bound_args" not in vars(res)
+    # a result built by hand holds its bound from the start
+    twin = EvalResult(value=1j, tail_bound=0.5)
+    assert twin == EvalResult(value=1j, tail_bound=0.5)
+    assert repr(twin) == "EvalResult(value=1j, tail_bound=0.5)"
+    assert len(calls) == 1
+
+
+def test_a_tail_bound_whose_lead_term_overflows_is_infinite():
+    # x = c A |z| = 750 lies between 700 and N + 2, and x^801 / 801! overflows
+    f = GenSeries(NAT, Variable.ASCENDING, Normalization.GAMMA, {1.0: 750.0}, 800.0)
+    res = evaluate(f, 1.0)
+    assert res.tail_bound == math.inf
+    assert res == EvalResult(value=750 + 0j, tail_bound=math.inf)
 
 
 def test_evaluate_naturals_past_gamma_overflow_read_zero():
