@@ -48,7 +48,6 @@ from .semigroup import (
 )
 from .series import (
     DEFAULT_CUTOFF,
-    BoundShape,
     Branch,
     EvalResult,
     GenSeries,
@@ -79,7 +78,6 @@ from .transforms import (
     boolean_convolve,
     classical_convolve,
     delta_zero,
-    fourier_from_moments,
     free_convolve,
     moment_series,
     moments_from_F,
@@ -88,7 +86,6 @@ from .transforms import (
     moments_from_voiculescu,
     monotone_convolve,
     stieltjes_from_moments,
-    stieltjes_guard_radius,
     tail_from_moments,
     tail_real_to_complex,
     voiculescu_from_moments,

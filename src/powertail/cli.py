@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedSemigroupError,
 )
 from .semigroup import SemigroupSpec, density_constant, exponent_grid
-from .series import DEFAULT_CUTOFF, evaluate
+from .series import DEFAULT_CUTOFF, divergence_guard_radius, evaluate
 from .transforms import FourierEvaluator, MomentSeries
 
 FORMAT_VERSION = "powertail/1"
@@ -183,7 +183,7 @@ def _nu_moments(name: str, cutoff: float, alpha: float) -> list[float]:
 
 def _classical(params: "stable.StableParams", cutoff: float):
     m, diag = stable.classical_stable(params, cutoff=cutoff)
-    return m, {"membership": _diag_dict(diag)}
+    return m, {"membership": asdict(diag)}
 
 
 def _positive_stable(args, cutoff: float):
@@ -250,16 +250,6 @@ def _stable_params(args) -> "stable.StableParams":
                                    gamma_shift=args.gamma0)
     return stable.StableParams(alpha=args.alpha, b=_parse_complex(args.b),
                                gamma_shift=args.gamma0)
-
-
-def _diag_dict(diag) -> dict:
-    return {
-        "A_coarse": diag.A_coarse,
-        "A_fine": diag.A_fine,
-        "relative_increase": diag.relative_increase,
-        "cutoff_stable": diag.cutoff_stable,
-        "note": diag.note,
-    }
 
 
 def _config_common(args, cutoff: float) -> dict:
@@ -788,9 +778,9 @@ def _verify_mu_br(args, cutoff: float) -> list[dict]:
                      note="resolvent must start at exactly 1/z")]
     # below the real axis at k times the larger of the guard radius and
     # |b|^(1/alpha), the series' true radius, with k^-e at most 1e-12 from the
-    # exponent e of the last term (which lacks its share from beyond the
-    # cutoff) on; |z| is taken in logs and kept in [1, e^700]
-    R = transforms.stieltjes_guard_radius(S)
+    # exponent e of the last term on, so that what lies past the cutoff is
+    # below the tolerance; |z| is taken in logs and kept in [1, e^700]
+    R = divergence_guard_radius(S)
     e = max(max(S.terms), alpha)
     log_z = max(math.log(4.0), 12.0 * math.log(10.0) / e) + max(
         math.log(R) if R > 0 else -math.inf, math.log(abs(b)) / alpha)

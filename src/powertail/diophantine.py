@@ -34,7 +34,7 @@ almost immediately and are never needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -67,10 +67,6 @@ class ApproximationWitness:
     q: int
     log10_distance: float
     implied_b: float
-
-    @property
-    def distance(self) -> float:
-        return 10.0 ** self.log10_distance if self.log10_distance > -300 else 0.0
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,21 @@ class RealCertificate:
         return type(self).__name__
 
 
+def _fraction_quotients(frac: Fraction, trust: int | None = None) -> Iterator[int]:
+    """Partial quotients of frac by Euclid's algorithm.  With a trust
+    limit (at least 1, the first convergent denominator) the stream
+    stops before the first convergent denominator above it."""
+    p, q = frac.numerator, frac.denominator
+    q_prev, q_cur = 1, 0
+    while q:
+        a, r = divmod(p, q)
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        if trust is not None and q_cur > trust:
+            return
+        yield a
+        p, q = q, r
+
+
 @dataclass(frozen=True)
 class RationalCertificate(RealCertificate):
     value: Fraction
@@ -164,11 +175,7 @@ class RationalCertificate(RealCertificate):
         return self.value
 
     def partial_quotients(self) -> Iterator[int]:
-        p, q = self.value.numerator, self.value.denominator
-        while q:
-            a, r = divmod(p, q)
-            yield a
-            p, q = q, r
+        yield from _fraction_quotients(self.value)
 
     def high_precision_fraction(self, min_q: int) -> Fraction:
         return self.value
@@ -213,9 +220,6 @@ class QuadraticCertificate(RealCertificate):
             yield a
             m = a * d - m
             d = (D - m * m) // d
-
-    def value_float(self) -> float:
-        return (self.P + math.sqrt(self.D)) / self.Q
 
     def describe(self) -> str:
         return "quadratic (%d + sqrt(%d))/%d" % (self.P, self.D, self.Q)
@@ -263,20 +267,7 @@ class FloatCertificate(RealCertificate):
         return max(1, math.isqrt(int(0.25 / eps)))
 
     def partial_quotients(self) -> Iterator[int]:
-        limit = self.precision_q_limit()
-        frac = Fraction(self.value)
-        p, q = frac.numerator, frac.denominator
-        q_prev, q_cur = 1, 0
-        first = True
-        while q:
-            a, r = divmod(p, q)
-            q_next = a * q_cur + q_prev
-            if not first and q_next > limit:
-                return
-            yield a
-            q_prev, q_cur = q_cur, q_next
-            first = False
-            p, q = q, r
+        yield from _fraction_quotients(Fraction(self.value), self.precision_q_limit())
 
     def high_precision_fraction(self, min_q: int) -> Fraction:
         return Fraction(self.value)
@@ -336,19 +327,7 @@ class TransformedCertificate(RealCertificate):
 
     def partial_quotients(self) -> Iterator[int]:
         approx = self.high_precision_fraction(10 ** 24)
-        trust = math.isqrt(max(approx.denominator, 1))
-        p, q = approx.numerator, approx.denominator
-        q_prev, q_cur = 1, 0
-        first = True
-        while q:
-            a, r = divmod(p, q)
-            q_next = a * q_cur + q_prev
-            if not first and q_next > trust:
-                return
-            yield a
-            q_prev, q_cur = q_cur, q_next
-            first = False
-            p, q = q, r
+        yield from _fraction_quotients(approx, math.isqrt(approx.denominator))
 
     def describe(self) -> str:
         return "(%s x + %s)/(%s x + %s) of [%s]" % (
@@ -380,32 +359,6 @@ class ExtremeGrowthCertificate(RealCertificate):
             q_prev, q_cur = q_cur, a * q_cur + q_prev
             k += 1
 
-    def log10_continuants(self, count: int) -> list[float]:
-        """log10(q_k) for k = 1..count, exact integers promoted to log scale."""
-        out = []
-        q_prev, q_cur = 1.0, 10.0
-        lq_prev, lq_cur = 0.0, 1.0
-        exact = True
-        k = 1
-        out.append(lq_cur)
-        while len(out) < count:
-            la = k * (q_cur if exact else math.inf)
-            if exact and la <= 300:
-                a = 10.0 ** la
-                q_prev, q_cur = q_cur, a * q_cur + q_prev
-                lq_prev, lq_cur = lq_cur, math.log10(q_cur)
-            else:
-                # q_{k+1} ~ a_{k+1} q_k: log10 q_{k+1} = k q_k + log10 q_k
-                if exact:
-                    lq_next = k * q_cur + lq_cur
-                    exact = False
-                else:
-                    lq_next = math.inf  # beyond float range; irrelevant for witnesses
-                lq_prev, lq_cur = lq_cur, lq_next
-            out.append(lq_cur)
-            k += 1
-        return out
-
     def attestation(self) -> LiouvilleAttestation:
         def index_for_base(b: float) -> int:
             if b <= 1.0:
@@ -420,22 +373,17 @@ class ExtremeGrowthCertificate(RealCertificate):
             description=self.describe(), index_for_base=index_for_base,
             verify_at=verify_at)
 
-    def witnesses(self, count: int = 4) -> list[ApproximationWitness]:
-        out = []
-        lqs = self.log10_continuants(count + 1)
-        q_exact = [10, 10 ** 11 + 1]  # q1, q2
-        for k in range(1, count + 1):
-            lq_k = lqs[k - 1]
-            lq_next = lqs[k] if k < len(lqs) else math.inf
-            if not math.isfinite(lq_next):
-                break
-            # |q_k beta - p_k| is within a factor 2 of 1/q_{k+1}
-            log10_dist = -lq_next
-            q_k = q_exact[k - 1] if k - 1 < len(q_exact) else int(round(10 ** lq_k))
-            implied = 10.0 ** (lq_next / (10.0 ** lq_k)) if lq_k < 15 else math.inf
-            out.append(ApproximationWitness(q=q_k, log10_distance=log10_dist,
-                                            implied_b=implied))
-        return out
+    def witnesses(self) -> list[ApproximationWitness]:
+        """The witnesses at q1 = 10 and q2 = 10^11 + 1, the two the float
+        range allows: log10 q3 = 2 q2 + log10 q2 is a float, log10 q4 =
+        3 q3 + log10 q3 is not.  |q_k beta - p_k| is within a factor 2 of
+        1/q_{k+1}, and the implied base is q_{k+1}^(1/q_k)."""
+        q2 = 10 ** 11 + 1
+        lq = [1.0, math.log10(float(q2))]
+        lq.append(2 * float(q2) + lq[1])
+        return [ApproximationWitness(q=q, log10_distance=-lq[k + 1],
+                                     implied_b=10.0 ** (lq[k + 1] / 10.0 ** lq[k]))
+                for k, q in enumerate((10, q2))]
 
 
 def super_liouville_certificate() -> ExtremeGrowthCertificate:

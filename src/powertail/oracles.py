@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import (
     IncompatibleSeriesError,
     InvalidArgumentError,
@@ -39,10 +37,6 @@ class QuadratureResult:
 
     def __complex__(self) -> complex:
         return self.value
-
-    @property
-    def total_uncertainty(self) -> float:
-        return self.error_estimate + self.tail_bound
 
 
 @dataclass(frozen=True)
@@ -124,52 +118,35 @@ def quadrature_fourier(density: IntegrableDensity, z: float) -> QuadratureResult
     to infinity, so nothing is discarded.
     """
     z = float(z)
-    x0 = density.envelope_start
-    core_lo = max(density.lower, -x0)
-    core_hi = min(density.upper, x0)
-    total = 0j
-    err = 0.0
+    fn, x0 = density.fn, density.envelope_start
+    lo, hi = density.lower, density.upper
+    core_lo, core_hi = max(lo, -x0), min(hi, x0)
 
+    def wave(x: float) -> complex:
+        return fn(x) * complex(math.cos(x * z), math.sin(x * z))
+
+    def halfline(f: Callable[[float], complex], a: float, w: float):
+        """integral_a^inf e^{ixw} f(x) dx"""
+        if z == 0.0:
+            return _quad_complex(f, a, math.inf)
+        return _oscillatory_halfline(f, a, w)
+
+    parts = []
     if core_lo < core_hi:
         pts = [0.0] if core_lo < 0.0 < core_hi else None
-        fn = density.fn
-        val, e = _quad_complex(lambda x: fn(x) * complex(math.cos(x * z),
-                                                         math.sin(x * z)),
-                               core_lo, core_hi, points=pts)
+        parts.append(_quad_complex(wave, core_lo, core_hi, points=pts))
+    if math.isinf(hi):
+        parts.append(halfline(fn, max(core_hi, lo), z))
+    elif hi > core_hi:
+        parts.append(_quad_complex(wave, core_hi, hi))
+    if math.isinf(lo):
+        parts.append(halfline(lambda u: fn(-u), -min(core_lo, hi), -z))
+    elif lo < core_lo:
+        parts.append(_quad_complex(wave, lo, core_lo))
+    total, err = 0j, 0.0
+    for val, e in parts:
         total += val
         err += e
-
-    if math.isinf(density.upper):
-        a = max(core_hi, density.lower)
-        if z == 0.0:
-            val, e = _quad_complex(density.fn, a, math.inf)
-        else:
-            val, e = _oscillatory_halfline(density.fn, a, z)
-        total += val
-        err += e
-    elif density.upper > core_hi:
-        val, e = _quad_complex(
-            lambda x: density.fn(x) * complex(math.cos(x * z), math.sin(x * z)),
-            core_hi, density.upper)
-        total += val
-        err += e
-
-    if math.isinf(density.lower):
-        b = min(core_lo, density.upper)
-        flip = lambda u: density.fn(-u)
-        if z == 0.0:
-            val, e = _quad_complex(flip, -b, math.inf)
-        else:
-            val, e = _oscillatory_halfline(flip, -b, -z)
-        total += val
-        err += e
-    elif density.lower < core_lo:
-        val, e = _quad_complex(
-            lambda x: density.fn(x) * complex(math.cos(x * z), math.sin(x * z)),
-            density.lower, core_lo)
-        total += val
-        err += e
-
     return QuadratureResult(value=total, error_estimate=err, tail_bound=0.0)
 
 
@@ -387,11 +364,3 @@ def rotated_pareto_transform(beta: float, R: float, z: float) -> QuadratureResul
     val, err = _quad_complex(fn, 0.0, math.inf)
     phase = 1j * complex(math.cos(R * z), math.sin(R * z)) * R ** beta
     return QuadratureResult(value=phase * val, error_estimate=err, tail_bound=0.0)
-
-
-def fourier_series_vs_quadrature(m: MomentSeries, density: IntegrableDensity,
-                                 z: float) -> tuple[complex, complex, float]:
-    """Convenience: both routes to the transform at one z, with the gap."""
-    series_val = complex(FourierEvaluator(m)(z))
-    quad_val = quadrature_fourier(density, z).value
-    return series_val, quad_val, abs(series_val - quad_val)

@@ -26,7 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, NearIntegerWarning, OutsideValidityRegionError
+from .errors import (InvalidArgumentError, NearIntegerWarning, OutsideValidityRegionError,
+                     ResourceGuardError)
 from .semigroup import SemigroupSpec
 from .series import DEFAULT_CUTOFF, GenSeries, Normalization, Variable
 
@@ -104,7 +105,6 @@ class ParetoExpansion:
     R: float
     regular: GenSeries
     singular: SingularPart
-    oscillatory: complex  # the convergence constant absorbed into the z^beta weight
     snapped_to_integer: bool = False
 
     def evaluate(self, z: float) -> complex:
@@ -170,16 +170,20 @@ def pareto_fourier(beta: float, R: float,
         beta = float(nearest)
         snapped = True
 
-    if beta < 1.0:
-        return _expansion_small_beta(beta, R, cutoff)
-    return _expansion_large_beta(beta, R, cutoff, snapped)
+    try:
+        if beta < 1.0:
+            return _expansion_small_beta(beta, R, cutoff)
+        return _expansion_large_beta(beta, R, cutoff, snapped)
+    except OverflowError:  # R ** k, or k! past k = 170, leaves the float range
+        raise ResourceGuardError(
+            "a power of R = %g or a factorial up to the cutoff %g is past double "
+            "precision; lower R or the cutoff below this limit" % (R, cutoff)) from None
 
 
 def _expansion_small_beta(beta: float, R: float, cutoff: float) -> ParetoExpansion:
     # two-part form: a constant carried by z^beta plus one k-family
     spec = SemigroupSpec.with_alphas(beta)
-    osc = oscillatory_constant(beta + 1.0)
-    c2 = osc
+    c2 = oscillatory_constant(beta + 1.0)
     for k in range(_AGGREGATE_K_MAX + 1):
         c2 += _integer_powers_of_i(k) / (math.factorial(k) * (k - beta))
     terms: dict[float, complex] = {}
@@ -194,8 +198,7 @@ def _expansion_small_beta(beta: float, R: float, cutoff: float) -> ParetoExpansi
     singular = SingularPart(beta=beta, R=R, floor_exponent=0,
                             coef_floor=0j, coef_floor_plus_one=0j,
                             coef_beta=0j, coef_log=0j)
-    return ParetoExpansion(beta=beta, R=R, regular=regular, singular=singular,
-                           oscillatory=osc)
+    return ParetoExpansion(beta=beta, R=R, regular=regular, singular=singular)
 
 
 def _expansion_large_beta(beta: float, R: float, cutoff: float,
@@ -260,7 +263,7 @@ def _expansion_large_beta(beta: float, R: float, cutoff: float,
     regular = GenSeries(spec=spec, variable=Variable.ASCENDING,
                         normalization=Normalization.RAW, terms=terms, cutoff=cutoff)
     return ParetoExpansion(beta=beta, R=R, regular=regular, singular=singular,
-                           oscillatory=osc, snapped_to_integer=snapped)
+                           snapped_to_integer=snapped)
 
 
 def negative_tail_fourier(beta: float, R: float,
@@ -278,7 +281,6 @@ def negative_tail_fourier(beta: float, R: float,
     regular = pos.regular.with_terms(flipped)
     singular = pos.singular.conjugate_scaled(phase)
     return ParetoExpansion(beta=pos.beta, R=R, regular=regular, singular=singular,
-                           oscillatory=phase * pos.oscillatory.conjugate(),
                            snapped_to_integer=pos.snapped_to_integer)
 
 

@@ -92,17 +92,11 @@ class Branch(Enum):
     MONOTONE = "monotone"
 
 
-class BoundShape(Enum):
-    """Shape of the geometric coefficient bound a growth fit reports."""
-
-    PER_EXPONENT = "per_exponent"              # |c_gamma| <= A**gamma
-    PER_EXPONENT_PLUS_ONE = "per_exponent_plus_one"  # |c_gamma| <= A**(gamma+1)
-
-
 @dataclass(frozen=True)
 class GrowthBound:
+    """Geometric coefficient bound |c_gamma| <= A**gamma."""
+
     A: float
-    shape: BoundShape
     fitted_cutoff: float
 
 
@@ -147,7 +141,8 @@ class GenSeries:
     In a map, exponents that merge to one grid value add up, an
     exponent past the cutoff is dropped and counted in ``dropped``, and
     one off the grid at or below it raises.  Either way the stored
-    vector is a fresh copy with no negative zero.  The ``terms``
+    vector is a fresh copy with no negative zero, and a coefficient that
+    is not finite raises ResourceGuardError.  The ``terms``
     property reads it back as a read-only map of the nonzero
     coefficients by ascending exponent.
     """
@@ -186,6 +181,11 @@ class GenSeries:
                     raise InvalidArgumentError(
                         "exponent %r is not on the grid of %s" % (k, spec.describe()))
                 coefs[i] += complex(c)
+        bad = np.flatnonzero(~np.isfinite(coefs))
+        if len(bad):
+            raise ResourceGuardError(
+                "the coefficient at exponent %g is %r in double precision; lower "
+                "the cutoff below this limit" % (grid.values[bad[0]], complex(coefs[bad[0]])))
         coefs.flags.writeable = False
         self.__dict__.update(spec=spec, variable=variable, normalization=normalization,
                              coefs=coefs, cutoff=cutoff, exponent_shift=shift,
@@ -217,12 +217,6 @@ class GenSeries:
     def coefficient(self, exponent: float) -> complex:
         i = self.grid().index_of(float(exponent))
         return complex(self.coefs[i]) if i >= 0 else 0j
-
-    def min_order(self) -> float | None:
-        return next(iter(self.terms), None)  # terms ascend
-
-    def is_zero(self) -> bool:
-        return not self.coefs.any()
 
     def grid(self) -> ExponentGrid:
         return exponent_grid(self.spec, self.cutoff)
@@ -623,24 +617,21 @@ def _branch_log(z: complex, branch: Branch) -> complex:
     raise InvalidArgumentError("unknown branch %r" % (branch,))
 
 
-def growth_fit(f: GenSeries, shape: BoundShape = BoundShape.PER_EXPONENT) -> GrowthBound:
-    """Geometric coefficient bound A = max |c_gamma|^(1/(gamma+offset))
-    over retained positive exponents (stored keys)."""
+def growth_fit(f: GenSeries) -> GrowthBound:
+    """Geometric coefficient bound A = max |c_gamma|^(1/gamma) over
+    retained positive exponents (stored keys)."""
     if not f.terms:
         raise InvalidArgumentError("growth_fit needs a non-empty series")
-    off = 1.0 if shape is BoundShape.PER_EXPONENT_PLUS_ONE else 0.0
     A = 0.0
     for g, c in f.terms.items():
         if g > 0 and c != 0:
-            A = max(A, abs(c) ** (1.0 / (g + off)))
-    return GrowthBound(A=A, shape=shape, fitted_cutoff=f.cutoff)
+            A = max(A, abs(c) ** (1.0 / g))
+    return GrowthBound(A=A, fitted_cutoff=f.cutoff)
 
 
-def divergence_guard_radius(f: GenSeries, growth: GrowthBound | None = None) -> float:
+def divergence_guard_radius(f: GenSeries) -> float:
     """|z| must exceed this for a DESCENDING partial sum to be trusted."""
-    if growth is None:
-        growth = growth_fit(f)
-    return guard_radius(f.spec, growth.A, max(1, int(math.ceil(f.cutoff))))
+    return guard_radius(f.spec, growth_fit(f).A, max(1, int(math.ceil(f.cutoff))))
 
 
 def _poisson_tail(N: int, x: float) -> float:
@@ -674,14 +665,12 @@ def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound, c: float) -> flo
     A = growth.A
     if A == 0.0:
         return 0.0
-    pref = A if growth.shape is BoundShape.PER_EXPONENT_PLUS_ONE else 1.0
     N = int(math.ceil(f.cutoff))
     if f.variable is Variable.DESCENDING:
-        pref *= absz ** (-f.exponent_shift)
         sigma = c * A / absz
         if sigma >= 1.0:
             return math.inf
-        return pref * c * sigma ** N / (1.0 - sigma)
+        return absz ** (-f.exponent_shift) * c * sigma ** N / (1.0 - sigma)
     x = c * A * absz
     if f.normalization is Normalization.GAMMA:
         if x > 700.0:
@@ -693,12 +682,12 @@ def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound, c: float) -> flo
                 lead = math.exp((N + 1.0) * math.log(x) - math.lgamma(N + 2.0))
             except OverflowError:  # the lead term alone is past the largest float
                 return math.inf
-            return pref * c * lead / (1.0 - x / (N + 2.0))
-        return pref * c * _poisson_tail(N, x)
+            return c * lead / (1.0 - x / (N + 2.0))
+        return c * _poisson_tail(N, x)
     sigma = x
     if sigma >= 1.0:
         return math.inf
-    return pref * c * sigma ** N / (1.0 - sigma)
+    return c * sigma ** N / (1.0 - sigma)
 
 
 # below this real part np.exp and cmath.exp round alike; from log(DBL_MAX / 4)
@@ -714,7 +703,7 @@ class _EvalPlan(NamedTuple):
     ri: np.ndarray             # (2, n): real parts of the coefficients c over imaginary parts
     jr: np.ndarray             # the same of i * c, so that c * w = ri * Re w + jr * Im w
     gamma: np.ndarray | None   # Gamma(gamma + 1) under GAMMA normalization, else None
-    growth: GrowthBound        # the default growth fit
+    growth: GrowthBound        # the growth fit
     c: float                   # density constant up to the cutoff
     guard_scale: float         # guard radius per unit of A (it is linear in A)
 
@@ -734,16 +723,14 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
             ri=np.array([coefs.real, coefs.imag]), jr=np.array([-coefs.imag, coefs.real]),
             gamma=(np.array([gamma_factor(k + 1.0) for k in keys])
                    if f.normalization is Normalization.GAMMA else None),
-            growth=(growth_fit(f) if keys
-                    else GrowthBound(0.0, BoundShape.PER_EXPONENT, f.cutoff)),
+            growth=growth_fit(f) if keys else GrowthBound(0.0, f.cutoff),
             c=density_constant(f.spec, horizon),
             guard_scale=guard_radius(f.spec, 1.0, horizon))
         f.__dict__["_plan"] = plan
     return plan
 
 
-def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
-             growth: GrowthBound | None = None) -> EvalResult:
+def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> EvalResult:
     """Partial sum at z with powers on the chosen branch.
 
     Exponent-zero terms never touch the log.  DESCENDING series emit a
@@ -775,11 +762,9 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
         s = np.add.accumulate(t, axis=1)[:, -1].tolist()
         # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
         total = complex(0.0 + s[0], 0.0 + s[1])
-    if growth is None:
-        growth = plan.growth
     absz = abs(z)
     if f.variable is Variable.DESCENDING:
-        radius = plan.guard_scale * growth.A
+        radius = plan.guard_scale * plan.growth.A
         if absz <= radius:
             warnings.warn(DivergenceGuardWarning(
                 "|z| = %g is inside the divergence guard radius %g; partial sum "
@@ -787,5 +772,5 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL,
     if absz == 0:
         return EvalResult(value=total, tail_bound=math.inf)
     res = object.__new__(EvalResult)  # the bound waits for its first read
-    res.__dict__.update(value=total, _bound_args=(f, absz, growth, plan.c))
+    res.__dict__.update(value=total, _bound_args=(f, absz, plan.growth, plan.c))
     return res

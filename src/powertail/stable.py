@@ -476,8 +476,10 @@ def mu_br(alpha: float, b: complex, r: float,
         raise InvalidArgumentError("alpha must lie in (0, 2]")
     _require_admissible_phase(alpha, b)
     spec = SemigroupSpec.with_alphas(alpha)
+    # the inner power runs alpha past the cutoff, so that the last term keeps
+    # its share once one factor of b z^-alpha is divided out
     base = GenSeries(spec, Variable.DESCENDING, Normalization.RAW,
-                     {0.0: 1.0 + 0j, alpha: -b}, cutoff)
+                     {0.0: 1.0 + 0j, alpha: -b}, cutoff + alpha)
     inner = binomial_power(base, 1.0 / r)
     grid = inner.grid()
     # u = 1 - inner has order alpha; divide out the monomial w^alpha
@@ -493,7 +495,7 @@ def mu_br(alpha: float, b: complex, r: float,
         shifted[grid.canonical(max(kk, 0.0))] = -c
     if not shifted:
         # b z^-alpha fully cancels only if the law degenerates; G = 1/z
-        return inner.with_terms({0.0: 1.0 + 0j}, exponent_shift=1)
+        return inner.with_terms({0.0: 1.0 + 0j}, cutoff=cutoff, exponent_shift=1)
     lead = shifted.get(0.0, 0j)
     if lead == 0:
         raise InvalidArgumentError("leading mixture coefficient vanished")
@@ -501,5 +503,5 @@ def mu_br(alpha: float, b: complex, r: float,
     # lead / lead need not round to exactly 1, so the constant is set
     scaled = {k: c / lead for k, c in shifted.items()}
     scaled[0.0] = 1.0 + 0j
-    outer = binomial_power(inner.with_terms(scaled), 1.0 / alpha)
+    outer = binomial_power(inner.with_terms(scaled, cutoff=cutoff), 1.0 / alpha)
     return outer.with_terms(outer.coefs, exponent_shift=1)

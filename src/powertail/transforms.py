@@ -48,7 +48,7 @@ from .series import (
 
 __all__ = [
     "MomentSeries", "moment_series", "TailDensityModel",
-    "fourier_from_moments", "stieltjes_from_moments", "moments_from_stieltjes",
+    "stieltjes_from_moments", "moments_from_stieltjes",
     "F_from_moments", "moments_from_F",
     "voiculescu_from_moments", "moments_from_voiculescu",
     "moments_from_tail", "tail_from_moments", "tail_real_to_complex",
@@ -129,11 +129,7 @@ class FourierEvaluator:
         if z.imag != 0.0 or z.real <= 0.0:
             raise OutsideValidityRegionError(
                 "Fourier-side evaluator is defined for real z > 0, got %r" % (z,))
-        return evaluate(self.series, z.real, Branch.PRINCIPAL, self.growth)
-
-
-def fourier_from_moments(m: MomentSeries) -> FourierEvaluator:
-    return FourierEvaluator(m)
+        return evaluate(self.series, z.real, Branch.PRINCIPAL)
 
 
 # -- Stieltjes side ------------------------------------------------------
@@ -152,10 +148,6 @@ def moments_from_stieltjes(G: GenSeries) -> MomentSeries:
         raise InvalidFormError("expected a Stieltjes-type series (descending, shift +1)")
     return MomentSeries(GenSeries(G.spec, Variable.ASCENDING, Normalization.GAMMA,
                                   G.coefs, G.cutoff))
-
-
-def stieltjes_guard_radius(G: GenSeries) -> float:
-    return guard_radius(G.spec, growth_fit(G).A, max(1, int(math.ceil(G.cutoff))))
 
 
 # -- reciprocal-Cauchy form ----------------------------------------------

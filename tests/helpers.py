@@ -11,7 +11,7 @@ import numpy as np
 
 from powertail import series
 from powertail.semigroup import SemigroupSpec, density_constant
-from powertail.series import (Branch, BoundShape, EvalResult, GrowthBound,
+from powertail.series import (Branch, EvalResult, GrowthBound,
                               Normalization, Variable, gamma_factor, growth_fit)
 from powertail.transforms import moment_series
 
@@ -64,7 +64,7 @@ def worst_termwise_rel(a, b):
     return out
 
 
-def reference_evaluate(f, z, branch=Branch.PRINCIPAL, growth=None):
+def reference_evaluate(f, z, branch=Branch.PRINCIPAL):
     """Partial sum at z one term at a time in Python complex arithmetic,
     with the tail bound of ``series.evaluate`` (no guard warning)."""
     z = complex(z)
@@ -78,9 +78,7 @@ def reference_evaluate(f, z, branch=Branch.PRINCIPAL, growth=None):
         if f.normalization is Normalization.GAMMA:
             term /= gamma_factor(k + 1.0)
         total += term
-    if growth is None:
-        growth = growth_fit(f) if f.terms else GrowthBound(0.0, BoundShape.PER_EXPONENT,
-                                                           f.cutoff)
+    growth = growth_fit(f) if f.terms else GrowthBound(0.0, f.cutoff)
     absz = abs(z)
     c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
     return EvalResult(value=total, tail_bound=series._tail_bound(f, absz, growth, c)

@@ -374,6 +374,14 @@ def test_verify_exit_four_on_numeric_guard():
     # Gamma(n/2 + 1) / n! is inf / inf at order 343
     ("density", "--law", "positive-stable", "--alpha", "0.5", "--cutoff", "200",
      "--x-min", "4", "--x-max", "8", "--points", "3"),
+    # the Cauchy moment at 171 is not finite
+    ("convolve", "--kind", "classical", "--law-a", "cauchy", "--law-b", "cauchy",
+     "--cutoff", "200"),
+    # R ** k past the float range
+    ("expand", "--law", "pareto", "--repr", "fourier", "--beta", "1.5", "--R", "100",
+     "--cutoff", "200"),
+    ("expand", "--law", "pareto", "--repr", "fourier", "--beta", "0.5", "--R", "1e200"),
+    ("verify", "--law", "pareto", "--beta", "1.5", "--R", "1e100"),
 ])
 def test_oversized_requests_exit_four_with_one_line(argv):
     out, err = run_cli(*argv, expect=4)

@@ -1,6 +1,7 @@
 """Rational-approximation evidence: convergent streams, the sine growth
 profile, verdicts, and exactness under Moebius-type transforms."""
 
+import itertools
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -165,3 +166,40 @@ def test_transform_argument_guards():
                               TransformOp.INVERT)
     with pytest.raises(InvalidArgumentError):
         transform_certificate(golden_ratio_certificate(), TransformOp.SCALE)
+
+
+# ------------------------------------------------- pinned quotient streams
+
+def test_super_liouville_witnesses_are_pinned():
+    # q1 = 10 and q2 = 10^11 + 1 are the witnesses the float range allows;
+    # log10 q3 = 2 q2 + log10 q2 is the largest finite log continuant
+    got = [(w.q, w.log10_distance, w.implied_b)
+           for w in super_liouville_certificate().witnesses()]
+    assert got == [
+        (10, float.fromhex("-0x1.600000000098dp+3"), 12.589254117954265),
+        (10 ** 11 + 1, float.fromhex("-0x1.74876e8068000p+37"), 100.00000002532813),
+    ]
+
+
+def _e_quotients():
+    yield 2
+    k = 1
+    while True:
+        yield from (1, 2 * k, 1)
+        k += 1
+
+
+@pytest.mark.parametrize("cert, want", [
+    (RationalCertificate(Fraction(355, 113)), [3, 7, 16]),
+    (FloatCertificate(0.7071067811865476), [0, 1] + [2] * 19),
+    (FloatCertificate(3.14159), [3, 7, 15, 1, 25, 1, 7, 4]),
+    (transform_certificate(golden_ratio_certificate(), TransformOp.INVERT),
+     [0] + [1] * 39),
+    (transform_certificate(FloatCertificate(0.7071067811865476), TransformOp.SCALE,
+                           Fraction(3, 7)),
+     [0, 3, 3, 2, 1, 58, 1, 2, 3, 6, 3, 2, 1, 58, 1]),
+    (transform_certificate(CFCertificate(_e_quotients, "e"), TransformOp.INVERT),
+     [0, 2] + [q for k in range(1, 11) for q in (1, 2 * k, 1)] + [1]),
+])
+def test_quotient_streams_are_pinned(cert, want):
+    assert list(itertools.islice(cert.partial_quotients(), 40)) == want

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from powertail.errors import (InvalidArgumentError, NearIntegerWarning,
-                              OutsideValidityRegionError)
+                              OutsideValidityRegionError, ResourceGuardError)
 from powertail.oracles import rotated_pareto_transform
 from powertail.pareto import (CancellationResidual, ParetoExpansion,
                               cancellation_residual, negative_tail_fourier,
@@ -196,3 +196,12 @@ def test_regular_coefficients_stay_inside_fitted_envelope():
     c_low = max(v / envelope(k) for k, v in terms.items() if k <= 10.0)
     for k, v in terms.items():
         assert v <= c_low * envelope(k) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("beta, R, cutoff", [
+    (1.5, 100.0, 200.0), (0.5, 1e200, 20.0), (1.5, 1e100, 20.0),
+    (1.5, 1.0, 200.0),  # 171! is past the float range
+])
+def test_powers_of_R_past_double_range_are_refused(beta, R, cutoff):
+    with pytest.raises(ResourceGuardError, match="R = .* cutoff %g .* this limit" % cutoff):
+        pareto_fourier(beta, R, cutoff)

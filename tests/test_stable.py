@@ -274,6 +274,12 @@ def test_positive_stable_density_refuses_coefficients_past_double_range():
         positive_stable_density(0.5, 200.0)
 
 
+def test_cauchy_moments_past_double_range_are_refused():
+    # Gamma(k + 1) overflows from k = 171 on, and the moment there is not finite
+    with pytest.raises(ResourceGuardError, match="exponent 171 is .* in double precision"):
+        classical_stable(StableParams(1.0, 1j), cutoff=200.0)
+
+
 # ----------------------------------------------------------------- mixture
 
 def test_point_mixture_recovers_plain_stable_transform():
@@ -511,6 +517,25 @@ def test_unit_deformation_collapses_to_point_mass():
     assert abs(mono.terms[0.0] - g.terms[0.0]) < 1e-14
     assert abs(mono.terms[2.0] - 0.5) < 1e-14
     assert 2.0 not in g.terms
+
+
+@pytest.mark.parametrize("alpha, r, b, cutoff", [
+    (0.5, 2.0, -1.0, 3.0), (0.3, 3.0, -1.0, 2.0), (1.0, 1.5, 1.0, 8.0), (0.5, 2.0, 1j, 5.0),
+])
+def test_deformed_resolvent_coefficients_match_taylor_up_to_the_last(alpha, r, b, cutoff):
+    # the coefficient at j alpha is b^j times the j-th Taylor coefficient of
+    # (r (1 - (1 - w)^(1/r)) / w)^(1/alpha), here by mpmath's contour quadrature;
+    # the last one, at the cutoff, needs the inner power built past it
+    mpmath = pytest.importorskip("mpmath")
+    g = mu_br(alpha, b, r, cutoff=cutoff)
+    J = int(cutoff / alpha + 1e-9)
+    with mpmath.workdps(30):  # mpmath's precision is global: restore it on exit
+        a, rr = mpmath.mpf(alpha), mpmath.mpf(r)
+        taylor = mpmath.taylor(lambda w: (rr * (1 - (1 - w) ** (1 / rr)) / w) ** (1 / a),
+                               0, J, method="quad", radius=0.5)
+        want = [complex(t * mpmath.mpc(b) ** j) for j, t in enumerate(taylor)]
+    for j in range(J + 1):
+        assert abs(g.coefficient(j * alpha) - want[j]) <= 1e-12 * abs(want[j])
 
 
 def _mid_window_phase(alpha):

@@ -21,7 +21,7 @@ from helpers import (HALF, NAT, bernoulli_moments, cauchy_moments,
 from powertail.errors import (LogTermObstructionError,
                               OutsideValidityRegionError)
 from powertail.semigroup import SemigroupSpec, density_constant
-from powertail.series import (compose_F, evaluate, growth_fit,
+from powertail.series import (compose_F, divergence_guard_radius, evaluate, growth_fit,
                               identity_f_form, linear_combine)
 from powertail.stable import (StableKind, StableParams, classical_stable,
                               free_stable, monotone_stable, stable_mixture)
@@ -32,7 +32,7 @@ from powertail.transforms import (FourierEvaluator, F_from_moments,
                                   moments_from_F, moments_from_stieltjes,
                                   moments_from_tail, moments_from_voiculescu,
                                   monotone_convolve, stieltjes_from_moments,
-                                  stieltjes_guard_radius, tail_from_moments,
+                                  tail_from_moments,
                                   tail_real_to_complex, voiculescu_from_moments)
 
 
@@ -112,7 +112,7 @@ def test_resolvent_coefficients_are_the_moments():
 
 
 def test_resolvent_guard_radius_tracks_growth():
-    assert stieltjes_guard_radius(stieltjes_from_moments(cauchy_moments())) \
+    assert divergence_guard_radius(stieltjes_from_moments(cauchy_moments())) \
         == pytest.approx(1.25)
 
 
