@@ -19,6 +19,7 @@ integers would no longer be exact in a double.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -267,15 +268,20 @@ class ExponentGrid:
     def __init__(self, spec: SemigroupSpec, cutoff: float):
         self.spec = spec
         self.cutoff = float(cutoff)
-        self.values, self.reps, self._ints, by_tolerance = _lattice(spec, cutoff)
+        values, reps, ints, by_tolerance = _lattice(spec, cutoff)
         if by_tolerance:
             warnings.warn(ToleranceMergeWarning(
                 "%d exponents of %s up to cutoff %g merged with a neighbour "
                 "within relative tolerance %g; sums on this grid are exact only "
                 "to that tolerance" % (by_tolerance, spec.describe(), self.cutoff,
                                        MERGE_REL_TOL)), stacklevel=2)
-        self._pos = {v: i for i, v in enumerate(self.values.tolist())}
+        self._set(values, reps, ints)
+
+    def _set(self, values, reps, ints) -> None:
+        self.values, self.reps, self._ints = values, reps, ints
+        self._pos = {v: i for i, v in enumerate(values.tolist())}
         self._pairs: PairList | None = None
+        self._subs: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -300,6 +306,43 @@ class ExponentGrid:
             raise KeyError("exponent %r is not on the grid (cutoff %g, generators %r)"
                            % (v, self.cutoff, self.spec.generators))
         return float(self.values[i])
+
+    def generated(self, support) -> tuple[np.ndarray, "ExponentGrid"]:
+        """Grid indices ``idx`` of the sub-semigroup S that the exponents
+        at the grid indices ``support`` generate, and a grid ``sub`` over S
+        alone, whose pairs are this grid's pairs inside S.  A float spec
+        (its sums hold only to MERGE_REL_TOL) and a support that generates
+        every exponent give this grid.  The last 8 sub-grids are kept here."""
+        n = len(self.values)
+        if self._ints is None:
+            return np.arange(n), self
+        ints, top = self._ints, self._ints[-1]
+        # the least support exponent x outside S is a generator: S grows by
+        # S + {x, .., cx}, c as large as n cells allow, then by multiples of
+        # (c + 1)x, ...; every lattice sum under the top is on the grid
+        in_s, gens, rest = np.zeros(n, dtype=bool), [], np.asarray(support, dtype=np.intp)
+        in_s[0] = True
+        while len(rest := rest[~in_s[rest]]) and not in_s.all():
+            x = ints[rest.min()]
+            gens.append(int(x))
+            while x <= top:
+                c = max(1, min(top // x, n // np.count_nonzero(in_s)))
+                s = (ints[in_s][:, None] + x * np.arange(1, c + 1)).ravel()
+                in_s[np.searchsorted(ints, s[s <= top])] = True
+                x *= c + 1
+        if in_s.all():
+            return np.arange(n), self
+        key = tuple(gens)
+        hit = self._subs.pop(key, None)
+        if hit is None:
+            idx, sub = np.flatnonzero(in_s), copy.copy(self)
+            sub._set(self.values[idx], tuple(map(self.reps.__getitem__, idx.tolist())),
+                     ints[idx])
+            hit = idx, sub
+        self._subs[key] = hit  # newest last
+        if len(self._subs) > 8:
+            del self._subs[next(iter(self._subs))]
+        return hit
 
     def pairs(self) -> PairList:
         if self._pairs is None:

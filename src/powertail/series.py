@@ -18,9 +18,13 @@ z * b_gamma * z^(-gamma) (shift -1, unit constant term).  Algebraic
 operations act on unshifted series; transform code peels and restores
 shifts explicitly.
 
-All arithmetic runs over the grid's sparse pair list (``ExponentGrid.
-pairs()``): the valid additions (i, j) -> k grouped by k.  A product is
-one grouped sum over it.  Reciprocals, binomial powers, the graded
+All arithmetic runs over a sparse pair list (``ExponentGrid.pairs()``):
+the valid additions (i, j) -> k grouped by k.  A kernel takes it from
+the grid of the sub-semigroup that its operands' nonzero coefficients
+generate (``ExponentGrid.generated``), where its result lives too, and
+scatters the result back to the whole grid: a stable law without drift,
+say, lives on the multiples of alpha.  A product is one grouped sum
+over the pair list.  Reciprocals, binomial powers, the graded
 exponential, composition and reversion all go through one triangular
 recurrence kernel built on the Euler operator theta, which multiplies
 the coefficient at exponent e by e: a power p = (1 + h)^beta satisfies
@@ -316,6 +320,13 @@ def _convolve(a: np.ndarray, b: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     return _group_sum(pl.k, a[pl.i] * b[pl.j], len(grid))
 
 
+def _full(idx: np.ndarray, part: np.ndarray, n: int) -> np.ndarray:
+    """The length-n grid vector that holds ``part`` at ``idx``, 0 elsewhere."""
+    out = np.zeros(n, dtype=np.complex128)
+    out[idx] = part
+    return out
+
+
 def _shift_pairs(pl: PairList, index: np.ndarray):
     """Pairs (i, j) -> k whose j is index[r], as (i, r, k) sorted by k."""
     row_of = np.full(len(pl.reach), -1)
@@ -456,11 +467,13 @@ def product(f: GenSeries, g: GenSeries) -> GenSeries:
     cutoff = min(f.cutoff, g.cutoff)
     grid = exponent_grid(f.spec, cutoff)
     a, b = f.truncated(cutoff).coefs, g.truncated(cutoff).coefs
+    idx, sub = grid.generated(np.flatnonzero((a != 0) | (b != 0)))
     if f.normalization is Normalization.GAMMA:
         gw = np.array([gamma_factor(v + 1.0) for v in grid.values.tolist()])
-        out = _convolve(a / gw, b / gw, grid) * gw
+        a, b = a[idx] / gw[idx], b[idx] / gw[idx]
+        out = _full(idx, _convolve(a, b, sub), len(grid)) * gw
     else:
-        out = _convolve(a, b, grid)
+        out = _full(idx, _convolve(a[idx], b[idx], sub), len(grid))
     return GenSeries(f.spec, f.variable, f.normalization, out, cutoff)
 
 
@@ -473,10 +486,11 @@ def reciprocal(f: GenSeries) -> GenSeries:
     c0 = complex(f.coefs[0])
     if c0 == 0:
         raise NotInvertibleError("constant term vanishes; series has no reciprocal")
-    h = f.coefs / c0
+    idx, sub = f.grid().generated(np.flatnonzero(f.coefs))
+    h = f.coefs[idx] / c0
     h[0] = 0.0
-    p = _euler_rows(f.grid(), h, np.ones(1), "reciprocal")[0]
-    return f.with_terms(p / c0)
+    p = _euler_rows(sub, h, np.ones(1), "reciprocal")[0]
+    return f.with_terms(_full(idx, p, len(f.coefs)) / c0)
 
 
 def binomial_power(f: GenSeries, beta: complex) -> GenSeries:
@@ -487,9 +501,11 @@ def binomial_power(f: GenSeries, beta: complex) -> GenSeries:
         raise InvalidFormError("binomial_power is defined for RAW series")
     if f.coefs[0] != 1:
         raise NormalizationError("binomial_power needs constant term exactly 1")
-    h = f.coefs.copy()
+    idx, sub = f.grid().generated(np.flatnonzero(f.coefs))
+    h = f.coefs[idx]
     h[0] = 0.0
-    return f.with_terms(_euler_rows(f.grid(), h, np.array([complex(beta)]), "power")[0])
+    p = _euler_rows(sub, h, np.array([complex(beta)]), "power")[0]
+    return f.with_terms(_full(idx, p, len(f.coefs)))
 
 
 def graded_exp(f: GenSeries) -> GenSeries:
@@ -500,7 +516,9 @@ def graded_exp(f: GenSeries) -> GenSeries:
         raise InvalidFormError("graded_exp is defined for RAW series")
     if f.coefs[0] != 0:
         raise InvalidArgumentError("graded exponential needs a zero constant term")
-    return f.with_terms(_euler_rows(f.grid(), f.coefs, np.ones(1), "exp")[0])
+    idx, sub = f.grid().generated(np.flatnonzero(f.coefs))
+    p = _euler_rows(sub, f.coefs[idx], np.ones(1), "exp")[0]
+    return f.with_terms(_full(idx, p, len(f.coefs)))
 
 
 # -- reciprocal-Cauchy forms -------------------------------------------
@@ -558,12 +576,14 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
         raise IncompatibleSeriesError("compose_F: exponent semigroups differ")
     cutoff = min(outer.cutoff, inner.cutoff)
     grid = exponent_grid(outer.spec, cutoff)
-    index, coef, betas = _outer_rows(outer.truncated(cutoff).coefs, grid)
-    h = inner.truncated(cutoff).coefs.copy()
+    a, h = outer.truncated(cutoff).coefs, inner.truncated(cutoff).coefs
+    index, coef, betas = _outer_rows(a, grid)
+    idx, sub = grid.generated(np.flatnonzero((a != 0) | (h != 0)))
+    h, shifts = h[idx], np.searchsorted(idx, index)
     h[0] = 0.0
-    P = _euler_rows(grid, h, betas, "power", shifts=index)
-    i, r, k = _shift_pairs(grid.pairs(), index)
-    out = _group_sum(k, coef[r] * P[r, i], len(grid))
+    P = _euler_rows(sub, h, betas, "power", shifts=shifts)
+    i, r, k = _shift_pairs(sub.pairs(), shifts)
+    out = _full(idx, _group_sum(k, coef[r] * P[r, i], len(sub)), len(grid))
     return GenSeries(outer.spec, Variable.DESCENDING, Normalization.RAW,
                      out, cutoff, exponent_shift=-1)
 
@@ -584,15 +604,18 @@ def revert_F(F: GenSeries) -> GenSeries:
     index, coef, betas = (a[1:] for a in _outer_rows(F.coefs, grid))
     if not len(index):
         return F
-    f = np.zeros(len(grid), dtype=np.complex128)
-    P = _euler_rows(grid, f, betas, "power", shifts=index, tail_coef=coef)
-    i, r, k = _shift_pairs(grid.pairs(), index)
-    resid = -_group_sum(k, coef[r] * P[r, i], len(grid)) - f
+    idx, sub = grid.generated(index)
+    shifts = np.searchsorted(idx, index)
+    f = np.zeros(len(sub), dtype=np.complex128)
+    P = _euler_rows(sub, f, betas, "power", shifts=shifts, tail_coef=coef)
+    i, r, k = _shift_pairs(sub.pairs(), shifts)
+    resid = -_group_sum(k, coef[r] * P[r, i], len(sub)) - f
     scale_ref = max(1.0, float(np.max(np.abs(f))))
     if np.max(np.abs(resid)) > 1e-9 * scale_ref:
         raise NonConvergentReversionError(
             "reversion recurrence is inconsistent (residual %g)"
             % float(np.max(np.abs(resid))))
+    f = _full(idx, f, len(grid))
     f[0] += 1.0
     return F.with_terms(f)
 

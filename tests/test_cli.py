@@ -390,6 +390,18 @@ def test_oversized_requests_exit_four_with_one_line(argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_pair_guard_counts_the_sub_grid_a_kernel_runs_on():
+    # the whole grid has 53M exponent pairs at cutoff 120, but the law's
+    # kernels run on the multiples of alpha alone
+    out, err = run_cli("expand", "--law", "classical-stable", "--alpha", "0.4123",
+                       "--b=-1", "--cutoff", "120")
+    assert json.loads(out)["records"] and err == ""
+    # the Cauchy moments fill the naturals, whose grid has 200M pairs
+    out, err = run_cli("expand", "--law", "cauchy", "--cutoff", "20000", expect=4)
+    assert out == "" and err.startswith("numeric guard:") and "exponent pairs" in err
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------ exit code 2
 
 

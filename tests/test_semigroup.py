@@ -1,9 +1,12 @@
 """Exponent lattices: enumeration order, collision merging, the
-per-window counting constant, and the sparse pair list with its bands."""
+per-window counting constant, the sparse pair list with its bands, and
+the grids of generated sub-semigroups."""
 
+import gc
 import itertools
 import math
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -210,3 +213,97 @@ def test_tolerance_merge_warns_and_records_its_defect():
         exact = ExponentGrid(SemigroupSpec.with_alphas(1.0 / 3.0), 6.0)
     assert exact.pairs().defect == 0.0
     assert len(exact) == len(grid)
+
+
+# ------------------------------------------------- generated sub-semigroups
+
+def brute_closure(grid, support):
+    """The grid indices of the sub-semigroup that support generates: add
+    every valid sum of two members until nothing changes."""
+    pl = grid.pairs()
+    member = np.zeros(len(grid), dtype=bool)
+    member[0] = True
+    member[list(support)] = True
+    while True:
+        grown = member.copy()
+        grown[pl.k[member[pl.i] & member[pl.j]]] = True
+        if np.array_equal(grown, member):
+            return np.flatnonzero(member)
+        member = grown
+
+
+def _supports(grid, alpha):
+    """Empty, {a}, {2a, 3a} (a semigroup with gaps), {a, 1}, and the last
+    exponent under the cutoff, as grid indices."""
+    at = [grid.index_of(c * alpha) for c in (1, 2, 3)] + [grid.index_of(1.0)]
+    assert min(at) >= 0
+    return [[], at[:1], at[1:3], [at[0], at[3]], [len(grid) - 1]]
+
+
+@pytest.mark.parametrize("alphas", [(1.0 / 3.0,), (0.4,), (0.4123,), (0.4, 0.7),
+                                    (0.5001,)])
+def test_generated_sub_semigroup_is_the_closure(alphas):
+    grid = ExponentGrid(SemigroupSpec.with_alphas(*alphas), 6.0)
+    pl = grid.pairs()
+    triples = set(zip(pl.k.tolist(), pl.i.tolist(), pl.j.tolist()))
+    for support in _supports(grid, alphas[0]):
+        idx, sub = grid.generated(np.array(support, dtype=np.intp))
+        want = brute_closure(grid, support)
+        assert idx.tolist() == want.tolist(), support
+        assert sub.values.tolist() == grid.values[idx].tolist()
+        assert list(sub.reps) == [grid.reps[i] for i in idx.tolist()]
+        if len(idx) == len(grid):
+            assert sub is grid and sub.pairs() is pl
+            continue
+        # the sub-grid's pairs are the grid's pairs inside S, in its order
+        sp = sub.pairs()
+        got = list(zip(idx[sp.k].tolist(), idx[sp.i].tolist(), idx[sp.j].tolist()))
+        inside = set(idx.tolist())
+        assert set(got) == {t for t in triples if t[1] in inside and t[2] in inside}
+        assert got == sorted(got, key=lambda t: t[0])
+
+
+def test_whole_grid_when_float_or_every_generator_is_in_the_support():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ToleranceMergeWarning)
+        irrational = ExponentGrid(SemigroupSpec.with_alphas(math.sqrt(2.0)), 6.0)
+    for support in ([], [irrational.index_of(math.sqrt(2.0))]):
+        idx, sub = irrational.generated(np.array(support, dtype=np.intp))
+        assert sub is irrational and idx.tolist() == list(range(len(irrational)))
+        assert sub.pairs() is irrational.pairs()
+    grid = ExponentGrid(SemigroupSpec.with_alphas(0.4, 0.7), 6.0)
+    every = [grid.index_of(g) for g in (0.4, 0.7, 1.0, 2.0)]
+    idx, sub = grid.generated(np.array(every))
+    assert sub is grid and sub.pairs() is grid.pairs()
+
+
+def test_sub_grids_are_kept_by_generators_and_at_most_eight():
+    grid = ExponentGrid(SemigroupSpec.with_alphas(0.4123), 12.0)
+    a = grid.index_of(0.4123)
+    _, sub = grid.generated(np.array([a]))
+    # a larger support with the same generators finds the same sub-grid
+    assert grid.generated(np.array([a, grid.index_of(3 * 0.4123)]))[1] is sub
+    for c in range(2, 12):
+        grid.generated(np.array([grid.index_of(c * 0.4123)]))
+    assert len(grid._subs) == 8
+    assert all(s is not sub for _, s in grid._subs.values())
+
+
+def test_sub_grids_live_on_their_grid_only():
+    spec = SemigroupSpec.with_alphas(0.4123)
+    exponent_grid.cache_clear()
+    grid = exponent_grid(spec, 8.0)
+    assert grid._subs == {}
+    support = np.array([grid.index_of(0.4123)])
+    _, sub = grid.generated(support)
+    assert sub._subs == {}
+    # another grid of the same spec builds its own
+    twin = ExponentGrid(spec, 8.0)
+    assert twin._subs == {} and twin.generated(support)[1] is not sub
+    gone = weakref.ref(sub)
+    del grid, sub
+    exponent_grid.cache_clear()
+    gc.collect()
+    assert gone() is None
+    fresh = exponent_grid(spec, 8.0)
+    assert fresh._subs == {}

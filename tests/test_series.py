@@ -19,7 +19,8 @@ from hypothesis import given, strategies as hst
 
 import powertail.series as series_module
 from helpers import (HALF, NAT, cauchy_moments, reference_euler_rows,
-                     reference_evaluate, symmetric_phase, worst_termwise)
+                     reference_evaluate, symmetric_phase, worst_termwise,
+                     worst_termwise_rel)
 from powertail.errors import (DomainBranchError, IncompatibleSeriesError,
                               InvalidFormError, NormalizationError,
                               NotInvertibleError, ResourceGuardError,
@@ -316,6 +317,93 @@ def test_euler_kernel_is_the_band_loop_bit_for_bit(monkeypatch, alpha, cutoff, c
         assert got.shape == want.shape
         assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (kind, kw.keys())
         assert h.tobytes() == h_ref.tobytes()
+
+
+# the grids of the sub-semigroup tests: alpha N is a proper part of each
+ALPHA_GRIDS = [(0.4, 12.0), (0.4123, 10.0), (0.5001, 8.0), (0.7, 12.0), (0.3, 9.0)]
+
+
+def _alpha_terms(rng, alpha, cutoff, lowest=1):
+    """Random coefficients at lowest * alpha and a random part of the
+    larger multiples of alpha up to the cutoff."""
+    ks = [lowest] + [k for k in range(lowest + 1, int(cutoff / alpha) + 1)
+                     if rng.random() < 0.6]
+    return {k * alpha: complex(*rng.normal(size=2)) * 0.3 for k in ks}
+
+
+def _off_alpha_n(grid, alpha):
+    """Mask of the grid exponents that are not multiples of alpha."""
+    off = np.ones(len(grid), dtype=bool)
+    off[[grid.index_of(k * alpha) for k in range(int(grid.cutoff / alpha) + 1)]] = False
+    return off
+
+
+@pytest.mark.parametrize("alpha,cutoff", ALPHA_GRIDS)
+def test_alpha_only_kernels_are_the_whole_grid_loop_bit_for_bit(alpha, cutoff):
+    # alpha is in every support, so the kernels run on alpha N, where no
+    # sum on the whole grid has a term that vanishes.  The exponent is real:
+    # with a complex one the loop and the kernel can round its product
+    # with the weights differently (see the band-loop test above).
+    rng = np.random.default_rng(int(alpha * 1e4))
+    spec = SemigroupSpec.with_alphas(alpha)
+    for _ in range(5):
+        tail = desc(_alpha_terms(rng, alpha, cutoff), cutoff, spec)
+        grid, h, unit = tail.grid(), tail.coefs, np.arange(len(tail.coefs)) == 0
+        c0, beta = complex(*rng.normal(size=2)), complex(rng.normal())
+        f = tail.with_terms(c0 * (h + unit))
+        hr = f.coefs / c0
+        hr[0] = 0.0
+        cases = [
+            (reciprocal(f), reference_euler_rows(grid, hr, np.ones(1), "reciprocal")[0] / c0),
+            (binomial_power(tail.with_terms(h + unit), beta),
+             reference_euler_rows(grid, h.copy(), np.array([beta]), "power")[0]),
+            (series_module.graded_exp(tail),
+             reference_euler_rows(grid, h.copy(), np.ones(1), "exp")[0])]
+        for got, want in cases:
+            assert got.coefs.tobytes() == tail.with_terms(want).coefs.tobytes()
+            assert not got.coefs[_off_alpha_n(grid, alpha)].any()
+
+
+def _whole_grid(grid, support):
+    return np.arange(len(grid)), grid
+
+
+@pytest.mark.parametrize("alpha,cutoff", ALPHA_GRIDS)
+def test_alpha_only_products_and_forms_match_the_whole_grid(monkeypatch, alpha, cutoff):
+    rng = np.random.default_rng(int(alpha * 1e4) + 1)
+    spec = SemigroupSpec.with_alphas(alpha)
+    # supports from 2 alpha up may generate a semigroup with gaps
+    a, b = ({0.0: 1.0, **_alpha_terms(rng, alpha, cutoff, lowest)} for lowest in (1, 2))
+    F, G = (f_form(spec, _alpha_terms(rng, alpha, cutoff, lowest), cutoff)
+            for lowest in (2, 1))
+
+    def results():
+        asc = [GenSeries(spec, Variable.ASCENDING, Normalization.GAMMA, t, cutoff)
+               for t in (a, b)]
+        return [product(desc(a, cutoff, spec), desc(b, cutoff, spec)), product(*asc),
+                revert_F(F), compose_F(F, G)]
+
+    sub = results()
+    # the identity's terms cancel from about |inverse| in size, so it is
+    # checked against the identity, not against the whole-grid run
+    assert worst_termwise(compose_F(F, sub[2]), identity_f_form(spec, cutoff)) < 1e-12
+    monkeypatch.setattr(series_module.ExponentGrid, "generated", _whole_grid)
+    whole = results()
+    off = _off_alpha_n(F.grid(), alpha)
+    for got, want in zip(sub, whole):
+        assert worst_termwise_rel(got, want) <= 1e-14
+        assert not got.coefs[off].any()
+
+
+def test_kernel_guard_counts_the_sub_grid(monkeypatch):
+    spec = SemigroupSpec.with_alphas(0.4123)
+    f = desc({0.0: 1.0, 0.4123: 0.5}, 10.0, spec)
+    idx, sub = f.grid().generated(np.flatnonzero(f.coefs))
+    assert len(sub) < len(f.grid())
+    monkeypatch.setattr(series_module, "MAX_KERNEL_CELLS", len(sub))
+    binomial_power(f, 0.5)
+    with pytest.raises(ResourceGuardError, match="cells"):
+        binomial_power(f.with_terms({0.0: 1.0, 0.4123: 0.5, 1.0: 0.1}), 0.5)
 
 
 # -------------------------------------------------------------- evaluate
