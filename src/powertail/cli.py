@@ -155,20 +155,22 @@ def _parse_complex(text: str) -> complex:
         raise InvalidArgumentError("cannot parse %r as a complex number" % text)
 
 
-def _series_records(spec: SemigroupSpec, cutoff: float, terms: dict) -> list[dict]:
-    grid = exponent_grid(spec, cutoff)
+def _series_body(representation: str, monomial: str, series, cutoff: float) -> dict:
+    """The document fields of a series: what it represents, its monomial,
+    its generators, and one record per term with the term's counts."""
+    grid = exponent_grid(series.spec, cutoff)
     records = []
-    for key in sorted(terms):
+    for key in sorted(series.terms):
         idx = grid.index_of(key)
-        counts = list(grid.reps[idx]) if idx >= 0 else []
-        c = complex(terms[key])
+        c = complex(series.terms[key])
         records.append({
-            "index": counts,
+            "index": list(grid.reps[idx]) if idx >= 0 else [],
             "exponent": float(key),
             "re": c.real,
             "im": c.imag,
         })
-    return records
+    return {"representation": representation, "monomial": monomial,
+            "generators": list(series.spec.fractional_generators), "records": records}
 
 
 _NU_CHOICES = ("uniform", "delta1")
@@ -262,6 +264,7 @@ def _config_common(args, cutoff: float) -> dict:
 # -- expand ----------------------------------------------------------------
 
 _REPRS = ("moments", "fourier", "stieltjes", "F", "voiculescu", "tail")
+_MOMENTS_MONOMIAL = "coefficient m_gamma of z^(-gamma-1) in the resolvent"
 
 
 def cmd_expand(args) -> int:
@@ -285,12 +288,7 @@ def _expand_mu_br(args, cutoff: float) -> dict:
         raise InvalidArgumentError(
             "mu-br is defined through its resolvent; use --repr stieltjes")
     S = stable.mu_br(args.alpha, _parse_complex(args.b), args.r, cutoff=cutoff)
-    return {
-        "representation": "stieltjes",
-        "monomial": "z^(-gamma-1)",
-        "generators": list(S.spec.fractional_generators),
-        "records": _series_records(S.spec, cutoff, S.terms),
-    }
+    return _series_body("stieltjes", "z^(-gamma-1)", S, cutoff)
 
 
 def _expand_pareto(args, cutoff: float) -> dict:
@@ -298,10 +296,7 @@ def _expand_pareto(args, cutoff: float) -> dict:
         raise InvalidArgumentError("pareto expands on the Fourier side only")
     exp = pareto.pareto_fourier(args.beta, args.R, cutoff=cutoff)
     return {
-        "representation": "fourier",
-        "monomial": "z^gamma",
-        "generators": list(exp.regular.spec.fractional_generators),
-        "records": _series_records(exp.regular.spec, cutoff, exp.regular.terms),
+        **_series_body("fourier", "z^gamma", exp.regular, cutoff),
         "singular": {
             "floor_exponent": exp.singular.floor_exponent,
             "coef_floor": _cpx(exp.singular.coef_floor),
@@ -318,27 +313,21 @@ def _cpx(c: complex) -> dict:
 
 
 def _represent(m: MomentSeries, repr_name: str, cutoff: float) -> dict:
-    spec = m.spec
     if repr_name == "moments":
-        terms = dict(m.terms)
-        monomial = "coefficient m_gamma of z^(-gamma-1) in the resolvent"
-    elif repr_name == "fourier":
-        fe = FourierEvaluator(m)
-        terms = dict(fe.series.terms)
-        monomial = "coefficient of z^gamma, phase folded in"
-    elif repr_name == "stieltjes":
-        S = transforms.stieltjes_from_moments(m)
-        terms = dict(S.terms)
-        monomial = "z^(-gamma-1)"
-    elif repr_name == "F":
-        F = transforms.F_from_moments(m)
-        terms = dict(F.terms)
-        monomial = "z^(1-gamma), reciprocal-resolvent form"
-    elif repr_name == "voiculescu":
-        phi = transforms.voiculescu_from_moments(m)
-        terms = dict(phi.terms)
-        monomial = "z^(1-gamma), shift correction"
-    elif repr_name == "tail":
+        return _series_body(repr_name, _MOMENTS_MONOMIAL, m, cutoff)
+    if repr_name == "fourier":
+        return _series_body(repr_name, "coefficient of z^gamma, phase folded in",
+                            FourierEvaluator(m).series, cutoff)
+    if repr_name == "stieltjes":
+        return _series_body(repr_name, "z^(-gamma-1)",
+                            transforms.stieltjes_from_moments(m), cutoff)
+    if repr_name == "F":
+        return _series_body(repr_name, "z^(1-gamma), reciprocal-resolvent form",
+                            transforms.F_from_moments(m), cutoff)
+    if repr_name == "voiculescu":
+        return _series_body(repr_name, "z^(1-gamma), shift correction",
+                            transforms.voiculescu_from_moments(m), cutoff)
+    if repr_name == "tail":
         model = transforms.tail_from_moments(m)
         recs = []
         for beta in sorted(model.a):
@@ -349,18 +338,11 @@ def _represent(m: MomentSeries, repr_name: str, cutoff: float) -> dict:
         return {
             "representation": "tail",
             "monomial": "a_beta |x|^(-beta-1) with the negative-side phase",
-            "generators": list(spec.fractional_generators),
+            "generators": list(m.spec.fractional_generators),
             "r": model.r, "R": model.R, "guard_radius": model.guard_radius,
             "records": recs, "inner_moments": inner,
         }
-    else:
-        raise InvalidArgumentError("unknown representation %r" % repr_name)
-    return {
-        "representation": repr_name,
-        "monomial": monomial,
-        "generators": list(spec.fractional_generators),
-        "records": _series_records(spec, cutoff, terms),
-    }
+    raise InvalidArgumentError("unknown representation %r" % repr_name)
 
 
 def _law_param_echo(args) -> dict:
@@ -508,13 +490,8 @@ def cmd_convolve(args) -> int:
     cfg = {"kind": args.kind}
     cfg.update(src)
     cfg.update(_config_common(args, cutoff))
-    doc = _document("convolve", cfg, {
-        "representation": "moments",
-        "monomial": "coefficient m_gamma of z^(-gamma-1) in the resolvent",
-        "generators": list(out.spec.fractional_generators),
-        "records": _series_records(out.spec, out.cutoff, dict(out.terms)),
-    })
-    _emit(_canon(doc), args.out)
+    body = _series_body("moments", _MOMENTS_MONOMIAL, out, out.cutoff)
+    _emit(_canon(_document("convolve", cfg, body)), args.out)
     return EXIT_OK
 
 

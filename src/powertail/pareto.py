@@ -125,7 +125,7 @@ class ParetoExpansion:
         if m < 1:
             m = 1
         lead = 2.0 * fl * max(self._weight_scale(), 1.0)
-        return lead * w ** (fl - 1) * w ** m / math.factorial(m) * math.exp(w)
+        return lead * w ** (fl - 1) * _powers_over_factorials(w, m)[m] * math.exp(w)
 
     def _weight_scale(self) -> float:
         fl = self.singular.floor_exponent
@@ -137,6 +137,18 @@ class ParetoExpansion:
 
 def _integer_powers_of_i(n: int) -> complex:
     return (1j) ** (n % 4)
+
+
+def _powers_over_factorials(x: float, top: int) -> list[float]:
+    """x^k / k! for k = 0 .. top as a running product, finite wherever
+    the quotient is, though x^k or k! alone may be past the float range.
+    A quotient past it raises OverflowError, as x ** k would."""
+    out = [1.0]
+    for k in range(1, top + 1):
+        out.append(out[-1] * x / k)
+    if math.isinf(out[-1]):  # an overflow carries on to the last term
+        raise OverflowError("x^k / k! past the float range")
+    return out
 
 
 def _falling_product(beta: float, count: int) -> float:
@@ -174,23 +186,21 @@ def pareto_fourier(beta: float, R: float,
         if beta < 1.0:
             return _expansion_small_beta(beta, R, cutoff)
         return _expansion_large_beta(beta, R, cutoff, snapped)
-    except OverflowError:  # R ** k, or k! past k = 170, leaves the float range
+    except OverflowError:  # R ** beta, or R^k / k!, leaves the float range
         raise ResourceGuardError(
-            "a power of R = %g or a factorial up to the cutoff %g is past double "
-            "precision; lower R or the cutoff below this limit" % (R, cutoff)) from None
+            "a power of R = %g up to the cutoff %g is past double precision; lower "
+            "R or the cutoff below this limit" % (R, cutoff)) from None
 
 
 def _expansion_small_beta(beta: float, R: float, cutoff: float) -> ParetoExpansion:
     # two-part form: a constant carried by z^beta plus one k-family
     spec = SemigroupSpec.with_alphas(beta)
     c2 = oscillatory_constant(beta + 1.0)
-    for k in range(_AGGREGATE_K_MAX + 1):
-        c2 += _integer_powers_of_i(k) / (math.factorial(k) * (k - beta))
+    for k, t in enumerate(_powers_over_factorials(1.0, _AGGREGATE_K_MAX)):
+        c2 += _integer_powers_of_i(k) * t / (k - beta)
     terms: dict[float, complex] = {}
-    n_max = int(math.floor(cutoff))
-    for k in range(n_max + 1):
-        terms[float(k)] = (_integer_powers_of_i(k) * R ** k
-                           / (math.factorial(k) * (beta - k)))
+    for k, t in enumerate(_powers_over_factorials(R, int(math.floor(cutoff)))):
+        terms[float(k)] = _integer_powers_of_i(k) * t / (beta - k)
     if beta <= cutoff:
         terms[beta] = terms.get(beta, 0j) + c2 * R ** beta
     regular = GenSeries(spec=spec, variable=Variable.ASCENDING,
@@ -208,37 +218,35 @@ def _expansion_large_beta(beta: float, R: float, cutoff: float,
     spec = SemigroupSpec.natural() if is_integer else SemigroupSpec.with_alphas(beta)
     P = 1.0 / _falling_product(beta, fl - 1)
     n_max = int(math.floor(cutoff))
+    # R^m / m! for m <= n_max, and 1/k! for the k-family aggregate
+    rk = _powers_over_factorials(R, n_max)
+    inv = _powers_over_factorials(1.0, _AGGREGATE_K_MAX)
     terms: dict[float, complex] = {}
 
     # boundary sum: (iRz)^(k-1) e^{iRz} / (beta...(beta+1-k)), expanded
-    # onto integer powers of z
+    # onto integer powers of z: R^n / (n-k+1)! = R^(k-1) R^m / m!
     for k in range(1, fl):
-        denom = _falling_product(beta, k)
+        scale = R ** (k - 1) / _falling_product(beta, k)
         for n in range(k - 1, n_max + 1):
-            c = (_integer_powers_of_i(n) * R ** n
-                 / (math.factorial(n - k + 1) * denom))
+            c = _integer_powers_of_i(n) * scale * rk[n - k + 1]
             terms[float(n)] = terms.get(float(n), 0j) + c
 
     # the z^beta weight: oscillatory constant plus the k-family aggregate
     osc = oscillatory_constant(beta - fl + 2.0)
     beta_weight = _integer_powers_of_i(fl - 1) * osc * P
     for k in [0] + list(range(3, _AGGREGATE_K_MAX + 1)):
-        beta_weight += (P * _integer_powers_of_i(k + fl - 1)
-                        / (math.factorial(k) * (k - beta + fl - 1)))
+        beta_weight += P * _integer_powers_of_i(k + fl - 1) * inv[k] / (k - beta + fl - 1)
     if beta <= cutoff:
         terms[beta] = terms.get(beta, 0j) + beta_weight * R ** beta
 
-    # the same k-family contributes -(Rz)^(k+fl-1) at integer exponents
-    k = 0
-    while True:
-        e = k + fl - 1
-        if e > n_max:
-            break
+    # the same k-family contributes -(Rz)^(k+fl-1) at integer exponents:
+    # R^(k+fl-1) / k! = R^(fl-1) R^k / k!
+    lead = P * R ** (fl - 1)
+    for k in range(n_max - fl + 2):  # up to e = k + fl - 1 = n_max
         if k == 0 or k >= 3:
-            c = (P * _integer_powers_of_i(k + fl - 1)
-                 / (math.factorial(k) * (k - beta + fl - 1)))
-            terms[float(e)] = terms.get(float(e), 0j) - c * R ** e
-        k += 1
+            e = k + fl - 1
+            c = lead * _integer_powers_of_i(e) * rk[k] / (k - beta + fl - 1)
+            terms[float(e)] = terms.get(float(e), 0j) - c
 
     if is_integer:
         ib = _integer_powers_of_i(fl)

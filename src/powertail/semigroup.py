@@ -281,7 +281,7 @@ class ExponentGrid:
         self.values, self.reps, self._ints = values, reps, ints
         self._pos = {v: i for i, v in enumerate(values.tolist())}
         self._pairs: PairList | None = None
-        self._subs: dict[tuple, tuple] = {}
+        self._subs: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -308,38 +308,26 @@ class ExponentGrid:
         return float(self.values[i])
 
     def generated(self, support) -> tuple[np.ndarray, "ExponentGrid"]:
-        """Grid indices ``idx`` of the sub-semigroup S that the exponents
-        at the grid indices ``support`` generate, and a grid ``sub`` over S
-        alone, whose pairs are this grid's pairs inside S.  A float spec
-        (its sums hold only to MERGE_REL_TOL) and a support that generates
-        every exponent give this grid.  The last 8 sub-grids are kept here."""
-        n = len(self.values)
-        if self._ints is None:
+        """Grid indices ``idx`` of the exponents whose lattice integer is a
+        multiple of g, the gcd of the integers at the grid indices
+        ``support``, and a grid ``sub`` over them alone, whose pairs are this
+        grid's pairs inside idx.  idx is closed under sums and holds the
+        sub-semigroup that support generates.  A float spec (its sums hold
+        only to MERGE_REL_TOL) and a g that divides every exponent's integer
+        give this grid.  The last 8 sub-grids are kept here, by g."""
+        n, ints = len(self.values), self._ints
+        g = 1 if ints is None else int(np.gcd.reduce(ints[np.asarray(support, dtype=np.intp)]))
+        if g == 1:
             return np.arange(n), self
-        ints, top = self._ints, self._ints[-1]
-        # the least support exponent x outside S is a generator: S grows by
-        # S + {x, .., cx}, c as large as n cells allow, then by multiples of
-        # (c + 1)x, ...; every lattice sum under the top is on the grid
-        in_s, gens, rest = np.zeros(n, dtype=bool), [], np.asarray(support, dtype=np.intp)
-        in_s[0] = True
-        while len(rest := rest[~in_s[rest]]) and not in_s.all():
-            x = ints[rest.min()]
-            gens.append(int(x))
-            while x <= top:
-                c = max(1, min(top // x, n // np.count_nonzero(in_s)))
-                s = (ints[in_s][:, None] + x * np.arange(1, c + 1)).ravel()
-                in_s[np.searchsorted(ints, s[s <= top])] = True
-                x *= c + 1
-        if in_s.all():
-            return np.arange(n), self
-        key = tuple(gens)
-        hit = self._subs.pop(key, None)
+        g = g or int(ints[-1]) + 1  # no support: 0 alone, the one multiple of top + 1
+        hit = self._subs.pop(g, None)
         if hit is None:
-            idx, sub = np.flatnonzero(in_s), copy.copy(self)
-            sub._set(self.values[idx], tuple(map(self.reps.__getitem__, idx.tolist())),
-                     ints[idx])
+            idx, sub = np.flatnonzero(ints % g == 0), copy.copy(self)
+            if len(idx) == n:
+                return idx, self
+            sub._set(self.values[idx], tuple(self.reps[i] for i in idx.tolist()), ints[idx])
             hit = idx, sub
-        self._subs[key] = hit  # newest last
+        self._subs[g] = hit  # newest last
         if len(self._subs) > 8:
             del self._subs[next(iter(self._subs))]
         return hit

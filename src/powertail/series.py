@@ -20,12 +20,13 @@ shifts explicitly.
 
 All arithmetic runs over a sparse pair list (``ExponentGrid.pairs()``):
 the valid additions (i, j) -> k grouped by k.  A kernel takes it from
-the grid of the sub-semigroup that its operands' nonzero coefficients
-generate (``ExponentGrid.generated``), where its result lives too, and
-scatters the result back to the whole grid: a stable law without drift,
-say, lives on the multiples of alpha.  A product is one grouped sum
-over the pair list.  Reciprocals, binomial powers, the graded
-exponential, composition and reversion all go through one triangular
+the grid of the exponents whose lattice integers are multiples of the
+gcd of its operands' nonzero exponents (``ExponentGrid.generated``),
+which is closed under sums and holds its result, and scatters the
+result back to the whole grid: a stable law without drift, say, lives
+on the multiples of alpha.  A product is one grouped sum over the pair
+list.  Reciprocals, binomial powers, the graded exponential,
+composition and reversion all go through one triangular
 recurrence kernel built on the Euler operator theta, which multiplies
 the coefficient at exponent e by e: a power p = (1 + h)^beta satisfies
 theta(p) (1 + h) = beta p theta(h), and exp(h) satisfies theta(E) =
@@ -468,13 +469,15 @@ def product(f: GenSeries, g: GenSeries) -> GenSeries:
     grid = exponent_grid(f.spec, cutoff)
     a, b = f.truncated(cutoff).coefs, g.truncated(cutoff).coefs
     idx, sub = grid.generated(np.flatnonzero((a != 0) | (b != 0)))
+    a, b = a[idx], b[idx]
     if f.normalization is Normalization.GAMMA:
-        gw = np.array([gamma_factor(v + 1.0) for v in grid.values.tolist()])
-        a, b = a[idx] / gw[idx], b[idx] / gw[idx]
-        out = _full(idx, _convolve(a, b, sub), len(grid)) * gw
+        # Gamma only where the product lives: past 170.6 it is inf, and
+        # an exact zero times inf would be nan
+        gw = np.array([gamma_factor(v + 1.0) for v in sub.values.tolist()])
+        out = _convolve(a / gw, b / gw, sub) * gw
     else:
-        out = _full(idx, _convolve(a[idx], b[idx], sub), len(grid))
-    return GenSeries(f.spec, f.variable, f.normalization, out, cutoff)
+        out = _convolve(a, b, sub)
+    return GenSeries(f.spec, f.variable, f.normalization, _full(idx, out, len(grid)), cutoff)
 
 
 def reciprocal(f: GenSeries) -> GenSeries:

@@ -377,8 +377,8 @@ def test_verify_exit_four_on_numeric_guard():
     # the Cauchy moment at 171 is not finite
     ("convolve", "--kind", "classical", "--law-a", "cauchy", "--law-b", "cauchy",
      "--cutoff", "200"),
-    # R ** k past the float range
-    ("expand", "--law", "pareto", "--repr", "fourier", "--beta", "1.5", "--R", "100",
+    # R^k / k! past the float range (about 1e309 at k = 89)
+    ("expand", "--law", "pareto", "--repr", "fourier", "--beta", "1.5", "--R", "1e5",
      "--cutoff", "200"),
     ("expand", "--law", "pareto", "--repr", "fourier", "--beta", "0.5", "--R", "1e200"),
     ("verify", "--law", "pareto", "--beta", "1.5", "--R", "1e100"),
@@ -388,6 +388,18 @@ def test_oversized_requests_exit_four_with_one_line(argv):
     assert out == ""
     assert err.startswith("numeric guard:") and "limit" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_past_gamma_and_factorial_overflow_where_every_term_is_finite():
+    # Gamma(172) is inf, but delta0 (+) delta0 holds the exponent 0 alone
+    out, err = run_cli("convolve", "--kind", "classical", "--law-a", "delta0",
+                       "--law-b", "delta0", "--cutoff", "200")
+    recs = json.loads(out)["records"]
+    assert {r["exponent"]: complex(r["re"], r["im"]) for r in recs} == {0: 1} and err == ""
+    # 200! is past the float range, but R^k / k! is not
+    out, err = run_cli("expand", "--law", "pareto", "--repr", "fourier", "--beta", "1.5",
+                       "--cutoff", "200")
+    assert max(r["exponent"] for r in json.loads(out)["records"]) > 170 and err == ""
 
 
 def test_pair_guard_counts_the_sub_grid_a_kernel_runs_on():

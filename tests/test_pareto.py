@@ -172,6 +172,18 @@ def test_remainder_bound_dominates_truncation_error():
             assert diff <= short.remainder_bound(z)
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.5])
+def test_cutoff_past_170_keeps_the_terms_below_it(beta):
+    # R^k / k! is one running product, so neither k! nor R^k leaves the
+    # float range on the way to a term that is itself finite
+    short = pareto_fourier(beta, 1.0, cutoff=20.0)
+    long = pareto_fourier(beta, 1.0, cutoff=200.0)
+    head = {k: c for k, c in long.regular.terms.items() if k <= 20.0}
+    assert head == dict(short.regular.terms)
+    assert long.singular == short.singular
+    assert 0.0 <= long.remainder_bound(0.4) < math.inf
+
+
 def test_remainder_bound_grows_with_z():
     exp = pareto_fourier(0.8, 1.0, cutoff=12.0)
     assert exp.remainder_bound(0.1) < exp.remainder_bound(0.4)
@@ -199,8 +211,8 @@ def test_regular_coefficients_stay_inside_fitted_envelope():
 
 
 @pytest.mark.parametrize("beta, R, cutoff", [
-    (1.5, 100.0, 200.0), (0.5, 1e200, 20.0), (1.5, 1e100, 20.0),
-    (1.5, 1.0, 200.0),  # 171! is past the float range
+    (1.5, 1e5, 200.0),  # R^k / k! is about 1e309 at k = 89
+    (0.5, 1e200, 20.0), (1.5, 1e100, 20.0),
 ])
 def test_powers_of_R_past_double_range_are_refused(beta, R, cutoff):
     with pytest.raises(ResourceGuardError, match="R = .* cutoff %g .* this limit" % cutoff):

@@ -1,7 +1,8 @@
 """Exponent lattices: enumeration order, collision merging, the
 per-window counting constant, the sparse pair list with its bands, and
-the grids of generated sub-semigroups."""
+the sub-grids picked by the gcd of a support."""
 
+import cmath
 import gc
 import itertools
 import math
@@ -18,6 +19,10 @@ from powertail.errors import (InvalidArgumentError, ResourceGuardError,
 from powertail.semigroup import (ExponentGrid, SemigroupSpec, density_constant,
                                  enumerate_up_to, exponent_grid)
 from powertail.series import GenSeries, Normalization, Variable, product
+from powertail.stable import (StableKind, StableParams, boolean_stable, classical_stable,
+                              free_stable, monotone_stable)
+from powertail.transforms import (boolean_convolve, classical_convolve, free_convolve,
+                                  monotone_convolve)
 
 
 def values(spec, cutoff):
@@ -240,27 +245,74 @@ def _supports(grid, alpha):
     return [[], at[:1], at[1:3], [at[0], at[3]], [len(grid) - 1]]
 
 
+def gcd_multiples(grid, support):
+    """The grid indices whose exact lattice integer, the exponent read
+    from its counts times the common denominator, is a multiple of the
+    gcd of the integers at support (the index 0 alone for gcd 0)."""
+    fracs = grid.spec.rational_forms()
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(sum(c * f for c, f in zip(rep, fracs)) * den) for rep in grid.reps]
+    g = math.gcd(*(ints[s] for s in support))
+    return [i for i, x in enumerate(ints) if (x % g == 0 if g else x == 0)]
+
+
 @pytest.mark.parametrize("alphas", [(1.0 / 3.0,), (0.4,), (0.4123,), (0.4, 0.7),
                                     (0.5001,)])
 def test_generated_sub_semigroup_is_the_closure(alphas):
+    """The sub-grid is the multiples of the support's gcd: the closure of
+    the support, except where the closure has gaps below that gcd's
+    multiples, as at {2a, 3a}."""
     grid = ExponentGrid(SemigroupSpec.with_alphas(*alphas), 6.0)
     pl = grid.pairs()
     triples = set(zip(pl.k.tolist(), pl.i.tolist(), pl.j.tolist()))
-    for support in _supports(grid, alphas[0]):
+    for n, support in enumerate(_supports(grid, alphas[0])):
         idx, sub = grid.generated(np.array(support, dtype=np.intp))
-        want = brute_closure(grid, support)
-        assert idx.tolist() == want.tolist(), support
+        assert idx.tolist() == gcd_multiples(grid, support), support
+        # it is the closure, except at {2a, 3a}: there it adds a and more
+        closure = set(brute_closure(grid, support).tolist())
+        inside = set(idx.tolist())
+        assert closure < inside if n == 2 else closure == inside, support
+        # closed under sums: every grid pair inside lands inside
+        assert all(k in inside for k, i, j in triples if i in inside and j in inside)
         assert sub.values.tolist() == grid.values[idx].tolist()
         assert list(sub.reps) == [grid.reps[i] for i in idx.tolist()]
         if len(idx) == len(grid):
             assert sub is grid and sub.pairs() is pl
             continue
-        # the sub-grid's pairs are the grid's pairs inside S, in its order
+        # the sub-grid's pairs are the grid's pairs inside idx, in its order
         sp = sub.pairs()
         got = list(zip(idx[sp.k].tolist(), idx[sp.i].tolist(), idx[sp.j].tolist()))
-        inside = set(idx.tolist())
         assert set(got) == {t for t in triples if t[1] in inside and t[2] in inside}
         assert got == sorted(got, key=lambda t: t[0])
+
+
+@pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.4123, 1.5])
+def test_generated_is_the_closure_on_stable_law_traffic(alpha, monkeypatch):
+    """Every support that building and self-convolving a stable law of
+    each kind asks about has its closure as its gcd multiples, so there
+    the kernels run on what their operands generate and no more."""
+    calls, real = [], ExponentGrid.generated
+
+    def record(grid, support):
+        idx, sub = real(grid, support)
+        calls.append((grid, np.array(support), idx))
+        return idx, sub
+
+    monkeypatch.setattr(ExponentGrid, "generated", record)
+    b = cmath.exp(1j * math.pi * (1.0 - alpha / 2.0))  # mid-window phase
+    laws = [
+        (classical_stable(StableParams(alpha, b), 8.0)[0], classical_convolve),
+        (free_stable(StableParams(alpha, b, kind=StableKind.FREE), 8.0), free_convolve),
+        (boolean_stable(StableParams(alpha, b, kind=StableKind.BOOLEAN), 8.0),
+         boolean_convolve),
+        (monotone_stable(alpha, b, 8.0), monotone_convolve),
+    ]
+    for m, convolve in laws:
+        before = len(calls)
+        convolve(m, m)
+        assert len(calls) > before
+    for grid, support, idx in calls:
+        assert idx.tolist() == brute_closure(grid, support).tolist(), support
 
 
 def test_whole_grid_when_float_or_every_generator_is_in_the_support():
@@ -275,13 +327,17 @@ def test_whole_grid_when_float_or_every_generator_is_in_the_support():
     every = [grid.index_of(g) for g in (0.4, 0.7, 1.0, 2.0)]
     idx, sub = grid.generated(np.array(every))
     assert sub is grid and sub.pairs() is grid.pairs()
+    # under the cutoff 0.9 the grid is 0, 0.4, 0.8: all multiples of 0.4
+    small = ExponentGrid(SemigroupSpec.with_alphas(0.4), 0.9)
+    idx, sub = small.generated(np.array([small.index_of(0.4)]))
+    assert sub is small and idx.tolist() == [0, 1, 2] and small._subs == {}
 
 
 def test_sub_grids_are_kept_by_generators_and_at_most_eight():
     grid = ExponentGrid(SemigroupSpec.with_alphas(0.4123), 12.0)
     a = grid.index_of(0.4123)
     _, sub = grid.generated(np.array([a]))
-    # a larger support with the same generators finds the same sub-grid
+    # a larger support with the same gcd finds the same sub-grid
     assert grid.generated(np.array([a, grid.index_of(3 * 0.4123)]))[1] is sub
     for c in range(2, 12):
         grid.generated(np.array([grid.index_of(c * 0.4123)]))
