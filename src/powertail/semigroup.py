@@ -15,6 +15,11 @@ collisions like 3*(1/3) == 1 are exact rather than tolerance-based.
 Either way the grid comes from one numpy enumeration over integer count
 vectors; a lattice whose cutoff reaches 2^53 is refused, since its
 integers would no longer be exact in a double.
+
+Each exponent has exact integer coordinates, its lattice integer on a
+rational spec and its counts on a float one: one exact lookup of their
+sums finds the grid's pairs, and their multiples of a support's gcds
+are closed under sums and hold the sub-semigroup the support generates.
 """
 
 from __future__ import annotations
@@ -101,13 +106,8 @@ class SemigroupSpec:
 
     def rational_forms(self) -> tuple[Fraction, ...] | None:
         """Exact fractions for all generators, or None if any resists."""
-        out = [Fraction(1)]
-        for g in self.fractional_generators:
-            fr = _rational_form(g)
-            if fr is None:
-                return None
-            out.append(fr)
-        return tuple(out)
+        out = (Fraction(1),) + tuple(map(_rational_form, self.fractional_generators))
+        return None if None in out else out
 
     def describe(self) -> str:
         if not self.fractional_generators:
@@ -127,29 +127,26 @@ class ExponentIndex(NamedTuple):
     counts: tuple[int, ...]
 
 
-def _check_budget(generators: tuple[float, ...], cutoff: float) -> None:
-    budget = 1.0
-    for g in generators:
-        budget *= math.floor(cutoff / g) + 1.0
-        if budget > _MAX_POINTS:
-            raise ResourceGuardError(
-                "enumeration of %r up to cutoff %g exceeds %d lattice points"
-                % (generators, cutoff, _MAX_POINTS))
-
-
 def _lattice(spec: SemigroupSpec, cutoff: float):
     """Merged exponents of spec in [0, cutoff]: ascending values, their
-    representative counts, their lattice integers (None for a float
-    spec), and how many distinct float values were merged into a
-    group by tolerance alone."""
+    representative counts, their coordinates (the lattice integer of a
+    rational spec, the counts of a float one) and the keys of those, the
+    keys of every count vector on the grid with its exponent's index when
+    an exponent has several (else None), and the count of distinct float
+    values merged by tolerance alone up to the cutoff.  A float spec is
+    enumerated past the cutoff by the merge slack, so that a count vector
+    just above the top exponent that merges into it is on the grid too."""
     cutoff = float(cutoff)
     if not math.isfinite(cutoff) or cutoff < 0:
         raise InvalidArgumentError("cutoff must be a non-negative real, got %r" % (cutoff,))
-    _check_budget(spec.generators, cutoff)
+    if math.prod(math.floor(cutoff / g) + 1.0 for g in spec.generators) > _MAX_POINTS:
+        raise ResourceGuardError("enumeration of %r up to cutoff %g exceeds %d lattice points"
+                                 % (spec.generators, cutoff, _MAX_POINTS))
 
     fracs = spec.rational_forms()
     if fracs is None:
         weights, limit, sums = spec.generators, cutoff * (1.0 + 1e-12), np.zeros(1)
+        top = limit + MERGE_REL_TOL * max(1.0, limit)
     else:
         den = math.lcm(*[f.denominator for f in fracs])
         limit = math.floor(Fraction(cutoff) * den)
@@ -163,30 +160,39 @@ def _lattice(spec: SemigroupSpec, cutoff: float):
             limit += 1
         # a weight past the limit is only ever taken zero times
         weights = [min(int(f * den), limit + 1) for f in fracs]
-        sums = np.zeros(1, np.int64)
-    # every count vector with sum n_k w_k <= limit, one generator at a time
+        top, sums = limit, np.zeros(1, np.int64)
+    # every count vector with sum n_k w_k <= top, one generator at a time
     counts = np.zeros((1, 0), np.int64)
     for w in weights:
-        tot = sums[:, None] + np.arange(int(limit // w) + 2) * w
-        row, n = np.nonzero(tot <= limit)
+        tot = sums[:, None] + np.arange(int(top // w) + 2) * w
+        row, n = np.nonzero(tot <= top)
         sums, counts = tot[row, n], np.column_stack((counts[row], n))
     # by value, then by counts: each group leads with its smallest counts
     order = np.lexsort((*counts[:, ::-1].T, sums))
     sums, counts = sums[order], counts[order]
     if fracs is None:
-        keep, by_tolerance = _merge_by_tolerance(sums)
-        values, ints = sums[keep], None
+        keep, by_tolerance = _merge_by_tolerance(sums, limit)
+        group = np.cumsum(keep) - 1
+        # the count vectors of the groups that lead at or below the limit
+        on = group < np.searchsorted(sums[keep], limit, side="right")
+        sums, counts, keep, group = sums[on], counts[on], keep[on], group[on]
+        # mixed-radix keys: a count of a sum of two is at most twice the
+        # largest, so a sum of keys never carries
+        keys = counts @ np.cumprod([1] + [2 * m + 1 for m in counts.max(0).tolist()[:-1]])
+        merged = None if keep.all() else (keys, group)
+        values, coords, keys = sums[keep], counts[keep], keys[keep]
     else:
-        keep = np.append(True, sums[1:] != sums[:-1])
-        ints, by_tolerance = sums[keep], 0
-        values = ints / den
-    return values, tuple(map(tuple, counts[keep].tolist())), ints, by_tolerance
+        keep, by_tolerance, merged = np.append(True, sums[1:] != sums[:-1]), 0, None
+        keys = sums[keep]
+        values, coords = keys / den, keys[:, None]
+    return values, tuple(map(tuple, counts[keep].tolist())), coords, keys, merged, by_tolerance
 
 
-def _merge_by_tolerance(v: np.ndarray) -> tuple[np.ndarray, int]:
+def _merge_by_tolerance(v: np.ndarray, limit: float) -> tuple[np.ndarray, int]:
     """Group leaders of the ascending values v: a value within
     MERGE_REL_TOL of its group's leader joins the group.  Returns the
-    leader mask and the count of merged values unequal to their leader."""
+    leader mask and the count of merged values up to limit unequal to
+    their leader."""
     keep = np.ones(len(v), dtype=bool)
     # a value can only be near its leader when it is near its neighbour
     near = np.flatnonzero(v[1:] - v[:-1] <= MERGE_REL_TOL * np.maximum(1.0, v[:-1])) + 1
@@ -196,13 +202,13 @@ def _merge_by_tolerance(v: np.ndarray) -> tuple[np.ndarray, int]:
             lead = p - 1
         if v[p] - v[lead] <= MERGE_REL_TOL * max(1.0, v[lead]):
             keep[p] = False
-            by_tolerance += bool(v[p] != v[lead])
+            by_tolerance += bool(v[lead] != v[p] <= limit)
     return keep, by_tolerance
 
 
 def enumerate_up_to(spec: SemigroupSpec, cutoff: float) -> list[ExponentIndex]:
     """Ordered merged exponents of the semigroup in [0, cutoff]."""
-    values, reps, _, _ = _lattice(spec, cutoff)
+    values, reps = _lattice(spec, cutoff)[:2]
     return [ExponentIndex(v, c) for v, c in zip(values.tolist(), reps)]
 
 
@@ -233,10 +239,11 @@ class PairList(NamedTuple):
     pairs run in ascending i.  ``reach[i]`` bounds row i: every pair
     (i, j) has j < reach[i].
 
-    ``weights`` is an exactly additive stand-in for the values (the
-    integer lattice of a rational spec, the values themselves
-    otherwise) and ``defect`` is max |w_i + w_j - w_k| / w_k over the
-    pairs, 0 on a rational spec.
+    ``weights`` stands in for the values: the lattice integers of a
+    rational spec, exactly additive, or the values of a float spec.  The
+    pairs of both are found on exact integer coordinates, so ``defect``,
+    max |w_i + w_j - w_k| / w_k over the pairs, is 0 on a rational spec,
+    roundoff on a float one, and up to MERGE_REL_TOL where it merged.
 
     ``bands`` cuts the grid into runs of indices ``bands[b]:bands[b+1]``
     such that every pair (i, j) -> k with i, j > 0 has i and j in an
@@ -259,29 +266,30 @@ class ExponentGrid:
 
     ``pairs()`` lists every (i, j) -> k with values[i] + values[j] ==
     values[k], grouped by k (see ``PairList``); sums past the cutoff
-    are never formed.  For rational specs the pairs are found on an
-    exact integer lattice.  A float spec whose enumeration merged
-    distinct values by tolerance warns with ``ToleranceMergeWarning``,
-    since its sums then hold only to that tolerance.
+    are never formed.  The pairs are found on the exponents' exact
+    integer coordinates.  A float spec whose enumeration merged distinct
+    values by tolerance warns with ``ToleranceMergeWarning``, since its
+    sums then hold only to that tolerance.
     """
 
     def __init__(self, spec: SemigroupSpec, cutoff: float):
         self.spec = spec
         self.cutoff = float(cutoff)
-        values, reps, ints, by_tolerance = _lattice(spec, cutoff)
+        values, reps, coords, keys, merged, by_tolerance = _lattice(spec, cutoff)
         if by_tolerance:
             warnings.warn(ToleranceMergeWarning(
                 "%d exponents of %s up to cutoff %g merged with a neighbour "
                 "within relative tolerance %g; sums on this grid are exact only "
                 "to that tolerance" % (by_tolerance, spec.describe(), self.cutoff,
                                        MERGE_REL_TOL)), stacklevel=2)
-        self._set(values, reps, ints)
+        self._set(values, reps, coords, keys, merged)
 
-    def _set(self, values, reps, ints) -> None:
-        self.values, self.reps, self._ints = values, reps, ints
+    def _set(self, values, reps, coords, keys, merged=None) -> None:
+        self.values, self.reps, self._coords, self._keys = values, reps, coords, keys
+        self._merged = merged
         self._pos = {v: i for i, v in enumerate(values.tolist())}
         self._pairs: PairList | None = None
-        self._subs: dict[int, tuple] = {}
+        self._subs: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -295,8 +303,7 @@ class ExponentGrid:
         for k in (j - 1, j):
             if 0 <= k < len(self.values):
                 lead = self.values[k]
-                lo, hi = (lead, v) if lead <= v else (v, lead)
-                if hi - lo <= MERGE_REL_TOL * max(1.0, lo):
+                if abs(v - lead) <= MERGE_REL_TOL * max(1.0, min(v, lead)):
                     return k
         return -1
 
@@ -308,24 +315,28 @@ class ExponentGrid:
         return float(self.values[i])
 
     def generated(self, support) -> tuple[np.ndarray, "ExponentGrid"]:
-        """Grid indices ``idx`` of the exponents whose lattice integer is a
-        multiple of g, the gcd of the integers at the grid indices
-        ``support``, and a grid ``sub`` over them alone, whose pairs are this
+        """Grid indices ``idx`` of the exponents whose every coordinate is a
+        multiple of its gcd g over the grid indices ``support`` (0 where g
+        is 0), and a grid ``sub`` over them alone, whose pairs are this
         grid's pairs inside idx.  idx is closed under sums and holds the
-        sub-semigroup that support generates.  A float spec (its sums hold
-        only to MERGE_REL_TOL) and a g that divides every exponent's integer
-        give this grid.  The last 8 sub-grids are kept here, by g."""
-        n, ints = len(self.values), self._ints
-        g = 1 if ints is None else int(np.gcd.reduce(ints[np.asarray(support, dtype=np.intp)]))
-        if g == 1:
+        sub-semigroup that support generates.  A g of all ones or one that
+        divides every coordinate gives this grid, and so does a grid that
+        merged count vectors, where a sum of kept exponents may land on one
+        not kept.  The last 8 sub-grids are kept here, by g."""
+        n, coords = len(self.values), self._coords
+        g = tuple(np.gcd.reduce(coords.take(np.asarray(support, dtype=np.intp), axis=0)).tolist())
+        if self._merged is not None or g.count(1) == len(g):
             return np.arange(n), self
-        g = g or int(ints[-1]) + 1  # no support: 0 alone, the one multiple of top + 1
         hit = self._subs.pop(g, None)
         if hit is None:
-            idx, sub = np.flatnonzero(ints % g == 0), copy.copy(self)
+            # a coordinate whose gcd is 0 must be 0, the one multiple of its top + 1
+            mod = [x or t + 1 for x, t in zip(g, coords.max(0).tolist())]
+            idx = np.flatnonzero(~(coords % mod).any(1))
             if len(idx) == n:
                 return idx, self
-            sub._set(self.values[idx], tuple(self.reps[i] for i in idx.tolist()), ints[idx])
+            sub = copy.copy(self)
+            sub._set(self.values[idx], tuple(self.reps[i] for i in idx.tolist()), coords[idx],
+                     self._keys[idx])
             hit = idx, sub
         self._subs[g] = hit  # newest last
         if len(self._subs) > 8:
@@ -338,18 +349,16 @@ class ExponentGrid:
         return self._pairs
 
     def _build_pairs(self) -> PairList:
-        n = len(self.values)
-        vals = self.values
-        # row i pairs with the prefix of j whose value fits under the cutoff
-        if self._ints is not None:
-            # every lattice sum under the cutoff is on the grid, so the
-            # largest grid integer cuts the rows as the cutoff would
-            lim = np.searchsorted(self._ints, self._ints[-1] - self._ints, side="right")
-        else:
-            # twice the acceptance tolerance below, so rounding in
-            # top - vals can never keep (i, j) and drop (j, i)
-            top = vals[-1] + 8.0 * MERGE_REL_TOL * max(1.0, vals[-1])
-            lim = np.searchsorted(vals, top - vals, side="right")
+        n, keys = len(self.values), self._keys
+        # one coordinate is the lattice integer, an exactly additive
+        # stand-in for the values; float values hold sums to a few ulps
+        exact = self._coords.shape[1] == 1
+        w = keys.astype(np.float64) if exact else self.values
+        # row i pairs with the prefix of j that fits under a top 8 merge
+        # tolerances past the last weight, so rounding in top - w never
+        # keeps (i, j) and drops (j, i); the keys decide which pairs exist
+        top = w[-1] + 8.0 * MERGE_REL_TOL * max(1.0, w[-1])
+        lim = np.searchsorted(w, top - w, side="right")
         total = int(lim.sum())
         if total > MAX_PAIRS:
             raise ResourceGuardError(
@@ -359,33 +368,24 @@ class ExponentGrid:
         i = np.repeat(np.arange(n, dtype=np.int32), lim)
         first = np.cumsum(lim) - lim
         j = (np.arange(total, dtype=np.int64) - np.repeat(first, lim)).astype(np.int32)
-        if self._ints is not None:
-            ints = self._ints
-            tot = ints[i] + ints[j]
-            k = np.searchsorted(ints, tot)
-            ok = ints[np.minimum(k, n - 1)] == tot
-            weights = ints.astype(np.float64)
-        else:
-            tot = vals[i] + vals[j]
-            k = np.minimum(np.searchsorted(vals, tot), n - 1)
-            # sums drift by a few ulp; prefer the nearer neighbor
-            left = np.maximum(k - 1, 0)
-            k = np.where(np.abs(vals[left] - tot) < np.abs(vals[k] - tot), left, k)
-            ok = np.abs(vals[k] - tot) <= 4.0 * MERGE_REL_TOL * np.maximum(1.0, tot)
-            weights = vals
+        # a sum is on the grid when its key is one of the table's
+        table, at = self._merged or (keys, np.arange(n))
+        if np.any(table[1:] < table[:-1]):
+            order = np.argsort(table)
+            table, at = table[order], at[order]
+        tot = keys[i] + keys[j]
+        # a sum past the last key clips onto it, which it does not equal
+        p = np.searchsorted(table, tot)
+        ok, k = table.take(p, mode="clip") == tot, at.take(p, mode="clip")
         if not ok.all():
-            i, j, k, tot = i[ok], j[ok], k[ok], tot[ok]
+            i, j, k = i[ok], j[ok], k[ok]
         order = np.argsort(k, kind="stable")
         i, j, k = i[order], j[order], k[order].astype(np.int32)
-        if self._ints is not None:
-            defect = 0.0
-        else:
-            tot = tot[order]
-            pos = k > 0
-            defect = float(np.max(np.abs(tot[pos] - vals[k[pos]]) / vals[k[pos]],
-                                  initial=0.0))
+        # the first pair is (0, 0) -> 0, the one pair onto the exponent 0
+        defect = 0.0 if exact else float(np.max(
+            np.abs(w[i] + w[j] - w[k])[1:] / w[k[1:]], initial=0.0))
         starts = np.searchsorted(k, np.arange(n + 1))
-        return PairList(i, j, k, lim, weights, defect, _bands(i, j, starts))
+        return PairList(i, j, k, lim, w, defect, _bands(i, j, starts))
 
 
 def _bands(i: np.ndarray, j: np.ndarray, starts: np.ndarray) -> np.ndarray:

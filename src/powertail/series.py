@@ -20,11 +20,13 @@ shifts explicitly.
 
 All arithmetic runs over a sparse pair list (``ExponentGrid.pairs()``):
 the valid additions (i, j) -> k grouped by k.  A kernel takes it from
-the grid of the exponents whose lattice integers are multiples of the
-gcd of its operands' nonzero exponents (``ExponentGrid.generated``),
-which is closed under sums and holds its result, and scatters the
-result back to the whole grid: a stable law without drift, say, lives
-on the multiples of alpha.  A product is one grouped sum over the pair
+the grid of the exponents whose integer coordinates (the lattice
+integer of a rational spec, the generator counts of a float one) are
+multiples of their gcds over its operands' nonzero exponents
+(``ExponentGrid.generated``), which is closed under sums and holds its
+result, and scatters the result back to the whole grid: a stable law
+without drift, say, lives on the multiples of alpha, rational or
+not.  A product is one grouped sum over the pair
 list.  Reciprocals, binomial powers, the graded exponential,
 composition and reversion all go through one triangular
 recurrence kernel built on the Euler operator theta, which multiplies
@@ -102,7 +104,6 @@ class GrowthBound:
     """Geometric coefficient bound |c_gamma| <= A**gamma."""
 
     A: float
-    fitted_cutoff: float
 
 
 @dataclass(frozen=True)
@@ -652,7 +653,7 @@ def growth_fit(f: GenSeries) -> GrowthBound:
     for g, c in f.terms.items():
         if g > 0 and c != 0:
             A = max(A, abs(c) ** (1.0 / g))
-    return GrowthBound(A=A, fitted_cutoff=f.cutoff)
+    return GrowthBound(A=A)
 
 
 def divergence_guard_radius(f: GenSeries) -> float:
@@ -749,7 +750,7 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
             ri=np.array([coefs.real, coefs.imag]), jr=np.array([-coefs.imag, coefs.real]),
             gamma=(np.array([gamma_factor(k + 1.0) for k in keys])
                    if f.normalization is Normalization.GAMMA else None),
-            growth=growth_fit(f) if keys else GrowthBound(0.0, f.cutoff),
+            growth=growth_fit(f) if keys else GrowthBound(0.0),
             c=density_constant(f.spec, horizon),
             guard_scale=guard_radius(f.spec, 1.0, horizon))
         f.__dict__["_plan"] = plan

@@ -78,7 +78,7 @@ def reference_evaluate(f, z, branch=Branch.PRINCIPAL):
         if f.normalization is Normalization.GAMMA:
             term /= gamma_factor(k + 1.0)
         total += term
-    growth = growth_fit(f) if f.terms else GrowthBound(0.0, f.cutoff)
+    growth = growth_fit(f) if f.terms else GrowthBound(0.0)
     absz = abs(z)
     c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
     return EvalResult(value=total, tail_bound=series._tail_bound(f, absz, growth, c)

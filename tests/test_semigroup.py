@@ -182,9 +182,11 @@ def test_bands_feed_only_from_earlier_bands(alphas, cutoff):
 
 def test_pair_guard_refuses_before_allocating():
     # n = 21,185 exponents and 32.3M valid pairs: the seed's dense
-    # n x n product would have needed about 9 GB
+    # n x n product would have needed about 9 GB.  A term on each
+    # generator makes the product run on the whole grid.
     spec = SemigroupSpec.with_alphas(math.sqrt(2.0) / 20, math.pi / 45)
-    f = GenSeries(spec, Variable.DESCENDING, Normalization.RAW, {0.0: 1.0}, 8.0)
+    terms = {0.0: 1.0, 1.0: 0.5, math.sqrt(2.0) / 20: 0.25, math.pi / 45: 0.125}
+    f = GenSeries(spec, Variable.DESCENDING, Normalization.RAW, terms, 8.0)
     with pytest.raises(ResourceGuardError, match="exponent pairs"):
         product(f, f)
 
@@ -246,22 +248,30 @@ def _supports(grid, alpha):
 
 
 def gcd_multiples(grid, support):
-    """The grid indices whose exact lattice integer, the exponent read
-    from its counts times the common denominator, is a multiple of the
-    gcd of the integers at support (the index 0 alone for gcd 0)."""
+    """The grid indices each of whose exact coordinates is a multiple of
+    the gcd of that coordinate over support, or 0 where that gcd is 0.
+    A rational spec has one coordinate, the lattice integer: the exponent
+    read from its counts times the common denominator.  A float spec's
+    coordinates are its counts."""
     fracs = grid.spec.rational_forms()
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(sum(c * f for c, f in zip(rep, fracs)) * den) for rep in grid.reps]
-    g = math.gcd(*(ints[s] for s in support))
-    return [i for i, x in enumerate(ints) if (x % g == 0 if g else x == 0)]
+    if fracs is None:
+        coords = grid.reps
+    else:
+        den = math.lcm(*(f.denominator for f in fracs))
+        coords = [(int(sum(c * f for c, f in zip(rep, fracs)) * den),) for rep in grid.reps]
+    gs = [math.gcd(*(coords[s][c] for s in support)) for c in range(len(coords[0]))]
+    return [i for i, x in enumerate(coords)
+            if all(v % g == 0 if g else v == 0 for v, g in zip(x, gs))]
 
 
 @pytest.mark.parametrize("alphas", [(1.0 / 3.0,), (0.4,), (0.4123,), (0.4, 0.7),
-                                    (0.5001,)])
+                                    (0.5001,), (math.pi / 8,), (math.sqrt(2.0) / 2,),
+                                    (math.sqrt(2.0) / 2, math.pi / 8)])
 def test_generated_sub_semigroup_is_the_closure(alphas):
     """The sub-grid is the multiples of the support's gcd: the closure of
     the support, except where the closure has gaps below that gcd's
-    multiples, as at {2a, 3a}."""
+    multiples, as at {2a, 3a}.  The last exponent is the cutoff 6, whose
+    coordinates on a float spec are its count of the generator 1 alone."""
     grid = ExponentGrid(SemigroupSpec.with_alphas(*alphas), 6.0)
     pl = grid.pairs()
     triples = set(zip(pl.k.tolist(), pl.i.tolist(), pl.j.tolist()))
@@ -286,7 +296,7 @@ def test_generated_sub_semigroup_is_the_closure(alphas):
         assert got == sorted(got, key=lambda t: t[0])
 
 
-@pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.4123, 1.5])
+@pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.4123, 1.5, math.pi / 8, math.sqrt(2.0) / 2])
 def test_generated_is_the_closure_on_stable_law_traffic(alpha, monkeypatch):
     """Every support that building and self-convolving a stable law of
     each kind asks about has its closure as its gcd multiples, so there
@@ -315,18 +325,27 @@ def test_generated_is_the_closure_on_stable_law_traffic(alpha, monkeypatch):
         assert idx.tolist() == brute_closure(grid, support).tolist(), support
 
 
-def test_whole_grid_when_float_or_every_generator_is_in_the_support():
+def test_whole_grid_when_merged_or_every_generator_is_in_the_support():
+    # 2 (pi/8) and pi/4 are one double, and 1/3 + 1e-10 merges with
+    # neighbours by tolerance: on such a float grid the sum of two
+    # representatives can land on another count vector of an exponent,
+    # so every support keeps the whole grid
     with warnings.catch_warnings():
-        warnings.simplefilter("error", ToleranceMergeWarning)
-        irrational = ExponentGrid(SemigroupSpec.with_alphas(math.sqrt(2.0)), 6.0)
-    for support in ([], [irrational.index_of(math.sqrt(2.0))]):
-        idx, sub = irrational.generated(np.array(support, dtype=np.intp))
-        assert sub is irrational and idx.tolist() == list(range(len(irrational)))
-        assert sub.pairs() is irrational.pairs()
-    grid = ExponentGrid(SemigroupSpec.with_alphas(0.4, 0.7), 6.0)
-    every = [grid.index_of(g) for g in (0.4, 0.7, 1.0, 2.0)]
-    idx, sub = grid.generated(np.array(every))
-    assert sub is grid and sub.pairs() is grid.pairs()
+        warnings.simplefilter("ignore", ToleranceMergeWarning)
+        merged = [ExponentGrid(SemigroupSpec.with_alphas(math.pi / 8, math.pi / 4), 4.0),
+                  ExponentGrid(SemigroupSpec.with_alphas(1.0 / 3.0 + 1e-10), 6.0)]
+    for grid in merged:
+        alpha = grid.spec.fractional_generators[0]
+        for support in ([], [grid.index_of(alpha)], [grid.index_of(2 * alpha)]):
+            idx, sub = grid.generated(np.array(support, dtype=np.intp))
+            assert sub is grid and idx.tolist() == list(range(len(grid)))
+            assert sub.pairs() is grid.pairs()
+    # every generator in the support, on a rational and on a float spec
+    for alphas in ((0.4, 0.7), (math.sqrt(2.0),)):
+        grid = ExponentGrid(SemigroupSpec.with_alphas(*alphas), 6.0)
+        every = [grid.index_of(g) for g in alphas + (1.0, 2.0)]
+        idx, sub = grid.generated(np.array(every))
+        assert sub is grid and sub.pairs() is grid.pairs()
     # under the cutoff 0.9 the grid is 0, 0.4, 0.8: all multiples of 0.4
     small = ExponentGrid(SemigroupSpec.with_alphas(0.4), 0.9)
     idx, sub = small.generated(np.array([small.index_of(0.4)]))
