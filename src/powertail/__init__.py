@@ -146,7 +146,6 @@ from .oracles import (
     IntegrableDensity,
     LaplaceLink,
     QuadratureResult,
-    brute_revert,
     brute_series_product,
     laplace_link_check,
     quadrature_fourier,

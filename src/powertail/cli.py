@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import diophantine as dio
 from . import oracles, pareto, stable, transforms
@@ -176,11 +177,11 @@ def _series_body(representation: str, monomial: str, series, cutoff: float) -> d
 _NU_CHOICES = ("uniform", "delta1")
 
 
-def _nu_moments(name: str, cutoff: float, alpha: float) -> list[float]:
-    n_max = int(math.floor(cutoff / max(alpha, 1e-9))) + 1
+def _nu_moments(name: str) -> Iterator[float]:
+    """m_n(nu) for n = 0, 1, ...; stable_mixture reads as many as its cutoff needs."""
     if name == "uniform":
-        return [1.0 / (n + 1) for n in range(n_max + 1)]
-    return [1.0 for n in range(n_max + 1)]
+        return (1.0 / (n + 1) for n in itertools.count())
+    return itertools.repeat(1.0)
 
 
 def _classical(params: "stable.StableParams", cutoff: float):
@@ -208,8 +209,7 @@ def _monotone(alpha: float, b: complex, cutoff: float):
 
 
 def _stable_mixture(args, cutoff: float):
-    nu = _nu_moments(args.nu, cutoff, args.alpha)
-    m, model = stable.stable_mixture(nu, args.alpha, cutoff=cutoff)
+    m, model = stable.stable_mixture(_nu_moments(args.nu), args.alpha, cutoff=cutoff)
     return m, {"tail_model": {
         "r": model.r, "R": model.R, "guard_radius": model.guard_radius}}
 

@@ -26,9 +26,9 @@ concluded:
 The packaged extreme example has partial quotients a_{k+1} = 10^(k q_k)
 (q_k the k-th continuant).  Then a_{k+1} >= b^{q_k} reduces to
 10^(k q_k) >= b^(q_k), i.e. k >= log10 b, which holds for every b from
-some index on.  That inequality is checked symbolically, exponent
-against exponent; the quotients themselves stop being materializable
-almost immediately and are never needed.
+some index on.  That growth law is proved here, exponent against
+exponent, not re-checked at run time; the quotients themselves stop
+being materializable almost immediately and are never needed.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ _MAX_QUOTIENT_DIGITS = 100_000
 MAX_PROFILE_N = 100_000
 # largest q_limit: the first convergent past it still has a float 1 / q
 MAX_Q_LIMIT = 10 ** 300
+# convergent witnesses below this denominator show spurious strength
+_MIN_WITNESS_Q = 3
 
 
 class Verdict(Enum):
@@ -70,27 +72,6 @@ class ApproximationWitness:
 
 
 @dataclass(frozen=True)
-class LiouvilleAttestation:
-    """Symbolic growth law of the partial quotients, strong enough to
-    verify a_{k+1} >= b^{q_k} for all large k for EVERY base b."""
-
-    description: str
-    # given b > 1, return K such that the inequality holds for all k >= K,
-    # raising CertificateError if the law cannot deliver
-    index_for_base: Callable[[float], int]
-    # exact verification of one instance: does a_{k+1} >= b^{q_k} hold at k?
-    verify_at: Callable[[float, int], bool]
-
-    def verify(self, bases=(2.0, 10.0, 1e6, 1e30, 1e300)) -> bool:
-        for b in bases:
-            K = self.index_for_base(b)
-            for k in range(K, K + 4):
-                if not self.verify_at(b, k):
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
 class DiophantineEvidence:
     verdict: Verdict
     witnesses: tuple
@@ -104,7 +85,6 @@ class DiophantineEvidence:
 class ClassifyParams:
     q_limit: int = 10 ** 5     # largest convergent denominator tested
     candidate_b: float = 10.0  # implied base at/above which we flag a candidate
-    min_witness_q: int = 3     # ignore spurious strength at tiny denominators
 
     def __post_init__(self):
         q = self.q_limit
@@ -124,8 +104,14 @@ class RealCertificate:
     def exact_rational(self) -> Fraction | None:
         return None
 
-    def attestation(self) -> LiouvilleAttestation | None:
+    def growth_law(self) -> str | None:
+        """A proved growth law of the partial quotients giving
+        a_{k+1} >= b^{q_k} for all large k for EVERY base b, or None."""
         return None
+
+    def witnesses(self) -> list[ApproximationWitness]:
+        """Approximation witnesses known in closed form."""
+        return []
 
     def partial_quotients(self) -> Iterator[int]:
         raise NotImplementedError
@@ -305,16 +291,15 @@ class TransformedCertificate(RealCertificate):
             return None
         return _moebius_apply(base, self.a, self.b, self.c, self.d)
 
-    def attestation(self) -> LiouvilleAttestation | None:
-        inner = self.base.attestation()
+    def growth_law(self) -> str | None:
+        inner = self.base.growth_law()
         if inner is None:
             return None
-        return LiouvilleAttestation(
-            description="%s, composed with an exact rational Moebius map "
-                        "(approximation class is invariant)" % inner.description,
-            index_for_base=inner.index_for_base,
-            verify_at=inner.verify_at,
-        )
+        return ("%s, composed with an exact rational Moebius map "
+                "(approximation class is invariant)" % inner)
+
+    def witnesses(self) -> list[ApproximationWitness]:
+        return self.base.witnesses()
 
     def quotients_exact(self) -> bool:
         return self.base.quotients_exact()
@@ -359,19 +344,11 @@ class ExtremeGrowthCertificate(RealCertificate):
             q_prev, q_cur = q_cur, a * q_cur + q_prev
             k += 1
 
-    def attestation(self) -> LiouvilleAttestation:
-        def index_for_base(b: float) -> int:
-            if b <= 1.0:
-                raise CertificateError("base must exceed 1")
-            return max(1, math.ceil(math.log10(b)))
-
-        def verify_at(b: float, k: int) -> bool:
-            # a_{k+1} >= b^{q_k}  <=>  k * q_k >= q_k * log10(b)  <=>  k >= log10(b)
-            return k >= math.log10(b)
-
-        return LiouvilleAttestation(
-            description=self.describe(), index_for_base=index_for_base,
-            verify_at=verify_at)
+    def growth_law(self) -> str:
+        # a_{k+1} >= b^{q_k}  <=>  k * q_k >= q_k * log10(b)  <=>  k >= log10(b),
+        # true for every k >= max(1, ceil(log10 b)) by construction, so a
+        # run-time check of it could never fail
+        return self.describe()
 
     def witnesses(self) -> list[ApproximationWitness]:
         """The witnesses at q1 = 10 and q2 = 10^11 + 1, the two the float
@@ -415,15 +392,11 @@ def convergents(cert: RealCertificate, n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SinGrowthProfile:
-    """How fast 1/|sin(pi beta n)| grows along n = 1..N.
+    """How fast 1/|sin(pi beta n)| grows along n = 1..N: the largest
+    log(1/|sin|)/n (geometric scale) and the largest log(1/|sin|)/log n
+    over n >= 2 (power scale, on which badly approximable numbers stay
+    bounded)."""
 
-    ``linear_rates`` holds (n, log(1/|sin|)/n): geometric-scale growth.
-    ``log_rates`` holds (n, log(1/|sin|)/log n) for n >= 2: power-scale
-    growth, the scale on which badly approximable numbers stay bounded.
-    """
-
-    linear_rates: tuple
-    log_rates: tuple
     running_max_linear: float
     running_max_log: float
 
@@ -436,8 +409,6 @@ def sin_growth_profile(cert: RealCertificate, N: int) -> SinGrowthProfile:
             "a growth profile up to N = %d exceeds the limit of %d" % (N, MAX_PROFILE_N))
     frac = cert.high_precision_fraction(min_q=N * 10 ** 13)
     p, q = frac.numerator, frac.denominator
-    linear = []
-    logscale = []
     max_lin = -math.inf
     max_log = -math.inf
     for n in range(1, N + 1):
@@ -445,16 +416,10 @@ def sin_growth_profile(cert: RealCertificate, N: int) -> SinGrowthProfile:
         dist = min(r, q - r)
         s = math.sin(math.pi * (dist / q)) if dist else 0.0
         growth = math.inf if s == 0.0 else -math.log(s)
-        lin = growth / n
-        linear.append((n, lin))
-        max_lin = max(max_lin, lin)
+        max_lin = max(max_lin, growth / n)
         if n >= 2:
-            lg = growth / math.log(n)
-            logscale.append((n, lg))
-            max_log = max(max_log, lg)
-    return SinGrowthProfile(
-        linear_rates=tuple(linear), log_rates=tuple(logscale),
-        running_max_linear=max_lin, running_max_log=max_log)
+            max_log = max(max_log, growth / math.log(n))
+    return SinGrowthProfile(running_max_linear=max_lin, running_max_log=max_log)
 
 
 # -- classification -------------------------------------------------------
@@ -486,8 +451,8 @@ def classify(cert: RealCertificate,
              params: ClassifyParams = ClassifyParams()) -> DiophantineEvidence:
     """Weigh what the certificate can prove or suggest.
 
-    Exact rationals are their own verdict.  A symbolic growth
-    attestation is re-verified and yields certification.  Otherwise
+    Exact rationals are their own verdict.  A proved growth law of the
+    partial quotients yields certification.  Otherwise
     convergent witnesses up to the denominator limit provide evidence
     one way (a very large implied base) or the other (all implied
     bases modest).  Float certificates are additionally fenced by
@@ -500,24 +465,17 @@ def classify(cert: RealCertificate,
             tested_q_limit=0, precision_limited=False,
             notes="exactly the rational %s; sin(pi beta n) vanishes on a lattice" % rat)
 
-    att = cert.attestation()
-    if att is not None:
-        if not att.verify():
-            raise CertificateError("growth attestation failed its own verification")
-        wit = ()
-        if hasattr(cert, "witnesses"):
-            wit = tuple(cert.witnesses())
-        elif isinstance(cert, TransformedCertificate) and hasattr(cert.base, "witnesses"):
-            wit = tuple(cert.base.witnesses())
+    law = cert.growth_law()
+    if law is not None:
         return DiophantineEvidence(
-            verdict=Verdict.CERTIFIED_IN_D, witnesses=wit, strongest_b=math.inf,
-            tested_q_limit=0, precision_limited=False,
+            verdict=Verdict.CERTIFIED_IN_D, witnesses=tuple(cert.witnesses()),
+            strongest_b=math.inf, tested_q_limit=0, precision_limited=False,
             notes="symbolic quotient growth law verified: for every base b the "
                   "approximation inequality holds from index ceil(log10 b) on "
-                  "(%s)" % att.description)
+                  "(%s)" % law)
 
     witnesses = _witnesses_from_convergents(cert, params)
-    eligible = [w for w in witnesses if w.q >= params.min_witness_q]
+    eligible = [w for w in witnesses if w.q >= _MIN_WITNESS_Q]
     strongest = max((w.implied_b for w in eligible), default=1.0)
     limited = not cert.quotients_exact()
     if strongest >= params.candidate_b:
@@ -553,7 +511,7 @@ def transform_certificate(cert: RealCertificate, op: TransformOp,
 
     Rationals stay rationals, quadratics stay quadratics (integer
     triple arithmetic); everything else is wrapped as an exact Moebius
-    image, through which attestations propagate.
+    image, through which growth laws propagate.
     """
     if op in (TransformOp.SCALE, TransformOp.SHIFT):
         if amount is None:

@@ -2,9 +2,8 @@
 
 Nothing in here reuses the series kernel's fast paths: transforms are
 done by adaptive quadrature, densities by Stieltjes inversion, products
-by nested dictionary loops, reversion by order-by-order back
-substitution.  Tests compare these against the series machinery; the
-CLI ``verify`` command does the same on demand.
+by nested dictionary loops.  Tests compare these against the series
+machinery; the CLI ``verify`` command does the same on demand.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .errors import (
     OutsideValidityRegionError,
 )
 from .semigroup import density_constant, exponent_grid
-from .series import GenSeries, Normalization, Variable, evaluate, is_f_form
+from .series import GenSeries, Normalization, evaluate
 from .transforms import MomentSeries, FourierEvaluator, stieltjes_from_moments
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=600)
@@ -92,6 +91,12 @@ def _quad_complex(fn: Callable[[float], complex], a: float, b: float,
     return complex(re, im), re_err + im_err
 
 
+def _summed(parts: list[tuple[complex, float]]) -> QuadratureResult:
+    """One result from the (value, error) of each piece of an integral."""
+    return QuadratureResult(value=sum((v for v, _ in parts), 0j),
+                            error_estimate=sum((e for _, e in parts), 0.0), tail_bound=0.0)
+
+
 def _oscillatory_halfline(fn: Callable[[float], complex], a: float,
                           z: float) -> tuple[complex, float]:
     """integral_a^inf e^{ixz} fn(x) dx for decaying fn, z != 0."""
@@ -143,11 +148,7 @@ def quadrature_fourier(density: IntegrableDensity, z: float) -> QuadratureResult
         parts.append(halfline(lambda u: fn(-u), -min(core_lo, hi), -z))
     elif lo < core_lo:
         parts.append(_quad_complex(wave, lo, core_lo))
-    total, err = 0j, 0.0
-    for val, e in parts:
-        total += val
-        err += e
-    return QuadratureResult(value=total, error_estimate=err, tail_bound=0.0)
+    return _summed(parts)
 
 
 def quadrature_stieltjes(density: IntegrableDensity, z: complex) -> QuadratureResult:
@@ -161,24 +162,17 @@ def quadrature_stieltjes(density: IntegrableDensity, z: complex) -> QuadratureRe
         return density.fn(x) / (z - x)
 
     lo, hi = density.lower, density.upper
-    total = 0j
-    err = 0.0
     a = lo if math.isfinite(lo) else -density.envelope_start
     b = hi if math.isfinite(hi) else density.envelope_start
+    parts = []
     if a < b:
         pts = [0.0] if a < 0.0 < b else None
-        val, e = _quad_complex(kernel, a, b, points=pts)
-        total += val
-        err += e
+        parts.append(_quad_complex(kernel, a, b, points=pts))
     if math.isinf(hi):
-        val, e = _quad_complex(kernel, max(b, lo), math.inf)
-        total += val
-        err += e
+        parts.append(_quad_complex(kernel, max(b, lo), math.inf))
     if math.isinf(lo):
-        val, e = _quad_complex(lambda u: kernel(-u), -min(a, hi), math.inf)
-        total += val
-        err += e
-    return QuadratureResult(value=total, error_estimate=err, tail_bound=0.0)
+        parts.append(_quad_complex(lambda u: kernel(-u), -min(a, hi), math.inf))
+    return _summed(parts)
 
 
 _DEFAULT_Y = (1e-1, 10.0 ** -2.5, 1e-4)
@@ -271,83 +265,6 @@ def brute_series_product(f: GenSeries, g: GenSeries) -> GenSeries:
                              - math.lgamma(kb + 1.0))
             acc[key] = acc.get(key, 0j) + ca * cb * w
     return f.with_terms(acc, cutoff=cutoff)
-
-
-def _brute_tail_product(a: dict, b: dict, grid) -> dict:
-    out: dict[float, complex] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            idx = grid.index_of(ka + kb)
-            if idx < 0:
-                continue
-            key = float(grid.values[idx])
-            out[key] = out.get(key, 0j) + ca * cb
-    return out
-
-
-def _brute_binomial_tail(tail: dict, exponent: float, grid,
-                         max_terms: int) -> dict:
-    """(1 + tail)^exponent by the plain binomial series, dictionaries only."""
-    out: dict[float, complex] = {0.0: 1.0 + 0j}
-    power = dict(tail)
-    coef = 1.0
-    for n in range(1, max_terms + 1):
-        coef *= (exponent - (n - 1)) / n
-        if coef == 0.0 or not power:
-            break
-        for k, c in power.items():
-            out[k] = out.get(k, 0j) + coef * c
-        power = _brute_tail_product(power, tail, grid)
-    return out
-
-
-def brute_revert(F: GenSeries, cutoff: float = 6.0) -> GenSeries:
-    """Compositional inverse of a reciprocal-resolvent form, solved
-    coefficient by coefficient.
-
-    The defining equation F(H(z)) = z is triangular in the tail
-    coefficients of H: the w^e coefficient of F(H)/z - 1 involves h_e
-    linearly plus lower-order terms only.  Deliberately naive; guarded
-    to small cutoffs.
-    """
-    if cutoff > 6.0 + 1e-12:
-        raise InvalidArgumentError("back-substitution oracle is capped at cutoff 6")
-    if not is_f_form(F):
-        raise InvalidArgumentError("input must be a reciprocal-resolvent form")
-    b = {k: v for k, v in F.terms.items() if k != 0.0}
-    grid = exponent_grid(F.spec, cutoff)
-    exponents = [float(v) for v in grid.values if 0.0 < v <= cutoff]
-    h: dict[float, complex] = {}
-    max_terms = len(exponents) + 2
-
-    def residual_tail() -> dict:
-        # F(H)/z - 1 where H = z (1 + sum h_e w^e): equals
-        # sum_e h_e w^e + sum_g b_g w^g (1 + sum h)^(1-g)
-        out = dict(h)
-        for gexp, bg in b.items():
-            comp = _brute_binomial_tail(h, 1.0 - gexp, grid, max_terms)
-            for k, c in comp.items():
-                idx = grid.index_of(k + gexp)
-                if idx < 0:
-                    continue
-                key = float(grid.values[idx])
-                out[key] = out.get(key, 0j) + bg * c
-        return out
-
-    for e in exponents:
-        res = residual_tail()
-        h[e] = h.get(e, 0j) - res.get(e, 0j)
-
-    res = residual_tail()
-    worst = max((abs(v) for k, v in res.items() if k <= cutoff), default=0.0)
-    if worst > 1e-9:
-        raise InvalidArgumentError(
-            "back-substitution failed to cancel the tail (residual %g)" % worst)
-    terms = {0.0: 1.0 + 0j}
-    terms.update({k: v for k, v in h.items() if v != 0})
-    return GenSeries(spec=F.spec, variable=Variable.DESCENDING,
-                     normalization=Normalization.RAW, terms=terms,
-                     cutoff=cutoff, exponent_shift=-1)
 
 
 def rotated_pareto_transform(beta: float, R: float, z: float) -> QuadratureResult:

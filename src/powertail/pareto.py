@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import (InvalidArgumentError, NearIntegerWarning, OutsideValidityRegionError,
                      ResourceGuardError)
-from .semigroup import SemigroupSpec
+from .semigroup import SemigroupSpec, exponent_grid
 from .series import DEFAULT_CUTOFF, GenSeries, Normalization, Variable
 
 NEAR_INTEGER_TOL = 1e-8
@@ -182,6 +182,7 @@ def pareto_fourier(beta: float, R: float,
         beta = float(nearest)
         snapped = True
 
+    exponent_grid(SemigroupSpec.with_alphas(beta), cutoff)  # the grid budget, before R^k / k!
     try:
         if beta < 1.0:
             return _expansion_small_beta(beta, R, cutoff)

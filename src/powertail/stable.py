@@ -19,9 +19,11 @@ admissible law is a point mass or a Cauchy law.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import (
     InvalidArgumentError,
@@ -29,7 +31,7 @@ from .errors import (
     ResonanceError,
     ResourceGuardError,
 )
-from .semigroup import SemigroupSpec, guard_radius
+from .semigroup import SemigroupSpec, exponent_grid, guard_radius
 from .series import (
     DEFAULT_CUTOFF,
     Branch,
@@ -302,7 +304,7 @@ def positive_stable_density(alpha: float, cutoff: float = DEFAULT_CUTOFF
     return PowerSumDensity(powers, coefs, unit_radius * A)
 
 
-def stable_mixture(nu_moments: list, alpha: float,
+def stable_mixture(nu_moments: Iterable[float], alpha: float,
                    cutoff: float = DEFAULT_CUTOFF
                    ) -> tuple[MomentSeries, TailDensityModel]:
     """Mixture of symmetric alpha-stable laws with mixing moments m_n(nu):
@@ -311,14 +313,17 @@ def stable_mixture(nu_moments: list, alpha: float,
     Moments: m_{alpha n} = (-1)^n m_n(nu) Gamma(alpha n + 1) e^(-i pi alpha n / 2) / n!.
     The phase converts the real Fourier coefficients to gamma-complex
     moments (at alpha = 1, nu = delta_1 this lands on the Cauchy law).
+    Only the m_n(nu) with alpha n up to the cutoff are read, so
+    nu_moments may be an endless iterator.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError("mixture index must lie in (0, 1]")
-    nu = [float(v) for v in nu_moments]
+    spec = SemigroupSpec.with_alphas(alpha)
+    exponent_grid(spec, cutoff)  # the grid budget, before the moments are read
+    nu = [float(v) for v in itertools.islice(nu_moments, int(cutoff // alpha) + 2)]
     if not nu or nu[0] != 1.0:
         raise InvalidArgumentError("mixing moments must start with m_0(nu) = 1")
-    spec = SemigroupSpec.with_alphas(alpha)
     terms: dict[float, complex] = {}
     for n, mn in enumerate(nu):
         e = alpha * n

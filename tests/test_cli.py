@@ -390,6 +390,19 @@ def test_oversized_requests_exit_four_with_one_line(argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # about 2e10 mixing moments, and 1e9 terms R^k / k!: the grid budget
+    # refuses both before either list is sized
+    ("expand", "--law", "stable-mixture", "--alpha", "1e-9"),
+    ("expand", "--law", "pareto", "--repr", "fourier", "--beta", "1.5", "--cutoff", "1e9"),
+])
+def test_lists_sized_by_the_input_wait_for_the_grid_budget(argv):
+    out, err = run_cli(*argv, expect=4)
+    assert out == ""
+    assert err.startswith("numeric guard:") and "lattice points" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_past_gamma_and_factorial_overflow_where_every_term_is_finite():
     # Gamma(172) is inf, but delta0 (+) delta0 holds the exponent 0 alone
     out, err = run_cli("convolve", "--kind", "classical", "--law-a", "delta0",
@@ -699,6 +712,8 @@ def test_every_law_runs_where_the_table_offers_it(argv, code):
      "--x-min", "nan", "--x-max", "8"),
     ("density", "--law", "positive-stable", "--alpha", "0.5",
      "--x-min", "2", "--x-max", "inf"),
+    # checked before any mixing moment is sized
+    ("expand", "--law", "stable-mixture", "--alpha", "-1"),
 ])
 def test_usage_errors_exit_two_with_one_line(argv):
     code, out, err = main_output(argv)

@@ -1,6 +1,6 @@
 """Independent numerical routes: adaptive quadrature for both integral
 transforms, boundary-sequence inversion, the Laplace-side identity, and
-brute-force series arithmetic.
+the brute-force series product.
 
 Every oracle must bracket the matching series computation inside its
 reported uncertainty; that bracketing is itself under test here.
@@ -13,15 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import HALF, NAT, cauchy_moments
+from helpers import HALF, cauchy_moments
 from powertail import oracles
 from powertail.errors import OutsideValidityRegionError
-from powertail.oracles import (IntegrableDensity, brute_revert,
-                               brute_series_product, laplace_link_check, quadrature_fourier,
+from powertail.oracles import (IntegrableDensity, brute_series_product,
+                               laplace_link_check, quadrature_fourier,
                                quadrature_stieltjes, rotated_pareto_transform,
                                stieltjes_inversion)
-from powertail.series import (GenSeries, Normalization, Variable, evaluate,
-                              identity_f_form, product, revert_F)
+from powertail.series import GenSeries, Normalization, Variable, evaluate, product
 from powertail.stable import monotone_stable
 from powertail.transforms import (FourierEvaluator, moment_series,
                                   stieltjes_from_moments)
@@ -142,19 +141,6 @@ def test_brute_product_agrees_with_fast_product():
         worst = max(abs(fast.terms.get(k, 0j) - slow.terms.get(k, 0j))
                     for k in keys)
         assert worst < 1e-12
-
-
-def test_brute_reversion_of_surd_map():
-    F = identity_f_form(NAT, 6.0).with_terms({0.0: 1.0, 2.0: -1.0})
-    got = brute_revert(F, cutoff=6.0)
-    want = {0.0: 1.0, 2.0: 1.0, 4.0: -1.0, 6.0: 2.0}
-    assert set(got.terms) == set(want)
-    for k, v in want.items():
-        assert abs(got.terms[k] - v) < 1e-12
-    fast = revert_F(F)
-    keys = set(got.terms) | set(fast.terms)
-    assert max(abs(got.terms.get(k, 0j) - fast.terms.get(k, 0j))
-               for k in keys) < 1e-12
 
 
 # ------------------------------------------------- one evaluation per node

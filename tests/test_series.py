@@ -191,6 +191,14 @@ def test_revert_linear_shift():
     assert worst_termwise(inv, F.with_terms({0.0: 1.0, 1.0: 1j})) < 1e-12
 
 
+def test_revert_of_surd_map_has_exact_coefficients():
+    # z - 1/z inverts to (z + sqrt(z^2 + 4)) / 2 = z (1 + w^2 - w^4 + 2 w^6 - ...)
+    F = identity_f_form(NAT, 6.0).with_terms({0.0: 1.0, 2.0: -1.0})
+    got = revert_F(F)
+    assert set(got.terms) == {0.0, 2.0, 4.0, 6.0}
+    assert worst_termwise(got, F.with_terms({0.0: 1.0, 2.0: 1.0, 4.0: -1.0, 6.0: 2.0})) < 1e-12
+
+
 def test_revert_roundtrip_through_compose():
     F = identity_f_form(NAT, 9.0).with_terms(
         {0.0: 1.0, 2.0: -1.0, 4.0: -1.0, 6.0: -2.0, 8.0: -5.0})
