@@ -348,6 +348,25 @@ class ExponentGrid:
             self._pairs = self._build_pairs()
         return self._pairs
 
+    def progression(self) -> bool:
+        """Whether this grid is 0, g, 2g, ..., (n - 1) g for some g and
+        n > 1, read on its exact coordinates.  Its pairs are then every
+        (i, j) -> i + j, n (n + 1) / 2 of them, and a kernel may index it
+        as a power series in z^g without building them; one over
+        MAX_PAIRS is refused here as ``pairs()`` would refuse it."""
+        n, coords = len(self.values), self._coords
+        if n < 2 or self._merged is not None or not (np.diff(coords, axis=0) == coords[1]).all():
+            return False
+        self._check_pairs(n * (n + 1) // 2)
+        return True
+
+    def _check_pairs(self, total: int) -> None:
+        if total > MAX_PAIRS:
+            raise ResourceGuardError(
+                "the %d-exponent grid of %s up to cutoff %g has %d exponent pairs, "
+                "more than the limit of %d" % (len(self.values), self.spec.describe(),
+                                               self.cutoff, total, MAX_PAIRS))
+
     def _build_pairs(self) -> PairList:
         n, keys = len(self.values), self._keys
         # one coordinate is the lattice integer, an exactly additive
@@ -360,11 +379,7 @@ class ExponentGrid:
         top = w[-1] + 8.0 * MERGE_REL_TOL * max(1.0, w[-1])
         lim = np.searchsorted(w, top - w, side="right")
         total = int(lim.sum())
-        if total > MAX_PAIRS:
-            raise ResourceGuardError(
-                "the %d-exponent grid of %s up to cutoff %g has %d exponent pairs, "
-                "more than the limit of %d" % (n, self.spec.describe(), self.cutoff,
-                                               total, MAX_PAIRS))
+        self._check_pairs(total)
         i = np.repeat(np.arange(n, dtype=np.int32), lim)
         first = np.cumsum(lim) - lim
         j = (np.arange(total, dtype=np.int64) - np.repeat(first, lim)).astype(np.int32)

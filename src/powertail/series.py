@@ -18,7 +18,7 @@ z * b_gamma * z^(-gamma) (shift -1, unit constant term).  Algebraic
 operations act on unshifted series; transform code peels and restores
 shifts explicitly.
 
-All arithmetic runs over a sparse pair list (``ExponentGrid.pairs()``):
+Arithmetic runs over a sparse pair list (``ExponentGrid.pairs()``):
 the valid additions (i, j) -> k grouped by k.  A kernel takes it from
 the grid of the exponents whose integer coordinates (the lattice
 integer of a rational spec, the generator counts of a float one) are
@@ -40,7 +40,14 @@ the outer form together, reversion online, as each new coefficient of
 the inverse becomes known (van der Hoeven, "Relax, but don't be too
 lazy", JSC 34, 2002).  The per-pair factors of the recurrence are
 gathered once per kernel call, so a band is one gather, one product and
-one grouped sum for all rows.
+one grouped sum for all rows.  A grid that is an arithmetic progression
+0, g, ..., (n - 1) g, as the multiples of alpha that a stable law without
+drift lives on, is a plain power series in z^g: there the recurrence runs
+by forward substitution, one coefficient per band, with no pair list,
+and a coefficient of one row is one dot of its factors with the
+coefficients before it.  Reversion there sums each coefficient's tail
+terms in the order ``revert_F``'s residual check sums them, since those
+terms can exceed the coefficient by many orders.
 
 Evaluation reads a per-series plan, built on the first ``evaluate`` and
 kept on the instance, so a point costs one vectorised exp; the value is
@@ -346,6 +353,13 @@ def _offsets(heads: np.ndarray, starts) -> np.ndarray:
     return heads - np.maximum.accumulate(base)
 
 
+def _euler_weights(kind: str, w: np.ndarray):
+    """u, v and d of the recurrence d_k p_k = sum p_i h_j (beta u_j - v_i)
+    of ``kind``, from the additive weights w of a grid's exponents."""
+    zero, one = np.zeros(len(w)), np.ones(len(w))
+    return {"power": (w, w, w), "exp": (w, zero, w), "reciprocal": (zero, one, one)}[kind]
+
+
 def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
                 shifts: np.ndarray | None = None,
                 tail_coef: np.ndarray | None = None) -> np.ndarray:
@@ -371,17 +385,20 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
     to h_k = -sum_r tail_coef_r p_r[k - exponent at shifts[r]], the
     fixed point that compositional reversion solves, and the slabs hold
     beta_r u_j - v_i, to be multiplied by h_j band by band.
+
+    A grid that is an arithmetic progression holds one exponent per band
+    and needs no pair list: ``_progression_rows`` fills it.
     """
     if len(betas) * len(grid) > MAX_KERNEL_CELLS:
         raise ResourceGuardError(
             "a %d-row series kernel on the %d-exponent grid of %s needs more than "
             "%d cells" % (len(betas), len(grid), grid.spec.describe(), MAX_KERNEL_CELLS))
+    if grid.progression():
+        return _progression_rows(h, betas, kind, shifts, tail_coef)
     pl = grid.pairs()
     n, bands = len(grid), pl.bands
     # the sums are over h_j (beta u_j - v_i), divided by d_k
-    w, zero, one = pl.weights, np.zeros(n), np.ones(n)
-    u, v, d = {"power": (w, w, w), "exp": (w, zero, w),
-               "reciprocal": (zero, one, one)}[kind]
+    u, v, d = _euler_weights(kind, pl.weights)
     # exponents down, rows across, so a band gathers and scatters whole
     # lines; a single row is kept as a vector
     R = len(betas)
@@ -446,6 +463,65 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
             sums = np.add.reduceat(line * f, rel[g0:g1], axis=0)
             Q[ks[g0:g1]] = np.divide(sums, dks[g0:g1], out=sums)
     return P.reshape(n, -1).T
+
+
+def _progression_rows(h: np.ndarray, betas: np.ndarray, kind: str,
+                      shifts: np.ndarray | None,
+                      tail_coef: np.ndarray | None) -> np.ndarray:
+    """``_euler_rows`` on the grid 0, g, ..., (n - 1) g: a power series in
+    z^g, whose index k is an exact additive weight and whose pairs onto k
+    are (i, k - i), so each band is one coefficient and needs no pair list.
+
+    Coefficient k of row r is one sum over i < k of p_i times the factor
+    h_(k-i) (beta_r u_(k-i) - v_i), divided by d_k.  With one row and h
+    known, the factors of many coefficients are gathered at once, in slabs
+    of at most ``_CHUNK_CELLS`` cells, and each sum is one dot; otherwise
+    each coefficient gathers the factors of its active rows, those with
+    shift s_r <= n - 1 - k (all rows when nothing is shifted).
+
+    In reversion h_k is set first, to minus the sum of tail_coef_r
+    p_r[k - s_r] over the rows with s_r <= k, and h_k keeps being set
+    after every row has dropped out.  The terms are summed by descending r
+    in one ``reduceat``: that is how ``revert_F`` sums them again to check
+    its residual, and terms far larger than h_k, summed in another order,
+    would leave a residual of their roundoff.
+    """
+    n, R = len(h), len(betas)
+    u, v, d = _euler_weights(kind, np.arange(float(n)))
+    d = d.tolist()
+    if R == 1 and tail_coef is None:
+        p = np.zeros(n, dtype=np.complex128)
+        p[0] = 1.0
+        step = max(1, _CHUNK_CELLS // n)
+        for k0 in range(1, n, step):
+            k1 = min(n, k0 + step)
+            # j = k - i where i < k, and 0 (where h is 0) from the diagonal on
+            j = np.maximum(np.arange(k0, k1)[:, None] - np.arange(k1), 0)
+            fac = h[j] * (betas[0] * u[j] - v[:k1])
+            for k in range(k0, k1):
+                p[k] = np.dot(fac[k - k0, :k], p[:k]) / d[k]
+        return p[None]
+    ks = np.arange(n)
+    P = np.zeros((n, R), dtype=np.complex128)
+    P[0] = 1.0
+    bu, vc, hc = betas * u[:, None], v[:, None], h[:, None]
+    if shifts is None:
+        active = [R] * n
+    else:
+        active = np.searchsorted(shifts, n - 1 - ks, side="right").tolist()
+    if tail_coef is not None:
+        # by descending r: the flat index of p_r[k - s_r] less k R, and tail_coef_r
+        tails = np.searchsorted(shifts, ks, side="right").tolist()
+        off, tc, flat = (np.arange(R) - shifts * R)[::-1], tail_coef[::-1], P.reshape(-1)
+    for k in range(1, n):
+        if tail_coef is not None and tails[k]:
+            m = R - tails[k]
+            h[k] = -np.add.reduceat(tc[m:] * flat.take(k * R + off[m:]), [0])[0]
+        a = active[k]
+        if a:
+            fac = hc[k:0:-1] * (bu[k:0:-1, :a] - vc[:k])
+            P[k, :a] = (P[:k, :a] * fac).sum(0) / d[k]
+    return P.T
 
 
 # -- algebra -----------------------------------------------------------

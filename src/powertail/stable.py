@@ -276,11 +276,18 @@ def positive_stable_density(alpha: float, cutoff: float = DEFAULT_CUTOFF
         (1/pi) sum_{n>=1} (-1)^(n-1) sin(pi alpha n) Gamma(n alpha + 1)/n! x^(-1-n alpha)
 
     over n alpha <= cutoff, valid for x above the divergence guard x_min.
+    A cutoff below alpha keeps no term and is refused.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("one-sided stable laws need alpha in (0, 1)")
     cutoff = float(cutoff)
+    if not math.isfinite(cutoff) or cutoff <= 0:
+        raise InvalidArgumentError("cutoff must be a positive real")
+    if cutoff < alpha:
+        raise InvalidArgumentError(
+            "cutoff %g is below alpha %g, so the density series keeps no term"
+            % (cutoff, alpha))
     # the grid behind the guard radius holds more than cutoff / alpha points,
     # so its budget check refuses a runaway loop before it starts
     unit_radius = guard_radius(SemigroupSpec.with_alphas(alpha), 1.0,

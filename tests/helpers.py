@@ -1,8 +1,8 @@
 """Shared builders for the test suite: a few standard laws as moment
 series, termwise comparison utilities, the term-by-term series
 evaluator that ``series.evaluate`` must reproduce bit for bit, and the
-band-by-band Euler-operator kernel that ``series._euler_rows`` must
-reproduce."""
+band-by-band and coefficient-by-coefficient Euler-operator kernels that
+``series._euler_rows`` must reproduce."""
 
 import cmath
 import math
@@ -90,9 +90,7 @@ def reference_euler_rows(grid, h, betas, kind, shifts=None, tail_coef=None):
     every per-pair factor re-gathered inside the band loop."""
     pl = grid.pairs()
     n, bands = len(grid), pl.bands
-    w, zero, one = pl.weights, np.zeros(n), np.ones(n)
-    u, v, d = {"power": (w, w, w), "exp": (w, zero, w),
-               "reciprocal": (zero, one, one)}[kind]
+    u, v, d = series._euler_weights(kind, pl.weights)
     P = np.zeros((len(betas), n), dtype=np.complex128)
     P[:, 0] = 1.0
     if shifts is None:
@@ -124,8 +122,37 @@ def reference_euler_rows(grid, h, betas, kind, shifts=None, tail_coef=None):
                 g1 = min(g_end, max(g0 + 1, g1))
             lo, hi = first[g0], last[g1 - 1]
             i, j = I[lo:hi], J[lo:hi]
-            terms = P[:rows, i] * (h[j] * (betas[:rows, None] * u[j] - v[i]))
+            # h as a row: a vector times a matrix with one element takes a
+            # numpy loop that does not fuse multiply-adds, which every
+            # product of the kernel does
+            terms = P[:rows, i] * (h[None, j] * (betas[:rows, None] * u[j] - v[i]))
             P[:rows, ks[g0:g1]] = (np.add.reduceat(terms, heads[g0:g1] - lo, axis=1)
                                    / d[ks[g0:g1]])
             g0 = g1
     return P
+
+
+def reference_progression_rows(h, betas, kind, shifts=None, tail_coef=None):
+    """``series._euler_rows`` on the grid 0, g, ..., (n - 1) g, one
+    coefficient at a time: the sum over i < k of p_i h_(k-i)
+    (beta u_(k-i) - v_i) with the index as weight, divided by d_k, as one
+    dot for one row and one product and column sum for several; in
+    reversion h_k is set first from the tail terms, by descending row."""
+    n, R = len(h), len(betas)
+    u, v, d = series._euler_weights(kind, np.arange(float(n)))
+    P = np.zeros((n, R), dtype=np.complex128)
+    P[0] = 1.0
+    for k in range(1, n):
+        if tail_coef is not None:
+            rows = [r for r in reversed(range(R)) if shifts[r] <= k]
+            if rows:
+                terms = tail_coef[rows] * P[k - shifts[rows], rows]
+                h[k] = -np.add.reduceat(terms, [0])[0]
+        rows = R if shifts is None else sum(1 for s in shifts if s + k < n)
+        if R == 1 and tail_coef is None:
+            fac = h[k:0:-1] * (betas[0] * u[k:0:-1] - v[:k])
+            P[k, 0] = np.dot(fac, P[:k, 0]) / d[k]
+        elif rows:
+            fac = h[k:0:-1, None] * (betas[:rows] * u[k:0:-1, None] - v[:k, None])
+            P[k, :rows] = (P[:k, :rows] * fac).sum(0) / d[k]
+    return P.T

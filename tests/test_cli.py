@@ -714,6 +714,13 @@ def test_every_law_runs_where_the_table_offers_it(argv, code):
      "--x-min", "2", "--x-max", "inf"),
     # checked before any mixing moment is sized
     ("expand", "--law", "stable-mixture", "--alpha", "-1"),
+    # a cutoff that keeps no term of the density series
+    ("density", "--law", "positive-stable", "--alpha", "0.5", "--cutoff", "-1",
+     "--x-min", "2", "--x-max", "4", "--points", "3"),
+    ("density", "--law", "positive-stable", "--alpha", "0.5", "--cutoff", "0",
+     "--x-min", "2", "--x-max", "4", "--points", "3"),
+    ("density", "--law", "positive-stable", "--alpha", "0.5", "--cutoff", "0.4",
+     "--x-min", "2", "--x-max", "4", "--points", "3"),
 ])
 def test_usage_errors_exit_two_with_one_line(argv):
     code, out, err = main_output(argv)

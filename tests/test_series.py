@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
+import powertail.semigroup as semigroup_module
 import powertail.series as series_module
 from helpers import (HALF, NAT, cauchy_moments, reference_euler_rows,
-                     reference_evaluate, symmetric_phase, worst_termwise,
-                     worst_termwise_rel)
+                     reference_evaluate, reference_progression_rows,
+                     symmetric_phase, worst_termwise, worst_termwise_rel)
 from powertail.errors import (DomainBranchError, IncompatibleSeriesError,
                               InvalidFormError, NormalizationError,
                               NotInvertibleError, ResourceGuardError,
@@ -256,6 +257,33 @@ def test_kernel_guard_refuses_before_building_pairs(monkeypatch):
     assert F.grid()._pairs is None
 
 
+def test_pair_guard_refuses_a_progression_before_any_work(monkeypatch):
+    # the progression kernel builds no pair list, but its work is the pairs'
+    spec = SemigroupSpec.with_alphas(0.4127)
+    f = desc({0.0: 1.0, 0.4127: 0.5}, 7.3, spec)
+    sub = f.grid().generated(np.flatnonzero(f.coefs))[1]
+    assert sub.progression()
+    pairs = len(sub) * (len(sub) + 1) // 2
+    monkeypatch.setattr(semigroup_module, "MAX_PAIRS", pairs - 1)
+    monkeypatch.setattr(series_module, "_progression_rows", None)  # not to be reached
+    with pytest.raises(ResourceGuardError, match="%d exponent pairs" % pairs):
+        reciprocal(f)
+    assert sub._pairs is None
+
+
+def test_reversion_sets_the_tail_after_every_row_drops_out(monkeypatch):
+    # the smallest shift is 2, so from two coefficients before the last no
+    # row is active, and the last two coefficients of the inverse are still
+    # to be set
+    spec = SemigroupSpec.with_alphas(0.4)
+    F = f_form(spec, {0.8: symmetric_phase(0.4), 1.2: 0.3}, 12.0)
+    assert F.grid().generated(np.flatnonzero(F.coefs))[1].progression()
+    inv = revert_F(F)
+    assert worst_termwise(compose_F(F, inv), identity_f_form(spec, 12.0)) < 1e-13
+    monkeypatch.setattr(series_module.ExponentGrid, "generated", _whole_grid)
+    assert worst_termwise_rel(inv, revert_F(F)) <= 1e-14
+
+
 def test_chunked_bands_give_identical_coefficients(monkeypatch):
     F = f_form(HALF, {0.5: 0.3 - 0.1j, 1.0: 0.2, 2.5: -0.05j}, cutoff=9.0)
     f = F.with_terms(F.terms, exponent_shift=0)
@@ -274,18 +302,24 @@ KERNEL_LATTICES = [pytest.param(0.4, 48.0, id="0.4-48"),
                    pytest.param(0.5001, 24.0, id="0.5001-24")]
 
 
-def _kernel_inputs(alpha, cutoff):
-    """The oracle test form F = z(1 + b w^alpha + 0.3 w) on its grid: its
-    tail h as a grid vector, and the rows, shifts and coefficients of its
-    terms."""
+def _kernel_inputs(alpha, cutoff, tail=None):
+    """The oracle test form F = z(1 + b w^alpha + 0.3 w), or one with the
+    given tail, on the grid its kernels run on: its tail h as a vector
+    there, and the rows, shifts and coefficients of its terms."""
     F = f_form(SemigroupSpec.with_alphas(alpha),
-               {alpha: symmetric_phase(alpha), 1.0: 0.3}, cutoff)
-    grid = F.grid()
-    h = F.coefs.copy()
-    h[0] = 0.0
+               tail or {alpha: symmetric_phase(alpha), 1.0: 0.3}, cutoff)
     # the first row is the unit at exponent 0, not a term of the tail
-    index, coef, betas = (a[1:] for a in series_module._outer_rows(F.coefs, grid))
-    return grid, h, index, coef, betas
+    index, coef, betas = (a[1:] for a in series_module._outer_rows(F.coefs, F.grid()))
+    idx, grid = F.grid().generated(index)
+    h = F.coefs[idx]
+    h[0] = 0.0
+    return grid, h, np.searchsorted(idx, index), coef, betas
+
+
+def _progression_inputs(alpha, cutoff):
+    """Kernel inputs on the multiples of alpha, whose smallest shift is 2."""
+    return _kernel_inputs(alpha, cutoff, {2 * alpha: symmetric_phase(alpha),
+                                          3 * alpha: 0.3, 7 * alpha: -0.05j})
 
 
 def _kernel_cases(grid, h, index, coef, betas):
@@ -295,6 +329,7 @@ def _kernel_cases(grid, h, index, coef, betas):
     return [((h, np.ones(1), "reciprocal"), {}),
             ((full, np.ones(1), "reciprocal"), {}),
             ((h, np.array([-0.7 + 0j]), "power"), {}),
+            ((full, np.array([0.3 + 0.2j]), "power"), {}),
             ((h, np.ones(1), "exp"), {}),
             ((h, np.array([2.5, -0.7, 0.5j]), "power"), {}),
             ((full, np.array([2.5, -0.7, 0.5j]), "power"), {}),
@@ -304,6 +339,16 @@ def _kernel_cases(grid, h, index, coef, betas):
              {"shifts": index, "tail_coef": coef}),
             ((np.zeros(len(grid), dtype=np.complex128), betas[:1], "power"),
              {"shifts": index[:1], "tail_coef": coef[:1]})]
+
+
+def _assert_kernel_is(reference, grid, inputs):
+    for (h, betas, kind), kw in _kernel_cases(grid, *inputs):
+        h_ref = h.copy()
+        got = series_module._euler_rows(grid, h, betas, kind, **kw)
+        want = reference(h_ref, betas, kind, **kw)
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (kind, kw.keys())
+        assert h.tobytes() == h_ref.tobytes()
 
 
 @pytest.mark.parametrize("cells", ["default", 1000, 3])
@@ -318,13 +363,21 @@ def test_euler_kernel_is_the_band_loop_bit_for_bit(monkeypatch, alpha, cutoff, c
     if cells != "default":
         monkeypatch.setattr(series_module, "_CHUNK_CELLS", cells)
     grid, *inputs = _kernel_inputs(alpha, cutoff)
-    for (h, betas, kind), kw in _kernel_cases(grid, *inputs):
-        h_ref = h.copy()
-        got = series_module._euler_rows(grid, h, betas, kind, **kw)
-        want = reference_euler_rows(grid, h_ref, betas, kind, **kw)
-        assert got.shape == want.shape
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (kind, kw.keys())
-        assert h.tobytes() == h_ref.tobytes()
+    assert not grid.progression()
+    _assert_kernel_is(lambda *a, **kw: reference_euler_rows(grid, *a, **kw), grid, inputs)
+
+
+@pytest.mark.parametrize("cells", ["default", 1000, 3])
+@pytest.mark.parametrize("alpha,cutoff", KERNEL_LATTICES)
+def test_progression_kernel_is_the_coefficient_loop_bit_for_bit(monkeypatch, alpha,
+                                                                cutoff, cells):
+    # _CHUNK_CELLS sets how many coefficients gather their one-row factors
+    # at once: 1000 splits them into several slabs, 3 into one each
+    if cells != "default":
+        monkeypatch.setattr(series_module, "_CHUNK_CELLS", cells)
+    grid, *inputs = _progression_inputs(alpha, cutoff)
+    assert grid.progression() and grid.values[1] == alpha
+    _assert_kernel_is(reference_progression_rows, grid, inputs)
 
 
 # the grids of the sub-semigroup tests: alpha N is a proper part of each
@@ -349,27 +402,31 @@ def _off_alpha_n(grid, alpha):
 
 @pytest.mark.parametrize("alpha,cutoff", ALPHA_GRIDS)
 def test_alpha_only_kernels_are_the_whole_grid_loop_bit_for_bit(alpha, cutoff):
-    # alpha is in every support, so the kernels run on alpha N, where no
-    # sum on the whole grid has a term that vanishes.  The exponent is real:
-    # with a complex one the loop and the kernel can round its product
-    # with the weights differently (see the band-loop test above).
+    # alpha is in every support, so the kernels run on alpha N, a
+    # progression: bit for bit the coefficient loop there, and within
+    # roundoff of the band loop on the whole grid, whose sums run in
+    # another order and where no sum has a term that vanishes
     rng = np.random.default_rng(int(alpha * 1e4))
     spec = SemigroupSpec.with_alphas(alpha)
     for _ in range(5):
         tail = desc(_alpha_terms(rng, alpha, cutoff), cutoff, spec)
         grid, h, unit = tail.grid(), tail.coefs, np.arange(len(tail.coefs)) == 0
-        c0, beta = complex(*rng.normal(size=2)), complex(rng.normal())
+        idx, sub = grid.generated(np.flatnonzero(h))
+        assert sub.progression() and len(sub) < len(grid)
+        c0, beta = (complex(*rng.normal(size=2)) for _ in range(2))
         f = tail.with_terms(c0 * (h + unit))
         hr = f.coefs / c0
         hr[0] = 0.0
-        cases = [
-            (reciprocal(f), reference_euler_rows(grid, hr, np.ones(1), "reciprocal")[0] / c0),
-            (binomial_power(tail.with_terms(h + unit), beta),
-             reference_euler_rows(grid, h.copy(), np.array([beta]), "power")[0]),
-            (series_module.graded_exp(tail),
-             reference_euler_rows(grid, h.copy(), np.ones(1), "exp")[0])]
-        for got, want in cases:
-            assert got.coefs.tobytes() == tail.with_terms(want).coefs.tobytes()
+        cases = [(reciprocal(f), hr, np.ones(1), "reciprocal", c0),
+                 (binomial_power(tail.with_terms(h + unit), beta), h, np.array([beta]),
+                  "power", 1.0),
+                 (series_module.graded_exp(tail), h, np.ones(1), "exp", 1.0)]
+        for got, hk, betas, kind, c in cases:
+            want = series_module._full(idx, reference_progression_rows(hk[idx], betas,
+                                                                       kind)[0], len(grid))
+            assert got.coefs.tobytes() == tail.with_terms(want / c).coefs.tobytes()
+            whole = reference_euler_rows(grid, hk.copy(), betas, kind)[0] / c
+            assert worst_termwise_rel(got, tail.with_terms(whole)) <= 1e-14, kind
             assert not got.coefs[_off_alpha_n(grid, alpha)].any()
 
 

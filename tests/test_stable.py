@@ -233,6 +233,20 @@ def test_deep_free_self_convolution_closes():
     assert worst_termwise_rel(free_convolve(one, one), make(2.0 * b)) <= 1e-8
 
 
+def test_free_self_convolution_closes_on_a_progression():
+    # the reversions run on the multiples of alpha; in one of them the tail
+    # terms of a coefficient reach 2e7 where every coefficient is below 1,
+    # and summed in another order than revert_F's residual they missed it
+    # by their roundoff and raised NonConvergentReversionError
+    b = 0.851773574992444 + 0.3919067988726227j
+
+    def make(w):
+        return free_stable(StableParams(alpha=1.75, b=w, kind=StableKind.FREE), cutoff=28.0)
+
+    one = make(b)
+    assert worst_termwise_rel(free_convolve(one, one), make(2.0 * b)) <= 1e-8
+
+
 # ------------------------------------------------- positive stable density
 
 def test_half_stable_density_closed_form():
@@ -266,6 +280,12 @@ def test_positive_stable_density_guards():
     for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(InvalidArgumentError):
             positive_stable_density(alpha)
+
+
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, math.nan, math.inf, 0.49])
+def test_positive_stable_density_refuses_a_cutoff_that_keeps_no_term(cutoff):
+    with pytest.raises(InvalidArgumentError, match="cutoff"):
+        positive_stable_density(0.5, cutoff)
 
 
 def test_positive_stable_density_refuses_coefficients_past_double_range():
