@@ -136,17 +136,22 @@ def _csv_cell(cell) -> str:
 # -- shared helpers --------------------------------------------------------
 
 
-def _default_cutoff() -> float:
+def _cutoff(flag: float | None) -> tuple[float, str]:
+    """The cutoff and its source: --cutoff, else GPS_CUTOFF, else the
+    default.  Whichever it is must be a positive finite real."""
     env = os.environ.get("GPS_CUTOFF")
-    if env is None:
-        return DEFAULT_CUTOFF
-    try:
-        value = float(env)
-    except ValueError:
-        raise InvalidArgumentError("GPS_CUTOFF must be a number, got %r" % env)
-    if value <= 0:
-        raise InvalidArgumentError("GPS_CUTOFF must be positive")
-    return value
+    if flag is not None:
+        value, source = flag, "flag"
+    elif env is None:
+        return DEFAULT_CUTOFF, "default"
+    else:
+        try:
+            value, source = float(env), "env:GPS_CUTOFF"
+        except ValueError:
+            raise InvalidArgumentError("GPS_CUTOFF must be a number, got %r" % env)
+    if not 0.0 < value < math.inf:
+        raise InvalidArgumentError("cutoff must be a positive real")
+    return value, source
 
 
 def _parse_complex(text: str) -> complex:
@@ -160,9 +165,9 @@ def _series_body(representation: str, monomial: str, series, cutoff: float) -> d
     """The document fields of a series: what it represents, its monomial,
     its generators, and one record per term with the term's counts."""
     grid = exponent_grid(series.spec, cutoff)
+    keys = sorted(series.terms)
     records = []
-    for key in sorted(series.terms):
-        idx = grid.index_of(key)
+    for key, idx in zip(keys, grid.indices_of(keys).tolist()):
         c = complex(series.terms[key])
         records.append({
             "index": list(grid.reps[idx]) if idx >= 0 else [],
@@ -254,11 +259,8 @@ def _stable_params(args) -> "stable.StableParams":
                                gamma_shift=args.gamma0)
 
 
-def _config_common(args, cutoff: float) -> dict:
-    cfg = {"cutoff": cutoff, "cutoff_source":
-           ("flag" if args.cutoff is not None
-            else ("env:GPS_CUTOFF" if os.environ.get("GPS_CUTOFF") else "default"))}
-    return cfg
+def _config_common(args) -> dict:
+    return {"cutoff": args.cutoff, "cutoff_source": args.cutoff_source}
 
 
 # -- expand ----------------------------------------------------------------
@@ -268,10 +270,10 @@ _MOMENTS_MONOMIAL = "coefficient m_gamma of z^(-gamma-1) in the resolvent"
 
 
 def cmd_expand(args) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    cutoff = args.cutoff
     cfg = {"law": args.law, "repr": args.repr}
     cfg.update(_law_param_echo(args))
-    cfg.update(_config_common(args, cutoff))
+    cfg.update(_config_common(args))
     law = _law(args)
     if law.expand is not None:
         body = law.expand(args, cutoff)
@@ -390,7 +392,7 @@ def cmd_density(args) -> int:
                                  % (args.points, MAX_DENSITY_POINTS))
     if args.points < 2 or not 0.0 < args.x_max - args.x_min < math.inf:
         raise InvalidArgumentError("need finite x_max > x_min and at least 2 points")
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    cutoff = args.cutoff
     den = _law(args).density(args, cutoff)
     lines = ["x,density_re,density_im,remainder_bound,flag"]
     flagged = 0
@@ -474,7 +476,7 @@ def _moments_from_file(path: str) -> MomentSeries:
 
 
 def cmd_convolve(args) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    cutoff = args.cutoff
     if args.in_a and args.in_b:
         ma = _moments_from_file(args.in_a)
         mb = _moments_from_file(args.in_b)
@@ -489,7 +491,7 @@ def cmd_convolve(args) -> int:
     out = _CONV_KINDS[args.kind](ma, mb)
     cfg = {"kind": args.kind}
     cfg.update(src)
-    cfg.update(_config_common(args, cutoff))
+    cfg.update(_config_common(args))
     body = _series_body("moments", _MOMENTS_MONOMIAL, out, out.cutoff)
     _emit(_canon(_document("convolve", cfg, body)), args.out)
     return EXIT_OK
@@ -847,11 +849,11 @@ def _laws_with(*builders: str) -> tuple:
 
 
 def cmd_verify(args) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    cutoff = args.cutoff
     checks = _law(args).verify(args, cutoff)
     cfg = {"law": args.law}
     cfg.update(_law_param_echo(args))
-    cfg.update(_config_common(args, cutoff))
+    cfg.update(_config_common(args))
     failed = [c for c in checks if c["status"] == "fail"]
     doc = _document("verify", cfg, {
         "checks": checks,
@@ -961,6 +963,8 @@ def main(argv: list[str] | None = None) -> int:
             warnings.showwarning = lambda message, category, *_: print(
                 "warning: %s: %s" % (category.__name__, message), file=sys.stderr)
             args = build_parser().parse_args(argv)
+            if "cutoff" in vars(args):  # every subcommand but classify
+                args.cutoff, args.cutoff_source = _cutoff(args.cutoff)
             return args.func(args)
     except SystemExit:  # --help has been printed
         return EXIT_OK

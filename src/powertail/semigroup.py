@@ -14,12 +14,18 @@ and merging run exactly over a common integer lattice instead, so
 collisions like 3*(1/3) == 1 are exact rather than tolerance-based.
 Either way the grid comes from one numpy enumeration over integer count
 vectors; a lattice whose cutoff reaches 2^53 is refused, since its
-integers would no longer be exact in a double.
+integers would no longer be exact in a double.  A rational spec's grid
+is its distinct lattice sums, from one integer sort with no counts:
+each exponent's smallest counts (``ExponentGrid.reps``) are sorted out
+only when first read, and no kernel reads them.  A float spec's counts
+are its coordinates, sorted by (value, counts) to merge.
 
 Each exponent has exact integer coordinates, its lattice integer on a
 rational spec and its counts on a float one: one exact lookup of their
 sums finds the grid's pairs, and their multiples of a support's gcds
 are closed under sums and hold the sub-semigroup the support generates.
+On an arithmetic progression 0, g, ..., (n - 1) g the pairs onto k are
+(i, k - i), built by arithmetic with no lookup.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ _MAX_POINTS = 4_000_000
 MAX_PAIRS = 8_000_000
 # lattice integers and their quotients by the denominator stay exact below this
 _EXACT_INTS = 2**53
+# a float spec keeps the exponents up to this far past its cutoff, relative
+_FLOAT_SLACK = 1e-12
 
 
 def _rational_form(g: float) -> Fraction | None:
@@ -127,15 +135,14 @@ class ExponentIndex(NamedTuple):
     counts: tuple[int, ...]
 
 
-def _lattice(spec: SemigroupSpec, cutoff: float):
-    """Merged exponents of spec in [0, cutoff]: ascending values, their
-    representative counts, their coordinates (the lattice integer of a
-    rational spec, the counts of a float one) and the keys of those, the
-    keys of every count vector on the grid with its exponent's index when
-    an exponent has several (else None), and the count of distinct float
-    values merged by tolerance alone up to the cutoff.  A float spec is
-    enumerated past the cutoff by the merge slack, so that a count vector
-    just above the top exponent that merges into it is on the grid too."""
+def _count_vectors(spec: SemigroupSpec, cutoff: float, counts: bool = True):
+    """Every count vector of spec up to the cutoff, as (den, limit,
+    sums, counts).  On a rational spec den is the common denominator and
+    sums are lattice integers up to the integer limit; counts is None
+    unless asked for.  On a float spec den is None, sums are float values
+    and counts always come, enumerated past limit by the merge slack, so
+    that a count vector just above the top exponent that merges into it
+    is on the grid too."""
     cutoff = float(cutoff)
     if not math.isfinite(cutoff) or cutoff < 0:
         raise InvalidArgumentError("cutoff must be a non-negative real, got %r" % (cutoff,))
@@ -145,8 +152,9 @@ def _lattice(spec: SemigroupSpec, cutoff: float):
 
     fracs = spec.rational_forms()
     if fracs is None:
-        weights, limit, sums = spec.generators, cutoff * (1.0 + 1e-12), np.zeros(1)
-        top = limit + MERGE_REL_TOL * max(1.0, limit)
+        den, weights, limit = None, spec.generators, cutoff * (1.0 + _FLOAT_SLACK)
+        sums = np.zeros(1)
+        top, counts = limit + MERGE_REL_TOL * max(1.0, limit), True
     else:
         den = math.lcm(*[f.denominator for f in fracs])
         limit = math.floor(Fraction(cutoff) * den)
@@ -162,30 +170,59 @@ def _lattice(spec: SemigroupSpec, cutoff: float):
         weights = [min(int(f * den), limit + 1) for f in fracs]
         top, sums = limit, np.zeros(1, np.int64)
     # every count vector with sum n_k w_k <= top, one generator at a time
-    counts = np.zeros((1, 0), np.int64)
+    cols = np.zeros((1, 0), np.int64) if counts else None
     for w in weights:
         tot = sums[:, None] + np.arange(int(top // w) + 2) * w
         row, n = np.nonzero(tot <= top)
-        sums, counts = tot[row, n], np.column_stack((counts[row], n))
+        sums = tot[row, n]
+        if counts:
+            cols = np.column_stack((cols[row], n))
+    return den, limit, sums, cols
+
+
+def _lattice(spec: SemigroupSpec, cutoff: float):
+    """Merged exponents of spec in [0, cutoff]: ascending values, their
+    coordinates (the lattice integer of a rational spec, the counts of a
+    float one) and the keys of those, the keys of every count vector on
+    the grid with its exponent's index when an exponent has several
+    (else None), and the count of distinct float values merged by
+    tolerance alone up to the cutoff.  A rational spec's values are its
+    distinct lattice sums, found with no counts."""
+    den, limit, sums, counts = _count_vectors(spec, cutoff, counts=False)
+    if den is not None:
+        # np.unique would import numpy.ma, 14 ms, on its first call
+        sums.sort()
+        keys = sums[np.append(True, sums[1:] != sums[:-1])]
+        return keys / den, keys[:, None], keys, None, 0
     # by value, then by counts: each group leads with its smallest counts
     order = np.lexsort((*counts[:, ::-1].T, sums))
     sums, counts = sums[order], counts[order]
-    if fracs is None:
-        keep, by_tolerance = _merge_by_tolerance(sums, limit)
-        group = np.cumsum(keep) - 1
-        # the count vectors of the groups that lead at or below the limit
-        on = group < np.searchsorted(sums[keep], limit, side="right")
-        sums, counts, keep, group = sums[on], counts[on], keep[on], group[on]
-        # mixed-radix keys: a count of a sum of two is at most twice the
-        # largest, so a sum of keys never carries
-        keys = counts @ np.cumprod([1] + [2 * m + 1 for m in counts.max(0).tolist()[:-1]])
-        merged = None if keep.all() else (keys, group)
-        values, coords, keys = sums[keep], counts[keep], keys[keep]
-    else:
-        keep, by_tolerance, merged = np.append(True, sums[1:] != sums[:-1]), 0, None
-        keys = sums[keep]
-        values, coords = keys / den, keys[:, None]
-    return values, tuple(map(tuple, counts[keep].tolist())), coords, keys, merged, by_tolerance
+    keep, by_tolerance = _merge_by_tolerance(sums, limit)
+    group = np.cumsum(keep) - 1
+    # the count vectors of the groups that lead at or below the limit
+    on = group < np.searchsorted(sums[keep], limit, side="right")
+    sums, counts, keep, group = sums[on], counts[on], keep[on], group[on]
+    # mixed-radix keys: a count of a sum of two is at most twice the
+    # largest, so a sum of keys never carries
+    keys = counts @ np.cumprod([1] + [2 * m + 1 for m in counts.max(0).tolist()[:-1]])
+    merged = None if keep.all() else (keys, group)
+    return sums[keep], counts[keep], keys[keep], merged, by_tolerance
+
+
+def _least_counts(spec: SemigroupSpec, cutoff: float, coords: np.ndarray,
+                  keys: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically smallest counts of each exponent of the grid
+    of (spec, cutoff) with these coordinates and keys.  A float spec's
+    coordinates are its counts; a rational spec's are enumerated again,
+    sorted by (value, counts), and read at the keys."""
+    if coords.shape[1] > 1:
+        return tuple(map(tuple, coords.tolist()))
+    sums, counts = _count_vectors(spec, cutoff)[2:]
+    order = np.lexsort((*counts[:, ::-1].T, sums))
+    sums, counts = sums[order], counts[order]
+    lead = np.append(True, sums[1:] != sums[:-1])
+    at = np.searchsorted(sums[lead], keys)
+    return tuple(map(tuple, counts[lead][at].tolist()))
 
 
 def _merge_by_tolerance(v: np.ndarray, limit: float) -> tuple[np.ndarray, int]:
@@ -208,7 +245,8 @@ def _merge_by_tolerance(v: np.ndarray, limit: float) -> tuple[np.ndarray, int]:
 
 def enumerate_up_to(spec: SemigroupSpec, cutoff: float) -> list[ExponentIndex]:
     """Ordered merged exponents of the semigroup in [0, cutoff]."""
-    values, reps = _lattice(spec, cutoff)[:2]
+    values, coords, keys = _lattice(spec, cutoff)[:3]
+    reps = _least_counts(spec, cutoff, coords, keys)
     return [ExponentIndex(v, c) for v, c in zip(values.tolist(), reps)]
 
 
@@ -264,48 +302,79 @@ class ExponentGrid:
     """Canonical merged exponents of (spec, cutoff) plus their sparse
     addition structure.
 
-    ``pairs()`` lists every (i, j) -> k with values[i] + values[j] ==
-    values[k], grouped by k (see ``PairList``); sums past the cutoff
-    are never formed.  The pairs are found on the exponents' exact
-    integer coordinates.  A float spec whose enumeration merged distinct
-    values by tolerance warns with ``ToleranceMergeWarning``, since its
-    sums then hold only to that tolerance.
+    ``values`` ascend; ``index_of`` finds a value by one ``searchsorted``
+    and an exact compare, then by the merge tolerance, with no index
+    dict.  ``reps``, the smallest counts of each exponent, is built on
+    its first read: no kernel reads it.  ``pairs()`` lists every (i, j)
+    -> k with values[i] + values[j] == values[k], grouped by k (see
+    ``PairList``); sums past the cutoff are never formed.  The pairs are
+    found on the exponents' exact integer coordinates, and on an
+    arithmetic progression by arithmetic.  A float spec whose
+    enumeration merged distinct values by tolerance warns with
+    ``ToleranceMergeWarning``, since its sums then hold only to that
+    tolerance.
     """
 
     def __init__(self, spec: SemigroupSpec, cutoff: float):
         self.spec = spec
         self.cutoff = float(cutoff)
-        values, reps, coords, keys, merged, by_tolerance = _lattice(spec, cutoff)
+        values, coords, keys, merged, by_tolerance = _lattice(spec, cutoff)
         if by_tolerance:
             warnings.warn(ToleranceMergeWarning(
                 "%d exponents of %s up to cutoff %g merged with a neighbour "
                 "within relative tolerance %g; sums on this grid are exact only "
                 "to that tolerance" % (by_tolerance, spec.describe(), self.cutoff,
                                        MERGE_REL_TOL)), stacklevel=2)
-        self._set(values, reps, coords, keys, merged)
+        self._set(values, coords, keys, merged)
 
-    def _set(self, values, reps, coords, keys, merged=None) -> None:
-        self.values, self.reps, self._coords, self._keys = values, reps, coords, keys
-        self._merged = merged
-        self._pos = {v: i for i, v in enumerate(values.tolist())}
+    def _set(self, values, coords, keys, merged=None) -> None:
+        self.values, self._coords, self._keys, self._merged = values, coords, keys, merged
+        self._reps: tuple | None = None
         self._pairs: PairList | None = None
+        self._progression: bool | None = None
         self._subs: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def reps(self) -> tuple[tuple[int, ...], ...]:
+        """The lexicographically smallest counts of each exponent."""
+        if self._reps is None:
+            self._reps = _least_counts(self.spec, self.cutoff, self._coords, self._keys)
+        return self._reps
+
+    def top(self, cutoff: float) -> float:
+        """The largest exponent the grid of this spec up to ``cutoff``
+        may hold: the cutoff on a rational spec, and 1e-12 past it,
+        relative, on a float one."""
+        return cutoff if self._coords.shape[1] == 1 else cutoff * (1.0 + _FLOAT_SLACK)
+
     def index_of(self, v: float) -> int:
         """Grid index of the merged value containing v, or -1."""
-        i = self._pos.get(v)
-        if i is not None:
-            return i
-        j = int(np.searchsorted(self.values, v))
-        for k in (j - 1, j):
-            if 0 <= k < len(self.values):
-                lead = self.values[k]
-                if abs(v - lead) <= MERGE_REL_TOL * max(1.0, min(v, lead)):
-                    return k
-        return -1
+        j = int(self.values.searchsorted(v, side="right"))
+        if j and self.values[j - 1] == v:
+            return j - 1
+        return int(self.indices_of([v])[0])
+
+    def indices_of(self, vs) -> np.ndarray:
+        """``index_of`` of every value of vs: the last index of an equal
+        grid value, else one of its two neighbours within the merge
+        tolerance, else -1."""
+        values, vs = self.values, np.asarray(vs, dtype=np.float64)
+        j = np.searchsorted(values, vs, side="right")
+        out = j - 1
+        hit = values.take(out, mode="clip") == vs
+        if hit.all():
+            return out
+        # v is not on the grid: j is where it would go, as with side="left"
+        out[~hit] = -1
+        for k in (j, j - 1):
+            lead = values.take(k, mode="clip")
+            near = np.abs(vs - lead) <= MERGE_REL_TOL * np.maximum(1.0, np.minimum(vs, lead))
+            take = ~hit & near & (0 <= k) & (k < len(values))
+            out[take] = k[take]
+        return out
 
     def canonical(self, v: float) -> float:
         i = self.index_of(float(v))
@@ -335,8 +404,7 @@ class ExponentGrid:
             if len(idx) == n:
                 return idx, self
             sub = copy.copy(self)
-            sub._set(self.values[idx], tuple(self.reps[i] for i in idx.tolist()), coords[idx],
-                     self._keys[idx])
+            sub._set(self.values[idx], coords[idx], self._keys[idx])
             hit = idx, sub
         self._subs[g] = hit  # newest last
         if len(self._subs) > 8:
@@ -355,10 +423,12 @@ class ExponentGrid:
         as a power series in z^g without building them; one over
         MAX_PAIRS is refused here as ``pairs()`` would refuse it."""
         n, coords = len(self.values), self._coords
-        if n < 2 or self._merged is not None or not (np.diff(coords, axis=0) == coords[1]).all():
-            return False
-        self._check_pairs(n * (n + 1) // 2)
-        return True
+        if self._progression is None:  # read once; the guard runs on every call
+            self._progression = bool(n > 1 and self._merged is None
+                                     and (np.diff(coords, axis=0) == coords[1]).all())
+        if self._progression:
+            self._check_pairs(n * (n + 1) // 2)
+        return self._progression
 
     def _check_pairs(self, total: int) -> None:
         if total > MAX_PAIRS:
@@ -380,27 +450,35 @@ class ExponentGrid:
         lim = np.searchsorted(w, top - w, side="right")
         total = int(lim.sum())
         self._check_pairs(total)
-        i = np.repeat(np.arange(n, dtype=np.int32), lim)
-        first = np.cumsum(lim) - lim
-        j = (np.arange(total, dtype=np.int64) - np.repeat(first, lim)).astype(np.int32)
-        # a sum is on the grid when its key is one of the table's
-        table, at = self._merged or (keys, np.arange(n))
-        if np.any(table[1:] < table[:-1]):
-            order = np.argsort(table)
-            table, at = table[order], at[order]
-        tot = keys[i] + keys[j]
-        # a sum past the last key clips onto it, which it does not equal
-        p = np.searchsorted(table, tot)
-        ok, k = table.take(p, mode="clip") == tot, at.take(p, mode="clip")
-        if not ok.all():
-            i, j, k = i[ok], j[ok], k[ok]
-        order = np.argsort(k, kind="stable")
-        i, j, k = i[order], j[order], k[order].astype(np.int32)
+        if self.progression() and (lim == np.arange(n, 0, -1)).all():
+            # the pairs onto k are (i, k - i) for i = 0 .. k, and each
+            # index is a band of its own
+            per = np.arange(1, n + 1)
+            k = np.repeat(np.arange(n, dtype=np.int32), per)
+            i = (np.arange(total) - np.repeat(np.cumsum(per) - per, per)).astype(np.int32)
+            j, bands = k - i, np.arange(n + 1)
+        else:
+            i = np.repeat(np.arange(n, dtype=np.int32), lim)
+            first = np.cumsum(lim) - lim
+            j = (np.arange(total, dtype=np.int64) - np.repeat(first, lim)).astype(np.int32)
+            # a sum is on the grid when its key is one of the table's
+            table, at = self._merged or (keys, np.arange(n))
+            if np.any(table[1:] < table[:-1]):
+                order = np.argsort(table)
+                table, at = table[order], at[order]
+            tot = keys[i] + keys[j]
+            # a sum past the last key clips onto it, which it does not equal
+            p = np.searchsorted(table, tot)
+            ok, k = table.take(p, mode="clip") == tot, at.take(p, mode="clip")
+            if not ok.all():
+                i, j, k = i[ok], j[ok], k[ok]
+            order = np.argsort(k, kind="stable")
+            i, j, k = i[order], j[order], k[order].astype(np.int32)
+            bands = _bands(i, j, np.searchsorted(k, np.arange(n + 1)))
         # the first pair is (0, 0) -> 0, the one pair onto the exponent 0
         defect = 0.0 if exact else float(np.max(
             np.abs(w[i] + w[j] - w[k])[1:] / w[k[1:]], initial=0.0))
-        starts = np.searchsorted(k, np.arange(n + 1))
-        return PairList(i, j, k, lim, w, defect, _bands(i, j, starts))
+        return PairList(i, j, k, lim, w, defect, bands)
 
 
 def _bands(i: np.ndarray, j: np.ndarray, starts: np.ndarray) -> np.ndarray:

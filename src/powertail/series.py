@@ -45,9 +45,11 @@ one grouped sum for all rows.  A grid that is an arithmetic progression
 drift lives on, is a plain power series in z^g: there the recurrence runs
 by forward substitution, one coefficient per band, with no pair list,
 and a coefficient of one row is one dot of its factors with the
-coefficients before it.  Reversion there sums each coefficient's tail
-terms in the order ``revert_F``'s residual check sums them, since those
-terms can exceed the coefficient by many orders.
+coefficients before it.  A product or a shifted-row sum there still
+reads a pair list, whose pairs (i, k - i) are built by arithmetic.
+Reversion there sums each coefficient's tail terms in the order
+``revert_F``'s residual check sums them, since those terms can exceed
+the coefficient by many orders.
 
 Evaluation reads a per-series plan, built on the first ``evaluate`` and
 kept on the instance, so a point costs one vectorised exp; the value is
@@ -151,13 +153,13 @@ class GenSeries:
     vector ``coefs`` aligned with the exponent grid of (spec, cutoff).
 
     ``terms`` is either that vector or a map {exponent: coefficient}.
-    In a map, exponents that merge to one grid value add up, an
-    exponent past the cutoff is dropped and counted in ``dropped``, and
-    one off the grid at or below it raises.  Either way the stored
-    vector is a fresh copy with no negative zero, and a coefficient that
-    is not finite raises ResourceGuardError.  The ``terms``
-    property reads it back as a read-only map of the nonzero
-    coefficients by ascending exponent.
+    In a map, looked up in one ``ExponentGrid.indices_of``, exponents
+    that merge to one grid value add up in map order, an exponent past
+    the cutoff is dropped and counted in ``dropped``, and one off the
+    grid at or below it raises.  Either way the stored vector is a fresh
+    copy with no negative zero, and a coefficient that is not finite
+    raises ResourceGuardError.  The ``terms`` property reads it back as
+    a read-only map of the nonzero coefficients by ascending exponent.
     """
 
     def __init__(self, spec: SemigroupSpec, variable: Variable,
@@ -183,17 +185,19 @@ class GenSeries:
             # + 0j: a copy, and -0.0 reads +0.0 as when a sum starts from 0j
             coefs = np.asarray(terms, dtype=np.complex128) + 0j
         else:
+            keys = np.array([float(k) for k in terms])
+            at = grid.indices_of(keys)
+            on = at >= 0
+            # off the grid and not past the cutoff (a nan is not past it)
+            bad = keys[~on & ~(keys > cutoff)]
+            if len(bad):
+                raise InvalidArgumentError("exponent %r is not on the grid of %s"
+                                           % (float(bad[0]), spec.describe()))
+            dropped = len(keys) - int(on.sum())
+            vals = [complex(c) for c, o in zip(terms.values(), on.tolist()) if o]
             coefs = np.zeros(len(grid), dtype=np.complex128)
-            for k, c in terms.items():
-                k = float(k)
-                i = grid.index_of(k)
-                if i < 0:
-                    if k > cutoff:
-                        dropped += 1
-                        continue
-                    raise InvalidArgumentError(
-                        "exponent %r is not on the grid of %s" % (k, spec.describe()))
-                coefs[i] += complex(c)
+            # in map order, so merged keys add up as a loop over the map would
+            np.add.at(coefs, at[on], np.array(vals, dtype=np.complex128))
         bad = np.flatnonzero(~np.isfinite(coefs))
         if len(bad):
             raise ResourceGuardError(
@@ -720,13 +724,17 @@ def _branch_log(z: complex, branch: Branch) -> complex:
     raise InvalidArgumentError("unknown branch %r" % (branch,))
 
 
-def growth_fit(f: GenSeries) -> GrowthBound:
+def growth_fit(f: GenSeries, top: float = math.inf) -> GrowthBound:
     """Geometric coefficient bound A = max |c_gamma|^(1/gamma) over
-    retained positive exponents (stored keys)."""
+    retained positive exponents (stored keys), those up to ``top`` if
+    given: the fit of the series truncated where its grid keeps no
+    exponent past top, without building that grid."""
     if not f.terms:
         raise InvalidArgumentError("growth_fit needs a non-empty series")
     A = 0.0
     for g, c in f.terms.items():
+        if g > top:
+            break
         if g > 0 and c != 0:
             A = max(A, abs(c) ** (1.0 / g))
     return GrowthBound(A=A)

@@ -127,7 +127,8 @@ class MembershipDiagnosis:
 
 def _diagnose(m: MomentSeries) -> MembershipDiagnosis:
     fine = growth_fit(m.series).A
-    coarse = growth_fit(m.series.truncated(m.cutoff / 2.0)).A
+    # the fit of m.series.truncated(m.cutoff / 2.0), which builds a grid
+    coarse = growth_fit(m.series, m.series.grid().top(m.cutoff / 2.0)).A
     rel = (fine - coarse) / coarse if coarse > 0 else 0.0
     stable = rel < 0.05
     note = ("coefficient growth stable under cutoff refinement" if stable else

@@ -721,12 +721,35 @@ def test_every_law_runs_where_the_table_offers_it(argv, code):
      "--x-min", "2", "--x-max", "4", "--points", "3"),
     ("density", "--law", "positive-stable", "--alpha", "0.5", "--cutoff", "0.4",
      "--x-min", "2", "--x-max", "4", "--points", "3"),
+    # the CLI checks every cutoff itself, whatever the law would check
+    *[("density", "--law", "last-passage", "--alpha", "1.5", "--d", "3", "--x-min", "4",
+       "--x-max", "8", "--points", "3", "--cutoff", bad) for bad in ("nan", "-1", "inf")],
+    ("verify", "--law", "pareto", "--beta", "1.5", "--cutoff", "-1"),
+    ("expand", "--law", "cauchy", "--cutoff", "0"),
+    ("convolve", "--kind", "free", "--law-a", "semicircle", "--law-b", "semicircle",
+     "--cutoff", "-inf"),
 ])
 def test_usage_errors_exit_two_with_one_line(argv):
     code, out, err = main_output(argv)
     assert code == 2
     assert out == ""
     assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("flag, env", [("nan", None), ("-1", None), ("inf", None), ("0", "7"),
+                                       (None, "nan"), (None, "-1"), (None, "inf"), (None, "0")])
+@pytest.mark.parametrize("argv", [
+    ("expand", "--law", "cauchy"),
+    ("verify", "--law", "pareto", "--beta", "1.5"),
+    ("density", "--law", "last-passage", "--alpha", "1.5", "--d", "3", "--x-min", "4",
+     "--x-max", "8", "--points", "3")], ids=["expand", "verify", "density"])
+def test_a_cutoff_that_is_not_a_positive_real_is_refused_once(argv, flag, env, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("GPS_CUTOFF", raising=False)
+    else:
+        monkeypatch.setenv("GPS_CUTOFF", env)
+    code, out, err = main_output(argv + (("--cutoff", flag) if flag else ()))
+    assert (code, out, err) == (2, "", "error: cutoff must be a positive real\n")
 
 
 def test_help_still_prints_and_exits_zero():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as hst
 
+from powertail import semigroup
 from powertail.errors import (InvalidArgumentError, ResourceGuardError,
                               ToleranceMergeWarning)
 from powertail.semigroup import (ExponentGrid, SemigroupSpec, density_constant,
@@ -382,3 +383,57 @@ def test_sub_grids_live_on_their_grid_only():
     assert gone() is None
     fresh = exponent_grid(spec, 8.0)
     assert fresh._subs == {}
+
+
+def _key_lookup_pairs(grid, monkeypatch):
+    """The pairs of grid as the sorted-key lookup builds them, as if it
+    were not a progression."""
+    with monkeypatch.context() as m:
+        m.setattr(ExponentGrid, "progression", lambda self: False)
+        return grid._build_pairs()
+
+
+@pytest.mark.parametrize("alphas, cutoff", [((), 12.0), ((0.4,), 10.0), ((1.0 / 3.0,), 9.0),
+                                            ((0.4123,), 8.0), ((math.pi / 8,), 8.0),
+                                            ((math.sqrt(2.0) / 2,), 6.0), ((0.4, 0.7), 6.0)])
+def test_progression_pairs_are_the_key_lookup_pairs(alphas, cutoff, monkeypatch):
+    """On a progression, the whole grid or a sub-grid from ``generated``
+    (the multiples of alpha, 2 alpha and 1), the pairs built by arithmetic
+    equal the key-lookup build field for field, dtypes included."""
+    grid = ExponentGrid(SemigroupSpec.with_alphas(*alphas), cutoff)
+    gens = [grid.index_of(g) for g in (*alphas[:1], *(2 * a for a in alphas[:1]), 1.0)]
+    grids = [grid] + [grid.generated(np.array([g]))[1] for g in gens]
+    checked = 0
+    for g in grids:
+        if not g.progression():
+            continue
+        with monkeypatch.context() as m:  # built by arithmetic: no bands to find
+            m.setattr(semigroup, "_bands", None)
+            got = g.pairs()
+        want = _key_lookup_pairs(g, monkeypatch)
+        assert got._fields == want._fields
+        for name, a, b in zip(got._fields, got, want):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            else:
+                assert type(a) is type(b) and a == b, name
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("alphas, cutoff", [
+    ((), 5.0), ((Fraction(1, 3),), 8.0), ((Fraction(2, 5),), 7.5),
+    ((Fraction(1, 2), Fraction(1, 3)), 6.0), ((Fraction(3, 10), Fraction(7, 10)), 4.0)])
+def test_lazy_reps_are_the_smallest_counts(alphas, cutoff):
+    """``reps`` is built on its first read, on the grid and on each sub-grid,
+    and is the lexicographically smallest counts of each exponent."""
+    spec = SemigroupSpec.with_alphas(*[float(a) for a in alphas])
+    best = brute_enumeration((Fraction(1),) + tuple(sorted(alphas)), cutoff)
+    exact = sorted(best)
+    grid = ExponentGrid(spec, cutoff)
+    assert grid._reps is None
+    idx, sub = grid.generated(np.array([grid.index_of(float(exact[2]))]))
+    assert len(sub) < len(grid) and sub._reps is None
+    assert list(sub.reps) == [best[exact[i]] for i in idx.tolist()]
+    assert list(grid.reps) == [best[v] for v in exact]
+    assert all(type(n) is int for c in grid.reps for n in c)

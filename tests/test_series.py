@@ -764,3 +764,60 @@ def test_terms_off_grid_are_rejected():
     from powertail.errors import InvalidArgumentError
     with pytest.raises(InvalidArgumentError):
         desc({0.5: 1.0})
+
+
+def _per_key_build(grid, terms, cutoff):
+    """The coefficient vector and dropped count of a map, built one key at
+    a time: an exact value by a dict of the grid values (the last index of
+    equal ones), else a neighbour within the merge tolerance."""
+    from powertail.errors import InvalidArgumentError
+    values = grid.values.tolist()
+    exact = {v: i for i, v in enumerate(values)}
+    coefs, dropped = np.zeros(len(values), dtype=np.complex128), 0
+    for k, c in terms.items():
+        k = float(k)
+        i = exact.get(k, -1)
+        if i < 0:
+            j = int(np.searchsorted(grid.values, k))
+            for near in (j - 1, j):
+                if 0 <= near < len(values) and abs(k - values[near]) \
+                        <= semigroup_module.MERGE_REL_TOL * max(1.0, min(k, values[near])):
+                    i = near
+                    break
+        if i < 0:
+            if k > cutoff:
+                dropped += 1
+                continue
+            raise InvalidArgumentError("exponent %r is not on the grid" % (k,))
+        coefs[i] += complex(c)
+    return coefs, dropped
+
+
+def test_a_map_builds_the_vector_of_the_per_key_loop():
+    """Keys that merge to one grid value add up in map order, keys past
+    the cutoff are dropped and counted, one off the grid below it raises."""
+    from powertail.errors import InvalidArgumentError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ToleranceMergeWarning)
+        f = merged_series(6.0)
+        grid = f.grid()
+        rng = np.random.default_rng(5)
+        vals = grid.values.tolist()
+        terms = {}
+        for v in vals + [v * (1.0 + 3e-10) for v in vals[1::3]] + [v - 2e-10 for v in vals[2::5]]:
+            terms[v] = complex(*rng.normal(size=2))
+        # one value past the cutoff, on and off the grid's multiples
+        terms.update({6.5: 1.0, 7.0: -2.0, 1e9: 3.0})
+        got = desc(terms, 6.0, MERGED)
+    want, dropped = _per_key_build(grid, terms, 6.0)
+    assert len(terms) > len(vals) + 10 and dropped == 3
+    assert got.dropped == dropped
+    assert got.coefs.tobytes() == want.tobytes()
+    nat = desc({0.0: 1.0, 2.0: 0.5j, 2.0 + 1e-12: -0.25, 9.0: 1.0, 8.5: 2.0})
+    want, dropped = _per_key_build(nat.grid(), {0.0: 1.0, 2.0: 0.5j, 2.0 + 1e-12: -0.25,
+                                                9.0: 1.0, 8.5: 2.0}, 8.0)
+    assert nat.coefs.tobytes() == want.tobytes() and nat.dropped == dropped == 2
+    with pytest.raises(InvalidArgumentError, match="exponent 0.5 is not on the grid"):
+        desc({0.0: 1.0, 9.0: 1.0, 0.5: 2.0, 1.5: 1.0})
+    with pytest.raises(InvalidArgumentError, match="exponent 3.5 is not on the grid"):
+        desc({0.0: 1.0, 3.5: 1.0, 8.5: 2.0})

@@ -24,6 +24,7 @@ from helpers import (NAT, bernoulli_moments, cauchy_moments,
                      semicircle_moments, symmetric_phase, worst_termwise,
                      worst_termwise_rel)
 import powertail.stable as stable_module
+from powertail.semigroup import density_constant, exponent_grid
 from powertail.errors import (InvalidArgumentError,
                               OutsideValidityRegionError, ResonanceError,
                               ResourceGuardError)
@@ -70,6 +71,24 @@ def test_classical_alpha_two_is_gaussian():
     assert abs(m.moment(3.0)) < 1e-14
     # integer-exponent lattice: alpha = 2 growth never stabilizes
     assert not diag.cutoff_stable
+
+
+def test_classical_law_builds_one_grid_on_cold_caches():
+    """The diagnosis reads the half-cutoff growth fit off the law's own
+    terms: on cold caches the law builds its one grid, and no other."""
+    exponent_grid.cache_clear()
+    density_constant.cache_clear()
+    classical_stable(StableParams(0.4, -1), 24)
+    assert exponent_grid.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(0.4, 24.0), (0.4123, 17.0), (1.0 / 3.0, 9.0),
+                                           (math.pi / 8, 16.0), (0.41234567891, 13.0),
+                                           (1.5, 20.0), (0.7, 3.0)])
+def test_coarse_growth_fit_is_the_fit_of_the_half_truncation(alpha, cutoff):
+    m, diag = classical_stable(StableParams(alpha, symmetric_phase(alpha)), cutoff)
+    assert diag.A_coarse == growth_fit(m.series.truncated(cutoff / 2.0)).A
+    assert diag.A_fine == growth_fit(m.series).A
 
 
 def test_classical_zero_weight_is_point_mass():
