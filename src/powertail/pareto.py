@@ -222,32 +222,29 @@ def _expansion_large_beta(beta: float, R: float, cutoff: float,
     # R^m / m! for m <= n_max, and 1/k! for the k-family aggregate
     rk = _powers_over_factorials(R, n_max)
     inv = _powers_over_factorials(1.0, _AGGREGATE_K_MAX)
-    terms: dict[float, complex] = {}
-
-    # boundary sum: (iRz)^(k-1) e^{iRz} / (beta...(beta+1-k)), expanded
-    # onto integer powers of z: R^n / (n-k+1)! = R^(k-1) R^m / m!
-    for k in range(1, fl):
-        scale = R ** (k - 1) / _falling_product(beta, k)
-        for n in range(k - 1, n_max + 1):
-            c = _integer_powers_of_i(n) * scale * rk[n - k + 1]
-            terms[float(n)] = terms.get(float(n), 0j) + c
 
     # the z^beta weight: oscillatory constant plus the k-family aggregate
     osc = oscillatory_constant(beta - fl + 2.0)
     beta_weight = _integer_powers_of_i(fl - 1) * osc * P
     for k in [0] + list(range(3, _AGGREGATE_K_MAX + 1)):
         beta_weight += P * _integer_powers_of_i(k + fl - 1) * inv[k] / (k - beta + fl - 1)
+
+    # at z^n the boundary sum, (iRz)^(k-1) e^{iRz} / (beta...(beta+1-k))
+    # for k < fl, and the k-family's -(Rz)^(k+fl-1) / (k! (k - beta + fl - 1))
+    # for k = n - fl + 1 add up to (iRz)^n / ((beta - n) n!), which keeps the
+    # digits they lose where they nearly cancel.  The k-family skips k = 1
+    # and 2, so at n = fl and fl + 1 the boundary sum, of terms of one sign,
+    # is the coefficient.
+    terms: dict[float, complex] = {}
+    for n in range(n_max + 1):
+        i_n = _integer_powers_of_i(n)
+        if n in (fl, fl + 1):
+            terms[float(n)] = sum(i_n * (R ** (k - 1) / _falling_product(beta, k))
+                                  * rk[n - k + 1] for k in range(1, fl))
+        else:
+            terms[float(n)] = i_n * rk[n] / (beta - n)
     if beta <= cutoff:
         terms[beta] = terms.get(beta, 0j) + beta_weight * R ** beta
-
-    # the same k-family contributes -(Rz)^(k+fl-1) at integer exponents:
-    # R^(k+fl-1) / k! = R^(fl-1) R^k / k!
-    lead = P * R ** (fl - 1)
-    for k in range(n_max - fl + 2):  # up to e = k + fl - 1 = n_max
-        if k == 0 or k >= 3:
-            e = k + fl - 1
-            c = lead * _integer_powers_of_i(e) * rk[k] / (k - beta + fl - 1)
-            terms[float(e)] = terms.get(float(e), 0j) - c
 
     if is_integer:
         ib = _integer_powers_of_i(fl)

@@ -36,6 +36,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -274,19 +275,16 @@ class PairList(NamedTuple):
 
     Pair p says values[i[p]] + values[j[p]] is the grid value at index
     k[p]; both orders of each pair are listed, and within one k the
-    pairs run in ascending i.  ``reach[i]`` bounds row i: every pair
-    (i, j) has j < reach[i].
+    pairs run in ascending i.  Every pair (i, j) -> k with i, j > 0 has
+    i < k and j < k, so a triangular recurrence can fill coefficient k
+    from the coefficients before it.  ``reach[i]`` bounds row i: every
+    pair (i, j) has j < reach[i].
 
     ``weights`` stands in for the values: the lattice integers of a
     rational spec, exactly additive, or the values of a float spec.  The
     pairs of both are found on exact integer coordinates, so ``defect``,
     max |w_i + w_j - w_k| / w_k over the pairs, is 0 on a rational spec,
     roundoff on a float one, and up to MERGE_REL_TOL where it merged.
-
-    ``bands`` cuts the grid into runs of indices ``bands[b]:bands[b+1]``
-    such that every pair (i, j) -> k with i, j > 0 has i and j in an
-    earlier run than k: a triangular recurrence can fill one whole band
-    at a time from the bands before it.  Band 0 is the index 0 alone.
     """
 
     i: np.ndarray
@@ -295,7 +293,6 @@ class PairList(NamedTuple):
     reach: np.ndarray
     weights: np.ndarray
     defect: float
-    bands: np.ndarray
 
 
 class ExponentGrid:
@@ -309,9 +306,10 @@ class ExponentGrid:
     -> k with values[i] + values[j] == values[k], grouped by k (see
     ``PairList``); sums past the cutoff are never formed.  The pairs are
     found on the exponents' exact integer coordinates, and on an
-    arithmetic progression by arithmetic.  A float spec whose
-    enumeration merged distinct values by tolerance warns with
-    ``ToleranceMergeWarning``, since its sums then hold only to that
+    arithmetic progression by arithmetic; there a kernel reads the pairs
+    onto each k as slices (``progression_runs``) and builds no list.  A
+    float spec whose enumeration merged distinct values by tolerance warns
+    with ``ToleranceMergeWarning``, since its sums then hold only to that
     tolerance.
     """
 
@@ -332,6 +330,7 @@ class ExponentGrid:
         self._reps: tuple | None = None
         self._pairs: PairList | None = None
         self._progression: bool | None = None
+        self._runs: tuple | None = None
         self._subs: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
@@ -430,6 +429,24 @@ class ExponentGrid:
             self._check_pairs(n * (n + 1) // 2)
         return self._progression
 
+    def progression_runs(self) -> tuple:
+        """The pairs (i, j) -> k with j > 0 of a progression, (i, k - i) for
+        i < k, as a kernel indexes them: per k the slices [:k] of their i's
+        and [k:0:-1] of their j's; the offsets k (k - 1) / 2 of the runs
+        onto k = 0 .. n in the flat list of them, and that list's i's and
+        j's, as many as the pair guard allows; the indices, which are the
+        additive weights; and ``reach``, n - i.  Built once and kept on the
+        grid."""
+        if self._runs is None:
+            n = len(self.values)
+            ks = np.arange(n)
+            k, i = np.nonzero(ks[:, None] > ks)  # by k, then by ascending i
+            self._runs = (list(map(slice, range(n))),
+                          list(map(slice, range(n), repeat(0), repeat(-1))),
+                          list(accumulate(range(n), initial=0)), i, k - i,
+                          ks.astype(np.float64), n - ks)
+        return self._runs
+
     def _check_pairs(self, total: int) -> None:
         if total > MAX_PAIRS:
             raise ResourceGuardError(
@@ -451,12 +468,11 @@ class ExponentGrid:
         total = int(lim.sum())
         self._check_pairs(total)
         if self.progression() and (lim == np.arange(n, 0, -1)).all():
-            # the pairs onto k are (i, k - i) for i = 0 .. k, and each
-            # index is a band of its own
+            # the pairs onto k are (i, k - i) for i = 0 .. k
             per = np.arange(1, n + 1)
             k = np.repeat(np.arange(n, dtype=np.int32), per)
             i = (np.arange(total) - np.repeat(np.cumsum(per) - per, per)).astype(np.int32)
-            j, bands = k - i, np.arange(n + 1)
+            j = k - i
         else:
             i = np.repeat(np.arange(n, dtype=np.int32), lim)
             first = np.cumsum(lim) - lim
@@ -474,33 +490,15 @@ class ExponentGrid:
                 i, j, k = i[ok], j[ok], k[ok]
             order = np.argsort(k, kind="stable")
             i, j, k = i[order], j[order], k[order].astype(np.int32)
-            bands = _bands(i, j, np.searchsorted(k, np.arange(n + 1)))
+            # a kernel fills k from the pairs onto it, so their i and j must come first
+            if np.any(((i >= k) | (j >= k)) & (i > 0) & (j > 0)):
+                raise UnsupportedSemigroupError(
+                    "grid sums are out of order: an exponent pair lands at or below one "
+                    "of its summands")
         # the first pair is (0, 0) -> 0, the one pair onto the exponent 0
         defect = 0.0 if exact else float(np.max(
             np.abs(w[i] + w[j] - w[k])[1:] / w[k[1:]], initial=0.0))
-        return PairList(i, j, k, lim, w, defect, bands)
-
-
-def _bands(i: np.ndarray, j: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Greedy maximal bands: a band ends just before the first index
-    that depends on an index inside it."""
-    n = len(starts) - 1
-    # latest index each output depends on through a pair with i, j > 0;
-    # every output k holds the pairs (0, k) and (k, 0), so no group is empty
-    dep = np.maximum.reduceat(np.where(j > 0, i, 0), starts[:-1])
-    if n > 1 and np.any(dep[1:] >= np.arange(1, n)):
-        raise UnsupportedSemigroupError(
-            "grid sums are out of order: an exponent pair lands at or below one "
-            "of its summands")
-    bands, start = [0], 1
-    for k, d in enumerate(dep.tolist()):
-        if d >= start:  # k needs an index of the open band: a new band opens at k
-            bands.append(start)
-            start = k
-    bands.append(start)
-    if start < n:
-        bands.append(n)
-    return np.array(bands, dtype=np.int64)
+        return PairList(i, j, k, lim, w, defect)
 
 
 @lru_cache(maxsize=128)

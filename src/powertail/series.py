@@ -26,30 +26,27 @@ multiples of their gcds over its operands' nonzero exponents
 (``ExponentGrid.generated``), which is closed under sums and holds its
 result, and scatters the result back to the whole grid: a stable law
 without drift, say, lives on the multiples of alpha, rational or
-not.  A product is one grouped sum over the pair
-list.  Reciprocals, binomial powers, the graded exponential,
-composition and reversion all go through one triangular
-recurrence kernel built on the Euler operator theta, which multiplies
-the coefficient at exponent e by e: a power p = (1 + h)^beta satisfies
-theta(p) (1 + h) = beta p theta(h), and exp(h) satisfies theta(E) =
-E theta(h) (J. C. P. Miller's formula; Brent and Kung, J. ACM 25,
-1978).  Each coefficient then depends only on coefficients at smaller
-exponents, and the grid's bands group the exponents that can be filled
-at once; composition and reversion fill one power series per term of
-the outer form together, reversion online, as each new coefficient of
-the inverse becomes known (van der Hoeven, "Relax, but don't be too
-lazy", JSC 34, 2002).  The per-pair factors of the recurrence are
-gathered once per kernel call, so a band is one gather, one product and
-one grouped sum for all rows.  A grid that is an arithmetic progression
-0, g, ..., (n - 1) g, as the multiples of alpha that a stable law without
-drift lives on, is a plain power series in z^g: there the recurrence runs
-by forward substitution, one coefficient per band, with no pair list,
-and a coefficient of one row is one dot of its factors with the
-coefficients before it.  A product or a shifted-row sum there still
-reads a pair list, whose pairs (i, k - i) are built by arithmetic.
-Reversion there sums each coefficient's tail terms in the order
-``revert_F``'s residual check sums them, since those terms can exceed
-the coefficient by many orders.
+not.  A product is one grouped sum over the pair list.  Reciprocals,
+binomial powers, the graded exponential, composition and reversion all
+go through one triangular recurrence kernel built on the Euler
+operator theta, which multiplies the coefficient at exponent e by e: a
+power p = (1 + h)^beta satisfies theta(p) (1 + h) = beta p theta(h),
+and exp(h) satisfies theta(E) = E theta(h) (J. C. P. Miller's formula;
+Brent and Kung, J. ACM 25, 1978).  Every pair onto k with i, j > 0 has
+i, j < k, so the kernel fills one coefficient at a time from its own
+pairs: one dot of p with the per-pair factors for a single row, whose
+factors it gathers for many coefficients at once, and one product and
+column sum for several rows.  Composition and reversion fill one power
+series per term of the outer form together, reversion online, as each
+new coefficient of the inverse becomes known (van der Hoeven, "Relax,
+but don't be too lazy", JSC 34, 2002); reversion sums each
+coefficient's tail terms in the order ``revert_F``'s residual check
+sums them, since those terms can exceed the coefficient by many
+orders.  Only the indexing of the pairs onto k depends on the grid: on
+an arithmetic progression 0, g, ..., (n - 1) g, as the multiples of
+alpha that a stable law without drift lives on, they are the slices
+[:k] and [k:0:-1] with no pair list, and elsewhere they are the k-th
+run of the pair list.
 
 Evaluation reads a per-series plan, built on the first ``evaluate`` and
 kept on the instance, so a point costs one vectorised exp; the value is
@@ -59,6 +56,7 @@ bound is computed when the result's ``tail_bound`` is first read.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import warnings
@@ -83,7 +81,6 @@ from .errors import (
 )
 from .semigroup import (
     ExponentGrid,
-    PairList,
     SemigroupSpec,
     density_constant,
     exponent_grid,
@@ -290,40 +287,21 @@ def _require_plain(f: GenSeries, what: str) -> None:
             "%s acts on unshifted series; peel the structural shift first" % what)
 
 
-# -- pair-list kernel --------------------------------------------------
+# -- recurrence kernel -------------------------------------------------
 
 # hard cap on the complex cells of one kernel's row matrix (rows x grid)
 MAX_KERNEL_CELLS = 1 << 24
-# cells of one kernel temporary (a band's gather, a slab of per-pair
-# factors): 1 MB of complex.  A slab spans many bands, so unlike a band it
-# usually fills its budget; at 1 << 20 it raised peak memory by 15 MB.
+# cells of one kernel temporary, a slab of one row's per-pair factors: 1 MB
+# of complex.  At 1 << 20 a slab raised peak memory by 15 MB.
 _CHUNK_CELLS = 1 << 16
-
-
-def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of sorted ``keys``, as indices, and the offset of
-    each run."""
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    heads = np.flatnonzero(new)
-    return keys[heads].astype(np.intp), heads
-
-
-def _band_groups(keys: np.ndarray, bands: np.ndarray):
-    """Runs of equal sorted ``keys``: their values, start and end
-    offsets, and the index of the first run in each band."""
-    ks, heads = _groups(keys)
-    ends = np.append(heads[1:], len(keys))
-    return ks, heads, ends, np.searchsorted(ks, bands).tolist()
 
 
 def _group_sum(keys: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """out[k] = sum of vals over the entries whose sorted key is k."""
     out = np.zeros(n, dtype=np.complex128)
     if len(keys):
-        ks, heads = _groups(keys)
-        out[ks] = np.add.reduceat(vals, heads)
+        heads = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+        out[keys[heads]] = np.add.reduceat(vals, heads)
     return out
 
 
@@ -340,21 +318,20 @@ def _full(idx: np.ndarray, part: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _shift_pairs(pl: PairList, index: np.ndarray):
-    """Pairs (i, j) -> k whose j is index[r], as (i, r, k) sorted by k."""
+def _shift_pairs(grid: ExponentGrid, index: np.ndarray):
+    """Pairs (i, j) -> k whose j is index[r], as (i, r, k) sorted by k and
+    then by ascending i, which is descending r when index ascends.  On a
+    progression they are (k - index[r], index[r]) -> k, by arithmetic."""
+    if grid.progression():
+        i = np.arange(len(grid))[:, None] - index[::-1]
+        k, c = np.nonzero(i >= 0)  # column c is row R - 1 - c
+        return i[k, c], len(index) - 1 - c, k
+    pl = grid.pairs()
     row_of = np.full(len(pl.reach), -1)
     row_of[index] = np.arange(len(index))
     rows = row_of[pl.j]
     sel = rows >= 0
     return pl.i[sel], rows[sel], pl.k[sel]
-
-
-def _offsets(heads: np.ndarray, starts) -> np.ndarray:
-    """``reduceat`` offsets of sorted group ``heads``, each from the head
-    of the latest group in ``starts`` at or before it."""
-    base = np.zeros(len(heads), dtype=heads.dtype)
-    base[starts] = heads[starts]
-    return heads - np.maximum.accumulate(base)
 
 
 def _euler_weights(kind: str, w: np.ndarray):
@@ -367,164 +344,86 @@ def _euler_weights(kind: str, w: np.ndarray):
 def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
                 shifts: np.ndarray | None = None,
                 tail_coef: np.ndarray | None = None) -> np.ndarray:
-    """Rows p_r of a series function of 1 + h, filled band by band.
+    """Rows p_r of a series function of 1 + h, one coefficient at a time.
 
-    With w the pair list's additive weights (so that the Euler operator
-    multiplies the coefficient at index k by w_k) and sums over the
-    pairs (i, j) -> k with j > 0:
+    With w the grid's additive weights (so that the Euler operator
+    multiplies the coefficient at index k by w_k) and sums over the pairs
+    (i, j) -> k with j > 0:
 
     * ``"power"``: p_r = (1 + h)^beta_r, w_k p_k = sum p_i h_j (beta_r w_j - w_i);
     * ``"exp"``: p = exp(h), w_k p_k = sum p_i h_j w_j (beta = 1);
     * ``"reciprocal"``: p = 1/(1 + h), p_k = -sum p_i h_j, free of w.
 
-    h has no constant term.  Each band of the grid depends only on
-    earlier bands.  The per-pair factors h_j (beta_r u_j - v_i) do not
-    depend on p, so they are gathered before the band loop, in slabs of
-    at most ``_CHUNK_CELLS`` cells; a band is then one gather of p, one
-    product and one grouped sum for all rows at once.  When row r is to
-    be shifted by the grid exponent at index ``shifts[r]``, it is needed
-    only where the shift stays under the cutoff; shifts must ascend.
+    h has no constant term.  Every pair onto k with i, j > 0 has i, j < k
+    (``PairList``), so coefficient k reads only coefficients before it:
+    it is one sum over its pairs, by ascending i, of p_i times the factor
+    h_j (beta_r u_j - v_i), divided by d_k.  Only their indexing depends
+    on the grid: on a progression they are the slices [:k] and [k:0:-1]
+    (``ExponentGrid.progression_runs``), and elsewhere the k-th run of the
+    pair list, less the pairs whose h_j is 0 when h is known.
 
-    ``tail_coef`` makes h unknown on entry: before each band it is set
-    to h_k = -sum_r tail_coef_r p_r[k - exponent at shifts[r]], the
-    fixed point that compositional reversion solves, and the slabs hold
-    beta_r u_j - v_i, to be multiplied by h_j band by band.
+    A single row with h known gathers the factors of many coefficients at
+    once, in slabs of at most ``_CHUNK_CELLS`` cells, and sums each
+    coefficient as one dot; otherwise each coefficient gathers the factors
+    of its active rows: row r of several, to be shifted by the grid
+    exponent at index ``shifts[r]``, is needed only at the k that the
+    shift keeps under the cutoff (k below ``reach[shifts[r]]``); shifts
+    must ascend.
 
-    A grid that is an arithmetic progression holds one exponent per band
-    and needs no pair list: ``_progression_rows`` fills it.
+    ``tail_coef`` makes h unknown on entry: h_k is set first, to minus
+    the sum of tail_coef_r p_r[i] over the pairs (i, shifts[r]) -> k, and
+    h_k keeps being set after every row has dropped out.  The terms are
+    summed by descending r in one ``reduceat``: that is how ``revert_F``
+    sums them again to check its residual, and terms far larger than h_k,
+    summed in another order, would leave a residual of their roundoff.
     """
-    if len(betas) * len(grid) > MAX_KERNEL_CELLS:
+    n, R = len(grid), len(betas)
+    if R * n > MAX_KERNEL_CELLS:
         raise ResourceGuardError(
             "a %d-row series kernel on the %d-exponent grid of %s needs more than "
-            "%d cells" % (len(betas), len(grid), grid.spec.describe(), MAX_KERNEL_CELLS))
+            "%d cells" % (R, n, grid.spec.describe(), MAX_KERNEL_CELLS))
     if grid.progression():
-        return _progression_rows(h, betas, kind, shifts, tail_coef)
-    pl = grid.pairs()
-    n, bands = len(grid), pl.bands
-    # the sums are over h_j (beta u_j - v_i), divided by d_k
-    u, v, d = _euler_weights(kind, pl.weights)
-    # exponents down, rows across, so a band gathers and scatters whole
-    # lines; a single row is kept as a vector
-    R = len(betas)
-    P = np.zeros((n, R) if R > 1 else n, dtype=np.complex128)
-    P[0] = 1.0
-    col = np.s_[:, None] if R > 1 else np.s_[:]
-    u, v, d, hc = u[col], v[col], d[col], h[col]
-    # active rows per band: shifted rows drop out once the shift passes the cutoff
-    if shifts is None:
-        active = [R] * len(bands)
+        ii, jj, start, I, J, w, reach = grid.progression_runs()
     else:
-        active = np.searchsorted(-pl.reach[shifts], -bands, side="left").tolist()
-    if tail_coef is None:
-        keep = np.flatnonzero((h != 0).take(pl.j))
-    else:
-        keep = np.flatnonzero(pl.j)
-        ti, tr, tk = _shift_pairs(pl, shifts)
-        tc, flat, tflat = tail_coef[tr], P.reshape(-1), ti * R + tr
-        tks, theads, tends, tcut = _band_groups(tk, bands)
-        trel = _offsets(theads, [t for t, t1 in zip(tcut, tcut[1:]) if t < t1])
-    I, J, K = pl.i[keep].astype(np.intp), pl.j[keep], pl.k[keep]
-    ks, heads, ends, gcut = _band_groups(K, bands)
-    first, last = heads.tolist(), ends.tolist()
-    # segments of a band: whole output groups, about _CHUNK_CELLS gathered
-    # cells each; slabs: the factors of consecutive segments with one row
-    # count, in at most _CHUNK_CELLS cells unless one segment needs more
-    segs, slabs = [[] for _ in bands], []
-    for b in range(1, len(bands) - 1):
-        g0, g_end, rows = gcut[b], gcut[b + 1], active[b]
-        while rows and g0 < g_end:
-            g1 = g_end
-            if (last[g1 - 1] - first[g0]) * rows > _CHUNK_CELLS:
-                g1 = int(np.searchsorted(ends, first[g0] + _CHUNK_CELLS // rows, side="right"))
-                g1 = min(g_end, max(g0 + 1, g1))
-            lo, hi = first[g0], last[g1 - 1]
-            if not slabs or slabs[-1][2] != rows or (hi - slabs[-1][0]) * rows > _CHUNK_CELLS:
-                slabs.append([lo, hi, rows])
-            slabs[-1][1] = hi
-            segs[b].append((rows, g0, g1, lo, hi, len(slabs) - 1))
-            g0 = g1
-    rel = _offsets(heads, [seg[1] for band in segs for seg in band])
-    dks, built = d[ks], -1
-    for b in range(1, len(bands) - 1):
-        if tail_coef is not None and tcut[b] < tcut[b + 1]:
-            t0, t1 = tcut[b], tcut[b + 1]
-            lo, hi = theads[t0], tends[t1 - 1]
-            h[tks[t0:t1]] = -np.add.reduceat(tc[lo:hi] * flat[tflat[lo:hi]], trel[t0:t1])
-        for rows, g0, g1, lo, hi, slab in segs[b]:
-            if slab != built:
-                built, (slab_lo, slab_hi, _) = slab, slabs[slab]
-                i, j = I[slab_lo:slab_hi], J[slab_lo:slab_hi]
-                fac = betas[:rows] * u[j] - v[i]
-                if tail_coef is None:
-                    fac = hc[j] * fac
-            f, i = fac[lo - slab_lo:hi - slab_lo], I[lo:hi]
-            if rows < R:  # shifted rows that have dropped out stay as they are
-                Q, line = P[:, :rows], P[i, :rows]
-            else:  # whole lines: take is the faster gather
-                Q, line = P, P.take(i, axis=0)
-            if tail_coef is not None:
-                f = hc[J[lo:hi]] * f
-            sums = np.add.reduceat(line * f, rel[g0:g1], axis=0)
-            Q[ks[g0:g1]] = np.divide(sums, dks[g0:g1], out=sums)
-    return P.reshape(n, -1).T
-
-
-def _progression_rows(h: np.ndarray, betas: np.ndarray, kind: str,
-                      shifts: np.ndarray | None,
-                      tail_coef: np.ndarray | None) -> np.ndarray:
-    """``_euler_rows`` on the grid 0, g, ..., (n - 1) g: a power series in
-    z^g, whose index k is an exact additive weight and whose pairs onto k
-    are (i, k - i), so each band is one coefficient and needs no pair list.
-
-    Coefficient k of row r is one sum over i < k of p_i times the factor
-    h_(k-i) (beta_r u_(k-i) - v_i), divided by d_k.  With one row and h
-    known, the factors of many coefficients are gathered at once, in slabs
-    of at most ``_CHUNK_CELLS`` cells, and each sum is one dot; otherwise
-    each coefficient gathers the factors of its active rows, those with
-    shift s_r <= n - 1 - k (all rows when nothing is shifted).
-
-    In reversion h_k is set first, to minus the sum of tail_coef_r
-    p_r[k - s_r] over the rows with s_r <= k, and h_k keeps being set
-    after every row has dropped out.  The terms are summed by descending r
-    in one ``reduceat``: that is how ``revert_F`` sums them again to check
-    its residual, and terms far larger than h_k, summed in another order,
-    would leave a residual of their roundoff.
-    """
-    n, R = len(h), len(betas)
-    u, v, d = _euler_weights(kind, np.arange(float(n)))
+        pl = grid.pairs()
+        w, reach = pl.weights, pl.reach
+        # h_0 is 0, so a known h drops the pairs with j = 0 too
+        keep = np.flatnonzero(pl.j if tail_coef is not None else (h != 0).take(pl.j))
+        I, J = pl.i.take(keep).astype(np.intp), pl.j.take(keep).astype(np.intp)
+        start = np.searchsorted(pl.k.take(keep), np.arange(n + 1)).tolist()
+        runs = list(map(slice, start, start[1:]))
+        ii, jj = [I[r] for r in runs], [J[r] for r in runs]
+    u, v, d = _euler_weights(kind, w)
     d = d.tolist()
-    if R == 1 and tail_coef is None:
-        p = np.zeros(n, dtype=np.complex128)
-        p[0] = 1.0
-        step = max(1, _CHUNK_CELLS // n)
-        for k0 in range(1, n, step):
-            k1 = min(n, k0 + step)
-            # j = k - i where i < k, and 0 (where h is 0) from the diagonal on
-            j = np.maximum(np.arange(k0, k1)[:, None] - np.arange(k1), 0)
-            fac = h[j] * (betas[0] * u[j] - v[:k1])
-            for k in range(k0, k1):
-                p[k] = np.dot(fac[k - k0, :k], p[:k]) / d[k]
-        return p[None]
-    ks = np.arange(n)
     P = np.zeros((n, R), dtype=np.complex128)
     P[0] = 1.0
+    if R == 1 and tail_coef is None:
+        p, k0 = P[:, 0], 1
+        while k0 < n:
+            base = start[k0]
+            k1 = min(n, max(k0 + 1, bisect.bisect(start, base + _CHUNK_CELLS) - 1))
+            i, j = I[base:start[k1]], J[base:start[k1]]
+            fac = h[j] * (betas[0] * u[j] - v[i])
+            for k in range(k0, k1):
+                p[k] = np.dot(fac[start[k] - base:start[k + 1] - base], p[ii[k]]) / d[k]
+            k0 = k1
+        return P.T
     bu, vc, hc = betas * u[:, None], v[:, None], h[:, None]
-    if shifts is None:
-        active = [R] * n
-    else:
-        active = np.searchsorted(shifts, n - 1 - ks, side="right").tolist()
+    # a shifted row r is needed while k < reach[shifts[r]]
+    active = [R] * n if shifts is None else np.searchsorted(
+        -reach[shifts], -np.arange(n), side="left").tolist()
     if tail_coef is not None:
-        # by descending r: the flat index of p_r[k - s_r] less k R, and tail_coef_r
-        tails = np.searchsorted(shifts, ks, side="right").tolist()
-        off, tc, flat = (np.arange(R) - shifts * R)[::-1], tail_coef[::-1], P.reshape(-1)
+        ti, tr, tk = _shift_pairs(grid, shifts)
+        tc, tflat, flat = tail_coef[tr], ti * R + tr, P.reshape(-1)
+        tstart = np.searchsorted(tk, np.arange(n + 1)).tolist()
     for k in range(1, n):
-        if tail_coef is not None and tails[k]:
-            m = R - tails[k]
-            h[k] = -np.add.reduceat(tc[m:] * flat.take(k * R + off[m:]), [0])[0]
-        a = active[k]
+        if tail_coef is not None and tstart[k] < tstart[k + 1]:
+            t = slice(tstart[k], tstart[k + 1])
+            h[k] = -np.add.reduceat(tc[t] * flat.take(tflat[t]), [0])[0]
+        a, i, j = active[k], ii[k], jj[k]
         if a:
-            fac = hc[k:0:-1] * (bu[k:0:-1, :a] - vc[:k])
-            P[k, :a] = (P[:k, :a] * fac).sum(0) / d[k]
+            fac = hc[j] * (bu[j, :a] - vc[i])
+            P[k, :a] = (P[i, :a] * fac).sum(0) / d[k]
     return P.T
 
 
@@ -563,7 +462,7 @@ def product(f: GenSeries, g: GenSeries) -> GenSeries:
 
 def reciprocal(f: GenSeries) -> GenSeries:
     """Multiplicative inverse up to the cutoff: with f = c0 (1 + h), the
-    coefficients of 1/(1 + h) solve p_k = -sum p_i h_j band by band."""
+    coefficients of 1/(1 + h) solve p_k = -sum p_i h_j one by one."""
     _require_plain(f, "reciprocal")
     if f.normalization is not Normalization.RAW:
         raise InvalidFormError("reciprocal is defined for RAW series")
@@ -666,7 +565,7 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
     h, shifts = h[idx], np.searchsorted(idx, index)
     h[0] = 0.0
     P = _euler_rows(sub, h, betas, "power", shifts=shifts)
-    i, r, k = _shift_pairs(sub.pairs(), shifts)
+    i, r, k = _shift_pairs(sub, shifts)
     out = _full(idx, _group_sum(k, coef[r] * P[r, i], len(sub)), len(grid))
     return GenSeries(outer.spec, Variable.DESCENDING, Normalization.RAW,
                      out, cutoff, exponent_shift=-1)
@@ -678,8 +577,8 @@ def revert_F(F: GenSeries) -> GenSeries:
     Writing F = z(1 + sum_{g>0} b_g z^-g) and the inverse as
     z(1 + f(1/z)), the tail solves f = -sum_g b_g w^g (1 + f)^(1-g).
     The coefficient of f at an exponent needs the powers (1 + f)^(1-g)
-    only at smaller exponents, so one pass over the grid's bands finds
-    f and extends every power together.  The closing residual check
+    only at smaller exponents, so one pass over the grid's exponents
+    finds f and extends every power together.  The closing residual check
     recomputes the right-hand side from the finished powers.
     """
     _require_f_form(F, "revert_F")
@@ -692,7 +591,7 @@ def revert_F(F: GenSeries) -> GenSeries:
     shifts = np.searchsorted(idx, index)
     f = np.zeros(len(sub), dtype=np.complex128)
     P = _euler_rows(sub, f, betas, "power", shifts=shifts, tail_coef=coef)
-    i, r, k = _shift_pairs(sub.pairs(), shifts)
+    i, r, k = _shift_pairs(sub, shifts)
     resid = -_group_sum(k, coef[r] * P[r, i], len(sub)) - f
     scale_ref = max(1.0, float(np.max(np.abs(f))))
     if np.max(np.abs(resid)) > 1e-9 * scale_ref:

@@ -1,8 +1,8 @@
 """Shared builders for the test suite: a few standard laws as moment
 series, termwise comparison utilities, the term-by-term series
-evaluator that ``series.evaluate`` must reproduce bit for bit, and the
-band-by-band and coefficient-by-coefficient Euler-operator kernels that
-``series._euler_rows`` must reproduce."""
+evaluator that ``series.evaluate`` must reproduce bit for bit, and two
+coefficient-by-coefficient Euler-operator kernels, over the pair list
+and over a progression, that ``series._euler_rows`` must reproduce."""
 
 import cmath
 import math
@@ -86,50 +86,37 @@ def reference_evaluate(f, z, branch=Branch.PRINCIPAL):
 
 
 def reference_euler_rows(grid, h, betas, kind, shifts=None, tail_coef=None):
-    """``series._euler_rows`` as one gather and one grouped sum per band,
-    every per-pair factor re-gathered inside the band loop."""
+    """``series._euler_rows`` one coefficient at a time over the pair list:
+    coefficient k sums, over the pairs (i, j) -> k with j > 0, less those
+    whose h_j is 0 when h is known, p_i h_j (beta u_j - v_i), divided by
+    d_k, as one dot for one row and one product and column sum for
+    several.  A single row is filled whole; of several, one shifted by the
+    exponent at index s is filled while k < reach[s].  In reversion h_k is
+    set first from the pairs (i, shifts[r]) -> k, in pair-list order."""
     pl = grid.pairs()
-    n, bands = len(grid), pl.bands
+    n, R = len(grid), len(betas)
     u, v, d = series._euler_weights(kind, pl.weights)
-    P = np.zeros((len(betas), n), dtype=np.complex128)
-    P[:, 0] = 1.0
-    if shifts is None:
-        active = [len(betas)] * len(bands)
-    else:
-        active = np.searchsorted(-pl.reach[shifts], -bands, side="left").tolist()
-    if tail_coef is None:
-        keep = h[pl.j] != 0
-    else:
-        keep = pl.j > 0
-        ti, tr, tk = series._shift_pairs(pl, shifts)
-        tc = tail_coef[tr]
-        tks, theads, tends, tcut = series._band_groups(tk, bands)
-    I, J, K = pl.i[keep], pl.j[keep], pl.k[keep]
-    ks, heads, ends, gcut = series._band_groups(K, bands)
-    first, last = heads.tolist(), ends.tolist()
-    for b in range(1, len(bands) - 1):
-        if tail_coef is not None and tcut[b] < tcut[b + 1]:
-            t0, t1 = tcut[b], tcut[b + 1]
-            lo, hi = theads[t0], tends[t1 - 1]
-            h[tks[t0:t1]] = -np.add.reduceat(tc[lo:hi] * P[tr[lo:hi], ti[lo:hi]],
-                                             theads[t0:t1] - lo)
-        g0, g_end, rows = gcut[b], gcut[b + 1], active[b]
-        while g0 < g_end:
-            g1 = g_end
-            if (last[g1 - 1] - first[g0]) * rows > series._CHUNK_CELLS:
-                g1 = int(np.searchsorted(ends, first[g0] + series._CHUNK_CELLS // rows,
-                                         side="right"))
-                g1 = min(g_end, max(g0 + 1, g1))
-            lo, hi = first[g0], last[g1 - 1]
-            i, j = I[lo:hi], J[lo:hi]
-            # h as a row: a vector times a matrix with one element takes a
-            # numpy loop that does not fuse multiply-adds, which every
-            # product of the kernel does
-            terms = P[:rows, i] * (h[None, j] * (betas[:rows, None] * u[j] - v[i]))
-            P[:rows, ks[g0:g1]] = (np.add.reduceat(terms, heads[g0:g1] - lo, axis=1)
-                                   / d[ks[g0:g1]])
-            g0 = g1
-    return P
+    P = np.zeros((n, R), dtype=np.complex128)
+    P[0] = 1.0
+    row_of = {} if shifts is None else {int(s): r for r, s in enumerate(shifts)}
+    runs = np.searchsorted(pl.k, np.arange(n + 1)).tolist()
+    for k in range(1, n):
+        i, j = pl.i[runs[k]:runs[k + 1]], pl.j[runs[k]:runs[k + 1]]
+        if tail_coef is not None:
+            tail = [(a, row_of[b]) for a, b in zip(i.tolist(), j.tolist()) if b in row_of]
+            if tail:
+                ti, tr = np.array(tail).T
+                h[k] = -np.add.reduceat(tail_coef[tr] * P[ti, tr], [0])[0]
+        keep = j > 0 if tail_coef is not None else h[j] != 0
+        i, j = i[keep], j[keep]
+        rows = R if shifts is None else sum(1 for s in shifts if k < pl.reach[s])
+        if R == 1 and tail_coef is None:
+            fac = h[j] * (betas[0] * u[j] - v[i])
+            P[k, 0] = np.dot(fac, P[i, 0]) / d[k]
+        elif rows:
+            fac = h[j, None] * (betas[:rows] * u[j, None] - v[i, None])
+            P[k, :rows] = (P[i, :rows] * fac).sum(0) / d[k]
+    return P.T
 
 
 def reference_progression_rows(h, betas, kind, shifts=None, tail_coef=None):

@@ -1,5 +1,5 @@
 """Exponent lattices: enumeration order, collision merging, the
-per-window counting constant, the sparse pair list with its bands, and
+per-window counting constant, the sparse pair list and its ordering, and
 the sub-grids picked by the gcd of a support."""
 
 import cmath
@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as hst
 
-from powertail import semigroup
 from powertail.errors import (InvalidArgumentError, ResourceGuardError,
-                              ToleranceMergeWarning)
+                              ToleranceMergeWarning, UnsupportedSemigroupError)
 from powertail.semigroup import (ExponentGrid, SemigroupSpec, density_constant,
                                  enumerate_up_to, exponent_grid)
 from powertail.series import GenSeries, Normalization, Variable, product
@@ -171,14 +170,27 @@ def test_pair_list_matches_brute_force(alphas, cutoff):
 @pytest.mark.parametrize("alphas, cutoff", [((0.4,), 8.0),
                                             ((1.0 / 3.0 + 1e-10,), 6.0),
                                             ((math.sqrt(2.0) / 20, math.pi / 45), 2.0)])
-def test_bands_feed_only_from_earlier_bands(alphas, cutoff):
+def test_pairs_onto_k_come_from_smaller_indices(alphas, cutoff):
+    # the one ordering a kernel relies on: coefficient k reads only
+    # coefficients before it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ToleranceMergeWarning)
         pl = ExponentGrid(SemigroupSpec.with_alphas(*alphas), cutoff).pairs()
-    band_of = np.searchsorted(pl.bands, np.arange(pl.bands[-1]), side="right")
     inner = (pl.i > 0) & (pl.j > 0)
-    assert pl.bands[:2].tolist() == [0, 1]
-    assert np.all(band_of[pl.i[inner]] < band_of[pl.k[inner]])
+    assert inner.any()
+    assert np.all(pl.i[inner] < pl.k[inner]) and np.all(pl.j[inner] < pl.k[inner])
+
+
+def test_a_pair_out_of_order_is_refused():
+    # swap the coordinates of indices 1 and 2 (2/5 and 4/5) on the grid of
+    # 2/5: index 2 then reads 2/5, and its pair with itself lands on index
+    # 1, below its summands
+    grid = ExponentGrid(SemigroupSpec.with_alphas(0.4), 2.0)
+    swap = np.arange(len(grid))
+    swap[[1, 2]] = [2, 1]
+    grid._set(grid.values, grid._coords[swap], grid._keys[swap])
+    with pytest.raises(UnsupportedSemigroupError, match="out of order"):
+        grid._build_pairs()
 
 
 def test_pair_guard_refuses_before_allocating():
@@ -407,9 +419,7 @@ def test_progression_pairs_are_the_key_lookup_pairs(alphas, cutoff, monkeypatch)
     for g in grids:
         if not g.progression():
             continue
-        with monkeypatch.context() as m:  # built by arithmetic: no bands to find
-            m.setattr(semigroup, "_bands", None)
-            got = g.pairs()
+        got = g.pairs()
         want = _key_lookup_pairs(g, monkeypatch)
         assert got._fields == want._fields
         for name, a, b in zip(got._fields, got, want):

@@ -265,7 +265,7 @@ def test_pair_guard_refuses_a_progression_before_any_work(monkeypatch):
     assert sub.progression()
     pairs = len(sub) * (len(sub) + 1) // 2
     monkeypatch.setattr(semigroup_module, "MAX_PAIRS", pairs - 1)
-    monkeypatch.setattr(series_module, "_progression_rows", None)  # not to be reached
+    monkeypatch.setattr(series_module, "_euler_weights", None)  # not to be reached
     with pytest.raises(ResourceGuardError, match="%d exponent pairs" % pairs):
         reciprocal(f)
     assert sub._pairs is None
@@ -284,16 +284,23 @@ def test_reversion_sets_the_tail_after_every_row_drops_out(monkeypatch):
     assert worst_termwise_rel(inv, revert_F(F)) <= 1e-14
 
 
-def test_chunked_bands_give_identical_coefficients(monkeypatch):
+def test_chunked_one_row_factors_give_identical_coefficients(monkeypatch):
+    # _CHUNK_CELLS sets how many coefficients gather their factors at once,
+    # on a progression (the multiples of 1/2) and off one (2/5 and 1)
     F = f_form(HALF, {0.5: 0.3 - 0.1j, 1.0: 0.2, 2.5: -0.05j}, cutoff=9.0)
-    f = F.with_terms(F.terms, exponent_shift=0)
+    G = f_form(SemigroupSpec.with_alphas(0.4), {0.4: 0.3 - 0.1j, 1.0: 0.2}, cutoff=9.0)
+    assert F.grid().progression() and not G.grid().progression()
     runs = []
-    for cells in (series_module._CHUNK_CELLS, 3):
+    for cells in (series_module._CHUNK_CELLS, 1000, 3):
         monkeypatch.setattr(series_module, "_CHUNK_CELLS", cells)
-        inv = revert_F(F)
-        runs.append((inv.terms, compose_F(inv, F).terms,
-                     binomial_power(f, -1.5).terms))
-    assert runs[0] == runs[1]
+        run = []
+        for H in (F, G):
+            h = H.with_terms(H.terms, exponent_shift=0)
+            inv = revert_F(H)
+            run += [inv.terms, compose_F(inv, H).terms, reciprocal(h).terms,
+                    binomial_power(h, -1.5 + 0.5j).terms]
+        runs.append(run)
+    assert runs[0] == runs[1] == runs[2]
 
 
 # the kernel-oracle lattices: 2/5, and the near-resonant 5001/10000 (about
@@ -353,13 +360,14 @@ def _assert_kernel_is(reference, grid, inputs):
 
 @pytest.mark.parametrize("cells", ["default", 1000, 3])
 @pytest.mark.parametrize("alpha,cutoff", KERNEL_LATTICES)
-def test_euler_kernel_is_the_band_loop_bit_for_bit(monkeypatch, alpha, cutoff, cells):
-    # both read _CHUNK_CELLS: 1000 splits the slabs and large bands, 3
-    # leaves one output group per segment.  Bit for bit holds because both
-    # multiply p by the factor in that order (numpy's complex product is not
-    # commutative to the bit where it fuses multiply-adds); past 256 KiB the
-    # loop's product reuses its temporary factor and swaps them, a size no
-    # case here reaches.
+def test_euler_kernel_is_the_pair_list_reference_bit_for_bit(monkeypatch, alpha, cutoff,
+                                                             cells):
+    # _CHUNK_CELLS sets how many coefficients gather their factors at once
+    # when h is known: 1000 splits them into several slabs, 3 into one
+    # each.  Bit for bit holds because both sum each coefficient's pairs in
+    # pair-list order and multiply p by the factor in that order (numpy's
+    # complex product is not commutative to the bit where it fuses
+    # multiply-adds).
     if cells != "default":
         monkeypatch.setattr(series_module, "_CHUNK_CELLS", cells)
     grid, *inputs = _kernel_inputs(alpha, cutoff)
@@ -404,8 +412,8 @@ def _off_alpha_n(grid, alpha):
 def test_alpha_only_kernels_are_the_whole_grid_loop_bit_for_bit(alpha, cutoff):
     # alpha is in every support, so the kernels run on alpha N, a
     # progression: bit for bit the coefficient loop there, and within
-    # roundoff of the band loop on the whole grid, whose sums run in
-    # another order and where no sum has a term that vanishes
+    # roundoff of the pair-list reference on the whole grid, whose sums
+    # run in another order and where no sum has a term that vanishes
     rng = np.random.default_rng(int(alpha * 1e4))
     spec = SemigroupSpec.with_alphas(alpha)
     for _ in range(5):
