@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .errors import (InvalidArgumentError, NearIntegerWarning, OutsideValidityRegionError,
                      ResourceGuardError)
+from .oracles import rotated_halfline
 from .semigroup import SemigroupSpec, exponent_grid
 from .series import DEFAULT_CUTOFF, GenSeries, Normalization, Variable
 
@@ -39,22 +40,13 @@ def oscillatory_constant(s: float) -> complex:
     """integral_1^inf e^{ix} x^(-s) dx.
 
     Computed on the rotated contour x = 1 + it, where the integrand
-    decays like e^{-t}: i e^{i} integral_0^inf e^{-t} (1+it)^(-s) dt.
+    decays like e^{-t}: i e^{i} integral_0^inf e^{-t} (1+it)^(-s) dt,
+    by exp-sinh with h = 1/16 (``oracles.rotated_halfline``).
     Absolutely convergent for every s > 0.
     """
     if s <= 0:
         raise InvalidArgumentError("exponent must be positive, got %g" % s)
-    from scipy.integrate import quad  # loaded only when a constant is integrated
-
-    def f_re(t: float) -> float:
-        return (math.exp(-t) * (1 + 1j * t) ** (-s)).real
-
-    def f_im(t: float) -> float:
-        return (math.exp(-t) * (1 + 1j * t) ** (-s)).imag
-
-    re, _ = quad(f_re, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    im, _ = quad(f_im, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return 1j * cmath.exp(1j) * complex(re, im)
+    return 1j * cmath.exp(1j) * rotated_halfline(s, 1.0, 1.0).value
 
 
 @dataclass(frozen=True)

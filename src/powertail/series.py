@@ -784,3 +784,19 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
     res = object.__new__(EvalResult)  # the bound waits for its first read
     res.__dict__.update(value=total, _bound_args=(f, absz, plan.growth, plan.c))
     return res
+
+
+def _evaluate_many(f: GenSeries, t: np.ndarray) -> np.ndarray:
+    """Partial sums of f at the real points t > 0, principal branch, in
+    one product: W = exp(log t ⊗ powers), then W @ (c / Gamma).  For
+    quadrature nodes; no tail bound, and the sums are not ``evaluate``'s
+    bit for bit.  A power that underflows reads 0; where one may
+    overflow, the nodes go through ``evaluate``, which raises as it
+    does."""
+    plan = _eval_plan(f)
+    arg = np.multiply.outer(np.log(t), plan.powers)
+    if np.max(arg, initial=0.0) >= _EXP_SAFE:
+        return np.array([evaluate(f, x).value for x in t.tolist()], dtype=np.complex128)
+    ri = plan.ri if plan.gamma is None else plan.ri / plan.gamma
+    v = np.exp(arg) @ ri.T  # two real products: numpy's real-by-complex one is far slower
+    return v[:, 0] + 1j * v[:, 1]

@@ -1,15 +1,16 @@
-"""Independent numerical routes: adaptive quadrature for both integral
-transforms, boundary-sequence inversion, the Laplace-side identity, and
-the brute-force series product.
+"""Independent numerical routes: double-exponential quadrature for both
+integral transforms, boundary-sequence inversion, the Laplace-side
+identity, and the brute-force series product.
 
 Every oracle must bracket the matching series computation inside its
 reported uncertainty; that bracketing is itself under test here.
 """
 
 import cmath
-import collections
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,8 +21,9 @@ from powertail.oracles import (IntegrableDensity, brute_series_product,
                                laplace_link_check, quadrature_fourier,
                                quadrature_stieltjes, rotated_pareto_transform,
                                stieltjes_inversion)
+from powertail.semigroup import density_constant
 from powertail.series import GenSeries, Normalization, Variable, evaluate, product
-from powertail.stable import monotone_stable
+from powertail.stable import StableParams, classical_stable, monotone_stable
 from powertail.transforms import (FourierEvaluator, moment_series,
                                   stieltjes_from_moments)
 
@@ -143,47 +145,83 @@ def test_brute_product_agrees_with_fast_product():
         assert worst < 1e-12
 
 
-# ------------------------------------------------- one evaluation per node
+# ------------------------------------- double-exponential rules vs mpmath
+#
+# Each rule against a 30-digit or better reference, at a relative bound
+# of 1e-14, and inside its own error estimate.
 
-def _hex(value, err):
-    return value.real.hex(), value.imag.hex(), err.hex()
-
-
-def _counting(fn):
-    calls = collections.Counter()
-
-    def counted(x):
-        calls[x] += 1
-        return fn(x)
-
-    return counted, calls
+def _close(got, want, q=None):
+    err = abs(mpmath.mpc(got) - want)
+    assert err <= 1e-14 * abs(want), (got, want)
+    if q is not None:
+        assert err <= q.error_estimate, (got, want, q.error_estimate)
 
 
-def test_quad_complex_evaluates_each_node_once():
-    from scipy.integrate import quad
-
-    def fn(x):
-        return complex(math.cos(x), math.sin(2.0 * x)) / (1.0 + x * x)
-
-    counted, calls = _counting(fn)
-    value, err = oracles._quad_complex(counted, 0.0, 5.0, points=[1.0])
-    assert calls and max(calls.values()) == 1
-    re, re_err = quad(lambda x: fn(x).real, 0.0, 5.0, points=[1.0], **oracles._QUAD_OPTS)
-    im, im_err = quad(lambda x: fn(x).imag, 0.0, 5.0, points=[1.0], **oracles._QUAD_OPTS)
-    assert _hex(value, err) == _hex(complex(re, im), re_err + im_err)
+def _fourier_points():
+    """(alpha, b, y) of the kind eval-sweep's ``fourier`` ops check: a
+    weight inside the admissible phase window, y = 2.5 max(cA, 0.4) (1 + u)."""
+    rng = random.Random(20261020)
+    for alpha in (0.5, 0.6, 0.75):
+        for _ in range(3):
+            theta = (1.0 - alpha + alpha * (0.15 + 0.7 * rng.random())) * math.pi
+            b = (0.6 + 0.4 * rng.random()) * cmath.exp(1j * theta)
+            for u in (0.0, 0.5, 0.97):
+                yield alpha, b, u
 
 
-@pytest.mark.parametrize("z", [0.5, 1.0, -2.0])
-def test_fourier_quadrature_evaluates_each_node_once(monkeypatch, z):
-    density, calls = _counting(cauchy_density().fn)
-    den = IntegrableDensity(fn=density, envelope_scale=1.0 / math.pi,
-                            envelope_exponent=1.0, envelope_start=1.0)
-    got = quadrature_fourier(den, z)
-    assert max(calls.values()) == 1
-    once = sum(calls.values())
-    # without the memo each quad run evaluates its nodes again
-    calls.clear()
-    monkeypatch.setattr(oracles, "_once_per_node", lambda fn: fn)
-    want = quadrature_fourier(den, z)
-    assert sum(calls.values()) > 2 * once
-    assert _hex(got.value, got.error_estimate) == _hex(want.value, want.error_estimate)
+@pytest.mark.parametrize("alpha,b,u", list(_fourier_points()))
+def test_laplace_link_is_the_exact_transform_of_the_series(alpha, b, u):
+    # integral_0^inf t^g / Gamma(g + 1) e^{-yt} dt = y^(-g-1), term by term
+    m = classical_stable(StableParams(alpha, b), 20.0)[0]
+    fe = FourierEvaluator(m)
+    c = density_constant(m.spec, 20)
+    y = 2.5 * max(c * fe.growth.A, 0.4) * (1.0 + u)
+    link = laplace_link_check(m, y)
+    with mpmath.workdps(30):
+        want = mpmath.fsum(mpmath.mpc(v) * mpmath.mpf(y) ** (-mpmath.mpf(g) - 1)
+                           for g, v in fe.series.terms.items())
+        _close(link.lhs, want)
+
+
+_PARETO_BETAS = (0.3, 0.5, 0.8, 1.5, 2.0, 2.5, 2.7)
+
+
+@pytest.mark.parametrize("beta", _PARETO_BETAS)
+def test_rotated_pareto_transform_is_the_incomplete_gamma(beta):
+    # R^beta integral_R^inf e^{ixz} x^(-beta-1) dx = R^beta (-iz)^beta Gamma(-beta, -izR)
+    with mpmath.workdps(40):
+        for R in (0.5, 1.0, 2.0):
+            for z in (0.05 / R, 0.1 / R, 0.3 / R, 0.2, 1.0, 4.0):
+                q = rotated_pareto_transform(beta, R, z)
+                b, r, zz = mpmath.mpf(beta), mpmath.mpf(R), mpmath.mpf(z)
+                _close(q.value, r ** b * (-1j * zz) ** b * mpmath.gammainc(-b, -1j * zz * r), q)
+
+
+@pytest.mark.parametrize("z", [0.05, -0.05, 0.3, 1.0, 2.0, 3.05])
+def test_fourier_quadrature_is_the_cauchy_transform(z):
+    q = quadrature_fourier(cauchy_density(), z)
+    with mpmath.workdps(30):
+        _close(q.value, mpmath.exp(-abs(mpmath.mpf(z))), q)
+
+
+@pytest.mark.parametrize("z", [-3j, 2.0 - 1.0j, 5.0 - 0.5j, -10.0 - 1.0j, 0.3 - 0.1j])
+def test_stieltjes_quadrature_is_the_cauchy_resolvent(z):
+    # below the axis the Cauchy law's resolvent is 1 / (z - i)
+    q = quadrature_stieltjes(cauchy_density(), z)
+    with mpmath.workdps(30):
+        _close(q.value, 1 / (mpmath.mpc(z) - 1j), q)
+
+
+@pytest.mark.parametrize("rule", ["exp-sinh", "tanh-sinh"])
+def test_half_step_sum_reuses_the_step_nodes(rule):
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return np.exp(-x)
+
+    q = oracles.exp_sinh(f) if rule == "exp-sinh" else oracles.tanh_sinh(f, 0.0, 3.0)
+    nodes = np.concatenate(seen)
+    assert len(seen) == 1 and len(np.unique(nodes)) == len(nodes)
+    want = 1.0 if rule == "exp-sinh" else -math.expm1(-3.0)
+    assert abs(q.value - want) <= q.error_estimate < 1e-12

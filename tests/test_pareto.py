@@ -12,8 +12,8 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
-from scipy.integrate import quad
 
 from powertail.errors import (InvalidArgumentError, NearIntegerWarning,
                               OutsideValidityRegionError, ResourceGuardError)
@@ -91,6 +91,7 @@ def test_exponent_outside_snap_window_stays_fractional():
 def _oscillatory_by_parts(s, L=500.0):
     """Independent route: real-axis quadrature on [1, L] plus a three
     term integration-by-parts asymptotic for the tail beyond L."""
+    quad = pytest.importorskip("scipy.integrate").quad
     re, _ = quad(lambda x: math.cos(x) * x ** -s, 1.0, L, limit=800)
     im, _ = quad(lambda x: math.sin(x) * x ** -s, 1.0, L, limit=800)
     tail = 0j
@@ -107,6 +108,15 @@ def test_oscillatory_constant_against_parts_asymptotics(s):
     want = _oscillatory_by_parts(s)
     # the parts tail is controlled by s(s+1) L^(-s-2), far below 1e-7
     assert abs(got - want) < 1e-7
+
+
+@pytest.mark.parametrize("s", [0.2, 1.3, 1.5, 2.0, 2.5, 2.99])
+def test_oscillatory_constant_is_the_incomplete_gamma(s):
+    # integral_1^inf e^{ix} x^(-s) dx = (-i)^(s-1) Gamma(1-s, -i)
+    got = oscillatory_constant(s)
+    with mpmath.workdps(30):
+        want = (-1j) ** (mpmath.mpf(s) - 1) * mpmath.gammainc(1 - mpmath.mpf(s), -1j)
+        assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want)
 
 
 def test_oscillatory_constant_rejects_nonpositive_exponent():
