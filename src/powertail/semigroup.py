@@ -434,17 +434,20 @@ class ExponentGrid:
         i < k, as a kernel indexes them: per k the slices [:k] of their i's
         and [k:0:-1] of their j's; the offsets k (k - 1) / 2 of the runs
         onto k = 0 .. n in the flat list of them, and that list's i's and
-        j's, as many as the pair guard allows; the indices, which are the
-        additive weights; and ``reach``, n - i.  Built once and kept on the
-        grid."""
+        j's, as many as the pair guard allows, int32 and built by
+        arithmetic; the indices, which are the additive weights; and
+        ``reach``, n - i.  Built once and kept on the grid."""
         if self._runs is None:
             n = len(self.values)
             ks = np.arange(n)
-            k, i = np.nonzero(ks[:, None] > ks)  # by k, then by ascending i
+            start = list(accumulate(range(n), initial=0))
+            # k repeated k times, and i = 0 .. k - 1 along each run
+            k = np.repeat(ks.astype(np.int32), ks)
+            i = np.arange(start[-1], dtype=np.int32) - np.repeat(
+                np.array(start[:-1], dtype=np.int32), ks)
             self._runs = (list(map(slice, range(n))),
                           list(map(slice, range(n), repeat(0), repeat(-1))),
-                          list(accumulate(range(n), initial=0)), i, k - i,
-                          ks.astype(np.float64), n - ks)
+                          start, i, k - i, ks.astype(np.float64), n - ks)
         return self._runs
 
     def _check_pairs(self, total: int) -> None:

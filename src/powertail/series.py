@@ -4,6 +4,10 @@ A series is one complex coefficient vector aligned with the canonical
 grid of its semigroup, truncated at a cutoff exponent; its ``terms``
 read the same coefficients as a map {exponent: complex}.  Kernels read
 and write the vector, and a change of reading passes it on unchanged.
+Each public operation wraps a private kernel on grid vectors, and the
+transforms and law constructors chain those kernels: a vector becomes a
+series only where a public call returns (``GenSeries._adopt``), and
+each kernel's result gets the finite check the constructor runs.
 The variable direction says whether terms mean c * z^gamma (ASCENDING,
 densities and characteristic functions near zero) or c * z^(-gamma)
 (DESCENDING, transforms at infinity).  GAMMA normalization divides
@@ -145,6 +149,48 @@ def gamma_factor(x: float) -> float:
         return math.copysign(math.inf, x)
 
 
+def _positive_cutoff(cutoff) -> float:
+    cutoff = float(cutoff)
+    if not math.isfinite(cutoff) or cutoff <= 0:
+        raise InvalidArgumentError("cutoff must be a positive real")
+    return cutoff
+
+
+def _finite(coefs: np.ndarray, spec: SemigroupSpec, cutoff: float) -> np.ndarray:
+    """coefs, a grid vector of (spec, cutoff), with -0.0 read as +0.0 in
+    place, as when a sum starts from 0j; a coefficient that is not finite
+    raises ResourceGuardError naming its exponent."""
+    coefs += 0j
+    ok = np.isfinite(coefs)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ResourceGuardError(
+            "the coefficient at exponent %g is %r in double precision; lower the "
+            "cutoff below this limit" % (exponent_grid(spec, cutoff).values[bad],
+                                         complex(coefs[bad])))
+    return coefs
+
+
+def _seeded(spec: SemigroupSpec, cutoff: float, terms: Mapping
+            ) -> tuple[ExponentGrid, np.ndarray]:
+    """The grid of (spec, cutoff) and a fresh vector on it holding the few
+    terms of a map, by the rules of ``GenSeries``: one key at a time by
+    ``index_of``, merged keys adding up in map order, a key past the
+    cutoff dropped, one off the grid at or below it raising."""
+    cutoff = _positive_cutoff(cutoff)
+    grid = exponent_grid(spec, cutoff)
+    coefs = np.zeros(len(grid), dtype=np.complex128)
+    for k, c in terms.items():
+        k = float(k)
+        i = grid.index_of(k)
+        if i >= 0:
+            coefs[i] += complex(c)
+        elif not k > cutoff:  # a nan is not past it
+            raise InvalidArgumentError("exponent %r is not on the grid of %s"
+                                       % (k, spec.describe()))
+    return grid, coefs
+
+
 class GenSeries:
     """An immutable truncated series.  It holds one read-only complex
     vector ``coefs`` aligned with the exponent grid of (spec, cutoff).
@@ -153,10 +199,12 @@ class GenSeries:
     In a map, looked up in one ``ExponentGrid.indices_of``, exponents
     that merge to one grid value add up in map order, an exponent past
     the cutoff is dropped and counted in ``dropped``, and one off the
-    grid at or below it raises.  Either way the stored vector is a fresh
-    copy with no negative zero, and a coefficient that is not finite
-    raises ResourceGuardError.  The ``terms`` property reads it back as
-    a read-only map of the nonzero coefficients by ascending exponent.
+    grid at or below it raises.  Either way the constructor stores a
+    fresh copy with no negative zero, and a coefficient that is not
+    finite raises ResourceGuardError.  A kernel's result is adopted
+    instead (``_adopt``): the same checks, on a vector that no one else
+    holds, with no copy.  The ``terms`` property reads it back as a
+    read-only map of the nonzero coefficients by ascending exponent.
     """
 
     def __init__(self, spec: SemigroupSpec, variable: Variable,
@@ -166,9 +214,7 @@ class GenSeries:
             raise InvalidArgumentError("spec must be a SemigroupSpec")
         if not isinstance(variable, Variable) or not isinstance(normalization, Normalization):
             raise InvalidArgumentError("variable/normalization must use the package enums")
-        cutoff = float(cutoff)
-        if not math.isfinite(cutoff) or cutoff <= 0:
-            raise InvalidArgumentError("cutoff must be a positive real")
+        cutoff = _positive_cutoff(cutoff)
         shift = int(exponent_shift)
         if normalization is Normalization.GAMMA and shift != 0:
             raise InvalidArgumentError("GAMMA normalization does not combine with a shift")
@@ -179,8 +225,7 @@ class GenSeries:
                 raise InvalidArgumentError(
                     "a coefficient vector on the %d-exponent grid of %s has shape %r"
                     % (len(grid), spec.describe(), terms.shape))
-            # + 0j: a copy, and -0.0 reads +0.0 as when a sum starts from 0j
-            coefs = np.asarray(terms, dtype=np.complex128) + 0j
+            coefs = np.array(terms, dtype=np.complex128)
         else:
             keys = np.array([float(k) for k in terms])
             at = grid.indices_of(keys)
@@ -195,11 +240,21 @@ class GenSeries:
             coefs = np.zeros(len(grid), dtype=np.complex128)
             # in map order, so merged keys add up as a loop over the map would
             np.add.at(coefs, at[on], np.array(vals, dtype=np.complex128))
-        bad = np.flatnonzero(~np.isfinite(coefs))
-        if len(bad):
-            raise ResourceGuardError(
-                "the coefficient at exponent %g is %r in double precision; lower "
-                "the cutoff below this limit" % (grid.values[bad[0]], complex(coefs[bad[0]])))
+        self._own(spec, variable, normalization, coefs, cutoff, shift, dropped)
+
+    @classmethod
+    def _adopt(cls, spec: SemigroupSpec, variable: Variable, normalization: Normalization,
+               coefs: np.ndarray, cutoff: float, exponent_shift: int = 0) -> "GenSeries":
+        """The series that takes over ``coefs``, a fresh complex vector on
+        the grid of (spec, cutoff) that no one else holds, with no copy:
+        the one way a kernel's result becomes a series.  The arguments are
+        those of a series already checked, so only the vector is."""
+        f = cls.__new__(cls)
+        f._own(spec, variable, normalization, coefs, cutoff, exponent_shift, 0)
+        return f
+
+    def _own(self, spec, variable, normalization, coefs, cutoff, shift, dropped) -> None:
+        _finite(coefs, spec, cutoff)
         coefs.flags.writeable = False
         self.__dict__.update(spec=spec, variable=variable, normalization=normalization,
                              coefs=coefs, cutoff=cutoff, exponent_shift=shift,
@@ -309,13 +364,6 @@ def _convolve(a: np.ndarray, b: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     """Grid convolution: out[k] = sum over value pairs summing to value k."""
     pl = grid.pairs()
     return _group_sum(pl.k, a[pl.i] * b[pl.j], len(grid))
-
-
-def _full(idx: np.ndarray, part: np.ndarray, n: int) -> np.ndarray:
-    """The length-n grid vector that holds ``part`` at ``idx``, 0 elsewhere."""
-    out = np.zeros(n, dtype=np.complex128)
-    out[idx] = part
-    return out
 
 
 def _shift_pairs(grid: ExponentGrid, index: np.ndarray):
@@ -428,13 +476,83 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
 
 
 # -- algebra -----------------------------------------------------------
+#
+# Each public operation checks its operands and wraps one private kernel
+# on grid vectors.  A kernel takes full-length vectors on one grid,
+# writes its result into one fresh full-length vector, and passes that
+# through ``_finite``; a chain of kernels passes vectors along, and
+# ``GenSeries._adopt`` makes the series only where a public call returns.
+
+
+def _full(idx: np.ndarray, part: np.ndarray, n: int) -> np.ndarray:
+    """The length-n grid vector that holds ``part`` at ``idx``, 0 elsewhere:
+    ``part`` itself when idx is the whole grid."""
+    if len(part) == n:
+        return part
+    out = np.zeros(n, dtype=np.complex128)
+    out[idx] = part
+    return out
+
+
+def _checked(out: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    return _finite(out, grid.spec, grid.cutoff)
+
+
+def _combine_v(a: complex, x: np.ndarray, b: complex, y: np.ndarray,
+               grid: ExponentGrid) -> np.ndarray:
+    return _checked(complex(a) * x + complex(b) * y, grid)
+
+
+def _product_v(a: np.ndarray, b: np.ndarray, grid: ExponentGrid,
+               normalization: Normalization) -> np.ndarray:
+    idx, sub = grid.generated(np.flatnonzero((a != 0) | (b != 0)))
+    a, b = a[idx], b[idx]
+    if normalization is Normalization.GAMMA:
+        # Gamma only where the product lives: past 170.6 it is inf, and
+        # an exact zero times inf would be nan
+        gw = np.array([gamma_factor(v + 1.0) for v in sub.values.tolist()])
+        out = _convolve(a / gw, b / gw, sub) * gw
+    else:
+        out = _convolve(a, b, sub)
+    return _checked(_full(idx, out, len(grid)), grid)
+
+
+def _reciprocal_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    c0 = complex(a[0])
+    if c0 == 0:
+        raise NotInvertibleError("constant term vanishes; series has no reciprocal")
+    idx, sub = grid.generated(np.flatnonzero(a))
+    h = a[idx] / c0
+    h[0] = 0.0
+    p = _euler_rows(sub, h, np.ones(1), "reciprocal")[0]
+    return _checked(_full(idx, p / c0, len(grid)), grid)
+
+
+def _power_v(a: np.ndarray, grid: ExponentGrid, beta: complex) -> np.ndarray:
+    idx, sub = grid.generated(np.flatnonzero(a))
+    h = a[idx]
+    h[0] = 0.0
+    p = _euler_rows(sub, h, np.array([complex(beta)]), "power")[0]
+    return _checked(_full(idx, p, len(grid)), grid)
+
+
+def _exp_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    idx, sub = grid.generated(np.flatnonzero(a))
+    p = _euler_rows(sub, a[idx], np.ones(1), "exp")[0]
+    return _checked(_full(idx, p, len(grid)), grid)
+
+
+def _common_grid(f: GenSeries, g: GenSeries):
+    """The grid of the smaller cutoff of f and g, and both vectors on it."""
+    cutoff = min(f.cutoff, g.cutoff)
+    return exponent_grid(f.spec, cutoff), f.truncated(cutoff).coefs, g.truncated(cutoff).coefs
 
 
 def linear_combine(a: complex, f: GenSeries, b: complex, g: GenSeries) -> GenSeries:
     _require_combinable(f, g, "linear_combine")
-    cutoff = min(f.cutoff, g.cutoff)
-    out = complex(a) * f.truncated(cutoff).coefs + complex(b) * g.truncated(cutoff).coefs
-    return GenSeries(f.spec, f.variable, f.normalization, out, cutoff, f.exponent_shift)
+    grid, x, y = _common_grid(f, g)
+    return GenSeries._adopt(f.spec, f.variable, f.normalization,
+                            _combine_v(a, x, b, y, grid), grid.cutoff, f.exponent_shift)
 
 
 def scale(f: GenSeries, a: complex) -> GenSeries:
@@ -445,63 +563,45 @@ def product(f: GenSeries, g: GenSeries) -> GenSeries:
     """Cauchy product on the shared grid; GAMMA weights are respected."""
     _require_combinable(f, g, "product")
     _require_plain(f, "product")
-    cutoff = min(f.cutoff, g.cutoff)
-    grid = exponent_grid(f.spec, cutoff)
-    a, b = f.truncated(cutoff).coefs, g.truncated(cutoff).coefs
-    idx, sub = grid.generated(np.flatnonzero((a != 0) | (b != 0)))
-    a, b = a[idx], b[idx]
-    if f.normalization is Normalization.GAMMA:
-        # Gamma only where the product lives: past 170.6 it is inf, and
-        # an exact zero times inf would be nan
-        gw = np.array([gamma_factor(v + 1.0) for v in sub.values.tolist()])
-        out = _convolve(a / gw, b / gw, sub) * gw
-    else:
-        out = _convolve(a, b, sub)
-    return GenSeries(f.spec, f.variable, f.normalization, _full(idx, out, len(grid)), cutoff)
+    grid, a, b = _common_grid(f, g)
+    return GenSeries._adopt(f.spec, f.variable, f.normalization,
+                            _product_v(a, b, grid, f.normalization), grid.cutoff)
+
+
+def _require_raw(f: GenSeries, what: str) -> None:
+    _require_plain(f, what)
+    if f.normalization is not Normalization.RAW:
+        raise InvalidFormError("%s is defined for RAW series" % what)
+
+
+def _like(f: GenSeries, coefs: np.ndarray) -> GenSeries:
+    return GenSeries._adopt(f.spec, f.variable, f.normalization, coefs, f.cutoff,
+                            f.exponent_shift)
 
 
 def reciprocal(f: GenSeries) -> GenSeries:
     """Multiplicative inverse up to the cutoff: with f = c0 (1 + h), the
     coefficients of 1/(1 + h) solve p_k = -sum p_i h_j one by one."""
-    _require_plain(f, "reciprocal")
-    if f.normalization is not Normalization.RAW:
-        raise InvalidFormError("reciprocal is defined for RAW series")
-    c0 = complex(f.coefs[0])
-    if c0 == 0:
-        raise NotInvertibleError("constant term vanishes; series has no reciprocal")
-    idx, sub = f.grid().generated(np.flatnonzero(f.coefs))
-    h = f.coefs[idx] / c0
-    h[0] = 0.0
-    p = _euler_rows(sub, h, np.ones(1), "reciprocal")[0]
-    return f.with_terms(_full(idx, p, len(f.coefs)) / c0)
+    _require_raw(f, "reciprocal")
+    return _like(f, _reciprocal_v(f.coefs, f.grid()))
 
 
 def binomial_power(f: GenSeries, beta: complex) -> GenSeries:
     """(1 + h)^beta for a series f = 1 + h with unit constant term, from
     the Euler-operator identity theta(p) (1 + h) = beta p theta(h)."""
-    _require_plain(f, "binomial_power")
-    if f.normalization is not Normalization.RAW:
-        raise InvalidFormError("binomial_power is defined for RAW series")
+    _require_raw(f, "binomial_power")
     if f.coefs[0] != 1:
         raise NormalizationError("binomial_power needs constant term exactly 1")
-    idx, sub = f.grid().generated(np.flatnonzero(f.coefs))
-    h = f.coefs[idx]
-    h[0] = 0.0
-    p = _euler_rows(sub, h, np.array([complex(beta)]), "power")[0]
-    return f.with_terms(_full(idx, p, len(f.coefs)))
+    return _like(f, _power_v(f.coefs, f.grid(), beta))
 
 
 def graded_exp(f: GenSeries) -> GenSeries:
     """exp(f) for a RAW series with no constant term, from
     theta(E) = E theta(f)."""
-    _require_plain(f, "graded_exp")
-    if f.normalization is not Normalization.RAW:
-        raise InvalidFormError("graded_exp is defined for RAW series")
+    _require_raw(f, "graded_exp")
     if f.coefs[0] != 0:
         raise InvalidArgumentError("graded exponential needs a zero constant term")
-    idx, sub = f.grid().generated(np.flatnonzero(f.coefs))
-    p = _euler_rows(sub, f.coefs[idx], np.ones(1), "exp")[0]
-    return f.with_terms(_full(idx, p, len(f.coefs)))
+    return _like(f, _exp_v(f.coefs, f.grid()))
 
 
 # -- reciprocal-Cauchy forms -------------------------------------------
@@ -545,6 +645,16 @@ def _outer_rows(coefs: np.ndarray, grid: ExponentGrid):
     return index, coefs[index], 1.0 - grid.values[index].astype(np.complex128)
 
 
+def _compose_v(a: np.ndarray, h: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    index, coef, betas = _outer_rows(a, grid)
+    idx, sub = grid.generated(np.flatnonzero((a != 0) | (h != 0)))
+    h, shifts = h[idx], np.searchsorted(idx, index)
+    h[0] = 0.0
+    P = _euler_rows(sub, h, betas, "power", shifts=shifts)
+    i, r, k = _shift_pairs(sub, shifts)
+    return _checked(_full(idx, _group_sum(k, coef[r] * P[r, i], len(sub)), len(grid)), grid)
+
+
 def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
     """Composition of reciprocal-Cauchy forms: (outer o inner) as forms.
 
@@ -557,36 +667,16 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
     _require_f_form(inner, "compose_F")
     if outer.spec != inner.spec:
         raise IncompatibleSeriesError("compose_F: exponent semigroups differ")
-    cutoff = min(outer.cutoff, inner.cutoff)
-    grid = exponent_grid(outer.spec, cutoff)
-    a, h = outer.truncated(cutoff).coefs, inner.truncated(cutoff).coefs
-    index, coef, betas = _outer_rows(a, grid)
-    idx, sub = grid.generated(np.flatnonzero((a != 0) | (h != 0)))
-    h, shifts = h[idx], np.searchsorted(idx, index)
-    h[0] = 0.0
-    P = _euler_rows(sub, h, betas, "power", shifts=shifts)
-    i, r, k = _shift_pairs(sub, shifts)
-    out = _full(idx, _group_sum(k, coef[r] * P[r, i], len(sub)), len(grid))
-    return GenSeries(outer.spec, Variable.DESCENDING, Normalization.RAW,
-                     out, cutoff, exponent_shift=-1)
+    grid, a, h = _common_grid(outer, inner)
+    return GenSeries._adopt(outer.spec, Variable.DESCENDING, Normalization.RAW,
+                            _compose_v(a, h, grid), grid.cutoff, exponent_shift=-1)
 
 
-def revert_F(F: GenSeries) -> GenSeries:
-    """Compositional inverse of a reciprocal-Cauchy form.
-
-    Writing F = z(1 + sum_{g>0} b_g z^-g) and the inverse as
-    z(1 + f(1/z)), the tail solves f = -sum_g b_g w^g (1 + f)^(1-g).
-    The coefficient of f at an exponent needs the powers (1 + f)^(1-g)
-    only at smaller exponents, so one pass over the grid's exponents
-    finds f and extends every power together.  The closing residual check
-    recomputes the right-hand side from the finished powers.
-    """
-    _require_f_form(F, "revert_F")
-    grid = F.grid()
+def _revert_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     # the first row is the unit at exponent 0, which is not part of the tail
-    index, coef, betas = (a[1:] for a in _outer_rows(F.coefs, grid))
+    index, coef, betas = (x[1:] for x in _outer_rows(a, grid))
     if not len(index):
-        return F
+        return a.copy()
     idx, sub = grid.generated(index)
     shifts = np.searchsorted(idx, index)
     f = np.zeros(len(sub), dtype=np.complex128)
@@ -600,7 +690,25 @@ def revert_F(F: GenSeries) -> GenSeries:
             % float(np.max(np.abs(resid))))
     f = _full(idx, f, len(grid))
     f[0] += 1.0
-    return F.with_terms(f)
+    return _checked(f, grid)
+
+
+def revert_F(F: GenSeries) -> GenSeries:
+    """Compositional inverse of a reciprocal-Cauchy form.
+
+    Writing F = z(1 + sum_{g>0} b_g z^-g) and the inverse as
+    z(1 + f(1/z)), the tail solves f = -sum_g b_g w^g (1 + f)^(1-g).
+    The coefficient of f at an exponent needs the powers (1 + f)^(1-g)
+    only at smaller exponents, so one pass over the grid's exponents
+    finds f and extends every power together.  The closing residual check
+    recomputes the right-hand side from the finished powers; a residual
+    that is not finite passes it, and the finite check after it refuses
+    the overflowed inverse.
+    """
+    _require_f_form(F, "revert_F")
+    if not F.coefs[1:].any():
+        return F
+    return _like(F, _revert_v(F.coefs, F.grid()))
 
 
 # -- evaluation --------------------------------------------------------

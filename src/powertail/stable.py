@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     InvalidArgumentError,
     OutsideValidityRegionError,
@@ -38,17 +40,20 @@ from .series import (
     GenSeries,
     Normalization,
     Variable,
+    _exp_v,
+    _power_v,
+    _seeded,
     binomial_power,
     gamma_factor,
-    graded_exp,
     growth_fit,
 )
 from .transforms import (
     MomentSeries,
     TailDensityModel,
+    _moments,
+    _moments_from_F_v,
+    _moments_from_voiculescu_v,
     moment_series,
-    moments_from_F,
-    moments_from_voiculescu,
     tail_from_moments,
 )
 
@@ -156,13 +161,13 @@ def classical_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF
     if b != 0:
         phase = cmath.exp(1j * math.pi * alpha / 2.0)
         exponent[alpha] = exponent.get(alpha, 0j) + phase * b
-    raw = GenSeries(spec, Variable.ASCENDING, Normalization.RAW, exponent, cutoff)
-    ft = graded_exp(raw)
-    moments = {
-        tau: c * gamma_factor(tau + 1.0) * cmath.exp(-1j * math.pi * tau / 2.0)
-        for tau, c in ft.terms.items()
-    }
-    m = moment_series(spec, moments, cutoff)
+    grid, raw = _seeded(spec, cutoff, exponent)
+    ft = _exp_v(raw, grid)
+    idx = np.flatnonzero(ft)
+    moments = np.zeros(len(grid), dtype=np.complex128)
+    moments[idx] = [c * gamma_factor(tau + 1.0) * cmath.exp(-1j * math.pi * tau / 2.0)
+                    for tau, c in zip(grid.values[idx].tolist(), ft[idx].tolist())]
+    m = _moments(moments, spec, grid.cutoff)
     return m, _diagnose(m)
 
 
@@ -185,9 +190,8 @@ def free_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> MomentS
         phi_terms[1.0] = -g0
     if b != 0:
         phi_terms[alpha] = phi_terms.get(alpha, 0j) + b
-    phi = GenSeries(spec, Variable.DESCENDING, Normalization.RAW,
-                    phi_terms, cutoff, exponent_shift=-1)
-    return moments_from_voiculescu(phi)
+    grid, phi = _seeded(spec, cutoff, phi_terms)
+    return _moments_from_voiculescu_v(phi, grid)
 
 
 def boolean_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> MomentSeries:
@@ -201,9 +205,17 @@ def boolean_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> Mome
         tail[1.0] = complex(g0)
     if b != 0:
         tail[alpha] = tail.get(alpha, 0j) - b
-    F = GenSeries(spec, Variable.DESCENDING, Normalization.RAW,
-                  {0.0: 1.0 + 0j, **tail}, cutoff, exponent_shift=-1)
-    return moments_from_F(F)
+    grid, form = _seeded(spec, cutoff, {0.0: 1.0 + 0j, **tail})
+    return _moments_from_F_v(form, grid)
+
+
+def _monotone_form_v(alpha: float, b: complex, cutoff: float):
+    """The grid and the vector of the monotone stable law's form."""
+    if not 0.0 < float(alpha) <= 2.0:
+        raise InvalidArgumentError("stability index must lie in (0, 2]")
+    grid, base = _seeded(SemigroupSpec.with_alphas(alpha), cutoff,
+                         {0.0: 1.0 + 0j, float(alpha): -complex(b)})
+    return grid, _power_v(base, grid, 1.0 / float(alpha))
 
 
 def monotone_stable_form(alpha: float, b: complex,
@@ -214,20 +226,15 @@ def monotone_stable_form(alpha: float, b: complex,
     Powers for monotone laws live on the branch with Im log z in
     (-2 pi, 0), which is what the returned Branch records.
     """
-    if not 0.0 < float(alpha) <= 2.0:
-        raise InvalidArgumentError("stability index must lie in (0, 2]")
-    spec = SemigroupSpec.with_alphas(alpha)
-    base = GenSeries(spec, Variable.DESCENDING, Normalization.RAW,
-                     {0.0: 1.0 + 0j, float(alpha): -complex(b)}, cutoff)
-    B = binomial_power(base, 1.0 / float(alpha))
-    F = B.with_terms(B.coefs, exponent_shift=-1)
-    return F, Branch.MONOTONE
+    grid, form = _monotone_form_v(alpha, b, cutoff)
+    return GenSeries._adopt(grid.spec, Variable.DESCENDING, Normalization.RAW, form,
+                            grid.cutoff, exponent_shift=-1), Branch.MONOTONE
 
 
 def monotone_stable(alpha: float, b: complex,
                     cutoff: float = DEFAULT_CUTOFF) -> MomentSeries:
-    F, _ = monotone_stable_form(alpha, b, cutoff)
-    return moments_from_F(F)
+    grid, form = _monotone_form_v(alpha, b, cutoff)
+    return _moments_from_F_v(form, grid)
 
 
 def _finite_coefficient(c: float, order: int | tuple[int, int]) -> float:

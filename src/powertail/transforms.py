@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .errors import (
     InvalidFormError,
     InvalidModelError,
@@ -34,16 +36,19 @@ from .series import (
     Branch,
     EvalResult,
     GenSeries,
+    GrowthBound,
     Normalization,
     Variable,
-    compose_F,
+    _combine_v,
+    _common_grid,
+    _compose_v,
+    _eval_plan,
+    _reciprocal_v,
+    _revert_v,
     evaluate,
     growth_fit,
     is_f_form,
-    linear_combine,
     product,
-    reciprocal,
-    revert_F,
 )
 
 __all__ = [
@@ -113,16 +118,20 @@ def delta_zero(spec: SemigroupSpec | None = None,
 class FourierEvaluator:
     """Callable for sum of m_gamma i^gamma z^gamma / Gamma(gamma+1), z > 0.
 
-    The phases i^gamma ride inside the coefficient map so evaluation
-    reduces to the plain GAMMA-normalized series at real z.
+    The phases i^gamma ride inside the coefficient vector so evaluation
+    reduces to the plain GAMMA-normalized series at real z.  That phased
+    series and its evaluation plan are built once per moment series and
+    kept on it, so every evaluator of m, and ``laplace_link_check`` on m,
+    share them.
     """
 
     def __init__(self, m: MomentSeries):
         self.moments = m
-        phased = {g: c * cmath.exp(1j * math.pi * g / 2.0)
-                  for g, c in m.terms.items()}
-        self.series = m.series.with_terms(phased)
-        self.growth = growth_fit(self.series)
+        self.series = _phased(m.series)
+
+    @property
+    def growth(self) -> GrowthBound:
+        return _eval_plan(self.series).growth
 
     def __call__(self, z: float) -> EvalResult:
         z = complex(z)
@@ -130,6 +139,19 @@ class FourierEvaluator:
             raise OutsideValidityRegionError(
                 "Fourier-side evaluator is defined for real z > 0, got %r" % (z,))
         return evaluate(self.series, z.real, Branch.PRINCIPAL)
+
+
+def _phased(s: GenSeries) -> GenSeries:
+    """m_gamma i^gamma for the moment series s, made on first use and kept on s."""
+    phased = s.__dict__.get("_phased")
+    if phased is None:
+        idx = np.flatnonzero(s.coefs)
+        coefs = np.zeros(len(s.coefs), dtype=np.complex128)
+        coefs[idx] = [c * cmath.exp(1j * math.pi * g / 2.0) for g, c in
+                      zip(s.grid().values[idx].tolist(), s.coefs[idx].tolist())]
+        phased = s.__dict__["_phased"] = GenSeries._adopt(
+            s.spec, s.variable, s.normalization, coefs, s.cutoff)
+    return phased
 
 
 # -- Stieltjes side ------------------------------------------------------
@@ -155,18 +177,25 @@ def moments_from_stieltjes(G: GenSeries) -> MomentSeries:
 
 def F_from_moments(m: MomentSeries) -> GenSeries:
     """Form F(z) = z * reciprocal of sum m_gamma z^(-gamma)."""
-    D = GenSeries(m.spec, Variable.DESCENDING, Normalization.RAW,
-                  m.series.coefs, m.cutoff)
-    B = reciprocal(D)
-    return B.with_terms(B.coefs, exponent_shift=-1)
+    return GenSeries._adopt(m.spec, Variable.DESCENDING, Normalization.RAW,
+                            _reciprocal_v(m.series.coefs, m.series.grid()), m.cutoff,
+                            exponent_shift=-1)
+
+
+def _moments(coefs, spec: SemigroupSpec, cutoff: float) -> MomentSeries:
+    return MomentSeries(GenSeries._adopt(spec, Variable.ASCENDING, Normalization.GAMMA,
+                                         coefs, cutoff))
+
+
+def _moments_from_F_v(form, grid) -> MomentSeries:
+    """The moments of the reciprocal-Cauchy form held by the grid vector form."""
+    return _moments(_reciprocal_v(form, grid), grid.spec, grid.cutoff)
 
 
 def moments_from_F(F: GenSeries) -> MomentSeries:
     if not is_f_form(F):
         raise InvalidFormError("expected a reciprocal-Cauchy form")
-    D = reciprocal(F.with_terms(F.coefs, exponent_shift=0))
-    return MomentSeries(GenSeries(F.spec, Variable.ASCENDING, Normalization.GAMMA,
-                                  D.coefs, F.cutoff))
+    return _moments_from_F_v(F.coefs, F.grid())
 
 
 # -- Voiculescu series -----------------------------------------------------
@@ -179,10 +208,11 @@ def voiculescu_from_moments(m: MomentSeries) -> GenSeries:
     slot (the unit of the reverted form) is dropped, so a pure point
     mass gives the empty series.
     """
-    Finv = revert_F(F_from_moments(m))
-    tail = Finv.coefs.copy()
+    grid = m.series.grid()
+    tail = _revert_v(_reciprocal_v(m.series.coefs, grid), grid)
     tail[0] = 0.0
-    return Finv.with_terms(tail)
+    return GenSeries._adopt(m.spec, Variable.DESCENDING, Normalization.RAW, tail,
+                            m.cutoff, exponent_shift=-1)
 
 
 def _require_voiculescu(phi: GenSeries) -> None:
@@ -193,11 +223,16 @@ def _require_voiculescu(phi: GenSeries) -> None:
             "expected a Voiculescu-type series (descending, shift -1, no unit term)")
 
 
+def _moments_from_voiculescu_v(phi, grid) -> MomentSeries:
+    """The moments of the Voiculescu series held by the grid vector phi,
+    which becomes its reciprocal-Cauchy form in place."""
+    phi[0] = 1.0
+    return _moments_from_F_v(_revert_v(phi, grid), grid)
+
+
 def moments_from_voiculescu(phi: GenSeries) -> MomentSeries:
     _require_voiculescu(phi)
-    form = phi.coefs.copy()
-    form[0] = 1.0
-    return moments_from_F(revert_F(phi.with_terms(form)))
+    return _moments_from_voiculescu_v(phi.coefs.copy(), phi.grid())
 
 
 # -- tail density ---------------------------------------------------------
@@ -354,17 +389,18 @@ def boolean_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
     m1, m2 = _on_common_spec(m1, m2)
     F1 = F_from_moments(m1)
     F2 = F1 if m2 is m1 else F_from_moments(m2)
-    combined = linear_combine(1.0, F1, 1.0, F2)
-    form = combined.coefs.copy()
+    grid, a, b = _common_grid(F1, F2)
+    form = _combine_v(1.0, a, 1.0, b, grid)
     form[0] -= 1.0  # the two unit terms collapse to one
-    return moments_from_F(combined.with_terms(form))
+    return _moments_from_F_v(form, grid)
 
 
 def monotone_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
     """Monotone convolution: reciprocal-Cauchy forms compose (left acts)."""
     m1, m2 = _on_common_spec(m1, m2)
     F1 = F_from_moments(m1)
-    return moments_from_F(compose_F(F1, F1 if m2 is m1 else F_from_moments(m2)))
+    grid, a, h = _common_grid(F1, F1 if m2 is m1 else F_from_moments(m2))
+    return _moments_from_F_v(_compose_v(a, h, grid), grid)
 
 
 def free_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
@@ -372,4 +408,5 @@ def free_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
     m1, m2 = _on_common_spec(m1, m2)
     p1 = voiculescu_from_moments(m1)
     p2 = p1 if m2 is m1 else voiculescu_from_moments(m2)
-    return moments_from_voiculescu(linear_combine(1.0, p1, 1.0, p2))
+    grid, a, b = _common_grid(p1, p2)
+    return _moments_from_voiculescu_v(_combine_v(1.0, a, 1.0, b, grid), grid)

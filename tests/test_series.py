@@ -11,6 +11,7 @@ import cmath
 import copy
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -829,3 +830,45 @@ def test_a_map_builds_the_vector_of_the_per_key_loop():
         desc({0.0: 1.0, 9.0: 1.0, 0.5: 2.0, 1.5: 1.0})
     with pytest.raises(InvalidArgumentError, match="exponent 3.5 is not on the grid"):
         desc({0.0: 1.0, 3.5: 1.0, 8.5: 2.0})
+
+
+# ------------------------------------------------- the one public edge
+
+def test_an_adopted_series_is_the_one_built_from_its_vector():
+    # a kernel's vector becomes a series at the public return, with no copy;
+    # it is the series the constructor builds from the same vector
+    f = desc({0.0: 2.0, 1.0: -0.5j, 3.0: 0.25}, 8.0)
+    for got in (reciprocal(f), binomial_power(scale(f, 0.5), 0.5),
+                revert_F(f_form(NAT, {1.0: 0.3, 2.0: -0.1j}, 8.0))):
+        built = GenSeries(got.spec, got.variable, got.normalization, got.coefs.copy(),
+                          got.cutoff, got.exponent_shift)
+        assert got == built and built == got
+        assert repr(got) == repr(built)
+        assert pickle.loads(pickle.dumps(got)) == built
+        assert pickle.dumps(got) == pickle.dumps(built)
+        assert got.dropped == built.dropped == 0
+        assert not got.coefs.flags.writeable
+        with pytest.raises(ValueError):
+            got.coefs[0] = 1.0
+        assert not np.signbit(got.coefs.real[got.coefs.real == 0]).any()
+        assert not np.signbit(got.coefs.imag[got.coefs.imag == 0]).any()
+
+
+def _overflowing(fn):
+    # numpy warns as the kernel overflows; the refusal is the finite check's
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn()
+
+
+def test_a_reciprocal_that_overflows_is_refused():
+    f = desc({0.0: 1.0, 1.0: 1e200}, 4.0)  # 1 / (1 + c w): c^2 is past double range
+    with pytest.raises(ResourceGuardError, match=re.escape("exponent 2 is (nan+nanj) in")):
+        _overflowing(lambda: reciprocal(f))
+
+
+def test_a_reversion_that_overflows_is_refused():
+    # the residual of an overflowed inverse is nan, which its check reads as
+    # consistent: the finite check after it refuses the inverse
+    F = f_form(NAT, {2.0: 1e200}, 8.0)
+    with pytest.raises(ResourceGuardError, match=re.escape("exponent 4 is (-inf+0j) in")):
+        _overflowing(lambda: revert_F(F))

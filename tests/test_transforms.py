@@ -9,22 +9,27 @@ moments and resolvent (z - sqrt(z^2 - 4))/2.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
+import powertail.series as series_module
 import powertail.transforms as transforms_module
 
 from helpers import (HALF, NAT, bernoulli_moments, cauchy_moments,
                      semicircle_moments, symmetric_phase, worst_termwise)
 from powertail.errors import (LogTermObstructionError,
-                              OutsideValidityRegionError)
+                              OutsideValidityRegionError, ResourceGuardError)
+from powertail.oracles import laplace_link_check
 from powertail.semigroup import SemigroupSpec, density_constant
-from powertail.series import (compose_F, divergence_guard_radius, evaluate, growth_fit,
+from powertail.series import (GenSeries, Normalization, Variable, compose_F,
+                              divergence_guard_radius, evaluate, growth_fit,
                               identity_f_form, linear_combine)
-from powertail.stable import (StableKind, StableParams, classical_stable,
-                              free_stable, monotone_stable, stable_mixture)
+from powertail.stable import (StableKind, StableParams, boolean_stable, classical_stable,
+                              free_stable, monotone_stable, monotone_stable_form,
+                              stable_mixture)
 from powertail.transforms import (FourierEvaluator, F_from_moments,
                                   MomentSeries, boolean_convolve,
                                   classical_convolve, delta_zero,
@@ -325,3 +330,104 @@ def test_convolution_outputs_stay_inside_growth_envelope():
                      + math.floor(k) * math.log(c + 1.0)
                      + math.log(c * (math.floor(k) + 2.0)))
             assert math.log(abs(v)) <= bound + 1e-9
+
+
+# ------------------------------------------- one series per public return
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The count of GenSeries built, by the constructor or by adoption."""
+    count = [0]
+    init, adopt = GenSeries.__init__, GenSeries._adopt.__func__
+
+    def counted_init(self, *args, **kw):
+        count[0] += 1
+        init(self, *args, **kw)
+
+    def counted_adopt(cls, *args, **kw):
+        count[0] += 1
+        return adopt(cls, *args, **kw)
+
+    monkeypatch.setattr(GenSeries, "__init__", counted_init)
+    monkeypatch.setattr(GenSeries, "_adopt", classmethod(counted_adopt))
+    return count
+
+
+def test_each_public_call_builds_the_series_it_returns(constructions):
+    def built(fn):
+        constructions[0] = 0
+        out = fn()
+        return constructions[0], out
+
+    # a law constructor passes vectors from its seed terms to its result
+    assert built(lambda: classical_stable(StableParams(0.7, 1j, 0.3), 12.0))[0] == 1
+    assert built(lambda: free_stable(StableParams(1.5, 0.5 + 0.2j, kind=StableKind.FREE),
+                                     16.0))[0] == 1
+    assert built(lambda: boolean_stable(
+        StableParams(1.5, 0.5 + 0.2j, kind=StableKind.BOOLEAN), 16.0))[0] == 1
+    assert built(lambda: monotone_stable(1.5, 0.5, 16.0))[0] == 1
+    assert built(lambda: monotone_stable_form(1.5, 0.5, 16.0))[0] == 1
+    n, m = built(lambda: classical_stable(StableParams(0.75, -1.0), 16.0)[0])
+    assert n == 1
+    n, F = built(lambda: F_from_moments(m))
+    assert n == 1
+    assert built(lambda: moments_from_F(F))[0] == 1
+    assert built(lambda: voiculescu_from_moments(m))[0] == 1
+    # a self-convolution converts its operand once and builds its result
+    assert built(lambda: classical_convolve(m, m))[0] == 1
+    for conv in (boolean_convolve, monotone_convolve, free_convolve):
+        assert built(lambda: conv(m, m))[0] <= 2
+
+
+def test_vector_paths_are_the_public_chains_bit_for_bit():
+    # each law constructor and convolution against the chain of public
+    # calls it stands for, every coefficient by its bits
+    alpha, b = 1.5, 0.5 + 0.2j
+    spec = SemigroupSpec.with_alphas(alpha)
+    desc_raw = (Variable.DESCENDING, Normalization.RAW)
+    phi = GenSeries(spec, *desc_raw, {alpha: b}, 16.0, exponent_shift=-1)
+    assert _bits(free_stable(StableParams(alpha, b, kind=StableKind.FREE), 16.0)) \
+        == _bits(moments_from_voiculescu(phi))
+    F = GenSeries(spec, *desc_raw, {0.0: 1.0, alpha: -b}, 16.0, exponent_shift=-1)
+    assert _bits(boolean_stable(StableParams(alpha, b, kind=StableKind.BOOLEAN), 16.0)) \
+        == _bits(moments_from_F(F))
+    form, _ = monotone_stable_form(alpha, b, 16.0)
+    assert _bits(monotone_stable(alpha, b, 16.0)) == _bits(moments_from_F(form))
+    m = free_stable(StableParams(alpha, b, kind=StableKind.FREE), 16.0)
+    F = F_from_moments(m)
+    sum_form = linear_combine(1.0, F, 1.0, F)
+    assert _bits(boolean_convolve(m, m)) == _bits(moments_from_F(
+        sum_form.with_terms(sum_form.coefs - (np.arange(len(F.coefs)) == 0))))
+    assert _bits(monotone_convolve(m, m)) == _bits(moments_from_F(compose_F(F, F)))
+    p = voiculescu_from_moments(m)
+    assert _bits(free_convolve(m, m)) == _bits(moments_from_voiculescu(
+        linear_combine(1.0, p, 1.0, p)))
+
+
+def test_a_voiculescu_inverse_that_overflows_is_refused():
+    phi = GenSeries(NAT, Variable.DESCENDING, Normalization.RAW, {2.0: 1e200}, 8.0,
+                    exponent_shift=-1)
+    # the inverse form overflows first: its check, not the moments', refuses it
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns as it overflows
+        with pytest.raises(ResourceGuardError, match=re.escape("exponent 4 is (-inf+0j) in")):
+            moments_from_voiculescu(phi)
+
+
+def test_the_fourier_series_and_its_plan_are_built_once_per_moment_series(monkeypatch):
+    real, plans = series_module._EvalPlan, []
+
+    def counted(**fields):
+        plans.append(real(**fields))
+        return plans[-1]
+
+    monkeypatch.setattr(series_module, "_EvalPlan", counted)
+    m, _ = classical_stable(StableParams(0.6, -1.0), 20.0)
+    fe = FourierEvaluator(m)
+    A, c = fe.growth.A, density_constant(m.spec, 20)
+    link = laplace_link_check(m, 2.5 * max(c * A, 0.4))
+    assert FourierEvaluator(m).series is fe.series
+    # one plan of the Fourier series (GAMMA-normalized); the link's other
+    # plan is the resolvent's
+    assert sum(p.gamma is not None for p in plans) == 1 and len(plans) == 2
+    assert link.discrepancy <= 1e-6
