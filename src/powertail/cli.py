@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import importlib.util
 import itertools
 import json
 import math
@@ -31,8 +32,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator
 
-from . import diophantine as dio
-from . import oracles, pareto, stable, transforms
 from .errors import (
     CertificateError,
     DomainBranchError,
@@ -51,9 +50,25 @@ from .errors import (
     TruncationWarning,
     UnsupportedSemigroupError,
 )
-from .semigroup import SemigroupSpec, density_constant, exponent_grid
-from .series import DEFAULT_CUTOFF, divergence_guard_radius, evaluate
-from .transforms import FourierEvaluator, MomentSeries
+
+
+def _lazy(name: str):
+    """The module powertail.<name>, executed on its first attribute read
+    (the standard library's ``LazyLoader``), so that each subcommand
+    imports only the modules its law reads; one already imported is
+    returned as it is."""
+    name = "%s.%s" % (__package__, name)
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dio, oracles, pareto, semigroup, series, stable, transforms = map(_lazy, (
+    "diophantine", "oracles", "pareto", "semigroup", "series", "stable", "transforms"))
 
 FORMAT_VERSION = "powertail/1"
 
@@ -143,7 +158,7 @@ def _cutoff(flag: float | None) -> tuple[float, str]:
     if flag is not None:
         value, source = flag, "flag"
     elif env is None:
-        return DEFAULT_CUTOFF, "default"
+        return series.DEFAULT_CUTOFF, "default"
     else:
         try:
             value, source = float(env), "env:GPS_CUTOFF"
@@ -161,14 +176,14 @@ def _parse_complex(text: str) -> complex:
         raise InvalidArgumentError("cannot parse %r as a complex number" % text)
 
 
-def _series_body(representation: str, monomial: str, series, cutoff: float) -> dict:
+def _series_body(representation: str, monomial: str, f, cutoff: float) -> dict:
     """The document fields of a series: what it represents, its monomial,
     its generators, and one record per term with the term's counts."""
-    grid = exponent_grid(series.spec, cutoff)
-    keys = sorted(series.terms)
+    grid = semigroup.exponent_grid(f.spec, cutoff)
+    keys = sorted(f.terms)
     records = []
     for key, idx in zip(keys, grid.indices_of(keys).tolist()):
-        c = complex(series.terms[key])
+        c = complex(f.terms[key])
         records.append({
             "index": list(grid.reps[idx]) if idx >= 0 else [],
             "exponent": float(key),
@@ -176,7 +191,7 @@ def _series_body(representation: str, monomial: str, series, cutoff: float) -> d
             "im": c.imag,
         })
     return {"representation": representation, "monomial": monomial,
-            "generators": list(series.spec.fractional_generators), "records": records}
+            "generators": list(f.spec.fractional_generators), "records": records}
 
 
 _NU_CHOICES = ("uniform", "delta1")
@@ -314,12 +329,12 @@ def _cpx(c: complex) -> dict:
     return {"re": c.real, "im": c.imag}
 
 
-def _represent(m: MomentSeries, repr_name: str, cutoff: float) -> dict:
+def _represent(m: "transforms.MomentSeries", repr_name: str, cutoff: float) -> dict:
     if repr_name == "moments":
         return _series_body(repr_name, _MOMENTS_MONOMIAL, m, cutoff)
     if repr_name == "fourier":
         return _series_body(repr_name, "coefficient of z^gamma, phase folded in",
-                            FourierEvaluator(m).series, cutoff)
+                            transforms.FourierEvaluator(m).series, cutoff)
     if repr_name == "stieltjes":
         return _series_body(repr_name, "z^(-gamma-1)",
                             transforms.stieltjes_from_moments(m), cutoff)
@@ -416,12 +431,12 @@ def cmd_density(args) -> int:
 # -- convolve ---------------------------------------------------------------
 
 
-_CONV_KINDS = {
-    "classical": transforms.classical_convolve,
-    "free": transforms.free_convolve,
-    "boolean": transforms.boolean_convolve,
-    "monotone": transforms.monotone_convolve,
-}
+_CONV_KINDS = ("classical", "free", "boolean", "monotone")
+
+
+def _convolve(kind: str, ma, mb):
+    """The convolution of one of _CONV_KINDS, read from transforms when it runs."""
+    return getattr(transforms, kind + "_convolve")(ma, mb)
 
 
 def _parse_json_file(path: str, parse, what: str):
@@ -469,9 +484,10 @@ def _moments_fields(doc: dict):
     return gens, cutoff, terms
 
 
-def _moments_from_file(path: str) -> MomentSeries:
+def _moments_from_file(path: str) -> "transforms.MomentSeries":
     gens, cutoff, terms = _parse_json_file(path, _moments_fields, "moments file")
-    spec = SemigroupSpec.with_alphas(*gens) if gens else SemigroupSpec.natural()
+    spec = (semigroup.SemigroupSpec.with_alphas(*gens) if gens
+            else semigroup.SemigroupSpec.natural())
     return transforms.moment_series(spec, terms, cutoff=cutoff)
 
 
@@ -488,7 +504,7 @@ def cmd_convolve(args) -> int:
     else:
         raise InvalidArgumentError(
             "give either --in-a/--in-b files or --law-a/--law-b names")
-    out = _CONV_KINDS[args.kind](ma, mb)
+    out = _convolve(args.kind, ma, mb)
     cfg = {"kind": args.kind}
     cfg.update(src)
     cfg.update(_config_common(args))
@@ -613,7 +629,7 @@ def _check(name: str, passed: bool, discrepancy: float, tolerance: float,
 def _verify_cauchy(args, cutoff: float) -> list[dict]:
     m, _ = _moments(args, cutoff)
     checks = []
-    fe = FourierEvaluator(m)
+    fe = transforms.FourierEvaluator(m)
     density = oracles.IntegrableDensity(
         fn=lambda x: (1.0 / math.pi) / (1.0 + x * x),
         envelope_scale=1.0 / math.pi, envelope_exponent=1.0, envelope_start=1.0)
@@ -628,7 +644,7 @@ def _verify_cauchy(args, cutoff: float) -> list[dict]:
                          link.discrepancy, 1e-7, note="y = 3"))
     S = transforms.stieltjes_from_moments(m)
     dens = oracles.stieltjes_inversion(
-        lambda zz: complex(evaluate(S, zz)), 5.0)
+        lambda zz: complex(series.evaluate(S, zz)), 5.0)
     d = abs(dens - 1.0 / (26.0 * math.pi))
     checks.append(_check("stieltjes-inversion", d <= 1e-7, d, 1e-7,
                          note="x = 5 vs 1/(26 pi)"))
@@ -637,7 +653,7 @@ def _verify_cauchy(args, cutoff: float) -> list[dict]:
 
 def _verify_delta0(args, cutoff: float) -> list[dict]:
     m, _ = _moments(args, cutoff)
-    fe = FourierEvaluator(m)
+    fe = transforms.FourierEvaluator(m)
     d = abs(complex(fe(1.0)) - 1.0)
     checks = [_check("unit-mass", d <= 1e-12, d, 1e-12)]
     link = oracles.laplace_link_check(m, 5.0)
@@ -646,10 +662,10 @@ def _verify_delta0(args, cutoff: float) -> list[dict]:
     return checks
 
 
-def _laplace_link_past_growth(m: MomentSeries, cutoff: float) -> dict:
+def _laplace_link_past_growth(m: "transforms.MomentSeries", cutoff: float) -> dict:
     """The Laplace link at y = 2.5 max(c A, 0.4), clear of the growth scale."""
-    A = FourierEvaluator(m).growth.A
-    c = density_constant(m.spec, int(math.ceil(cutoff)))
+    A = transforms.FourierEvaluator(m).growth.A
+    c = semigroup.density_constant(m.spec, int(math.ceil(cutoff)))
     y = 2.5 * max(c * A, 0.4)
     link = oracles.laplace_link_check(m, y)
     return _check("laplace-link", link.discrepancy <= 1e-6, link.discrepancy,
@@ -693,9 +709,9 @@ def _verify_pareto(args, cutoff: float) -> list[dict]:
     return checks
 
 
-def _verify_self_similarity(conv, args, cutoff: float) -> list[dict]:
+def _verify_self_similarity(kind: str, args, cutoff: float) -> list[dict]:
     m, _ = _moments(args, cutoff)
-    doubled = conv(m, m)
+    doubled = _convolve(kind, m, m)
     # repr round-trips a complex exactly, so the law is rebuilt at 2b itself
     m2, _ = _moments(_with(args, b=repr(2.0 * _parse_complex(args.b))), cutoff)
     worst = 0.0
@@ -713,7 +729,7 @@ def _verify_positive_stable(args, cutoff: float) -> list[dict]:
     m, _ = law.moments(args, cutoff)
     S = transforms.stieltjes_from_moments(m)
     x = max(4.0, 1.5 * den.x_min)
-    inv = oracles.stieltjes_inversion(lambda zz: complex(evaluate(S, zz)), x)
+    inv = oracles.stieltjes_inversion(lambda zz: complex(series.evaluate(S, zz)), x)
     series_val = complex(den.density(x)).real
     d = abs(inv - series_val) / max(abs(series_val), 1e-300)
     return [_check("density-vs-inversion", d <= 1e-5, d, 1e-5,
@@ -759,7 +775,7 @@ def _verify_mu_br(args, cutoff: float) -> list[dict]:
     # |b|^(1/alpha), the series' true radius, with k^-e at most 1e-12 from the
     # exponent e of the last term on, so that what lies past the cutoff is
     # below the tolerance; |z| is taken in logs and kept in [1, e^700]
-    R = divergence_guard_radius(S)
+    R = series.divergence_guard_radius(S)
     e = max(max(S.terms), alpha)
     log_z = max(math.log(4.0), 12.0 * math.log(10.0) / e) + max(
         math.log(R) if R > 0 else -math.inf, math.log(abs(b)) / alpha)
@@ -771,7 +787,7 @@ def _verify_mu_br(args, cutoff: float) -> list[dict]:
         u = 1.0 - w
         q = cmath.log(u) * w / (1.0 - u) / r
         want = (-2.0 * r * cmath.exp(q / 2) * cmath.sinh(q / 2) / w) ** (1.0 / alpha) / z
-    res = evaluate(S, z)
+    res = series.evaluate(S, z)
     d, tol = abs(res.value - want), 1e-8 * abs(want) + res.tail_bound
     checks.append(_check("closed-form", d <= tol, d, tol,
                          note="series against (r (1 - (1 - w)^(1/r)) / w)^(1/alpha) / z, "
@@ -813,15 +829,15 @@ LAWS = {
     "free-stable": Law(
         params=("alpha",),
         moments=lambda args, cutoff: _free(args.alpha, _parse_complex(args.b), cutoff),
-        verify=partial(_verify_self_similarity, transforms.free_convolve)),
+        verify=partial(_verify_self_similarity, "free")),
     "boolean-stable": Law(
         params=("alpha",),
         moments=lambda args, cutoff: _boolean(args.alpha, _parse_complex(args.b), cutoff),
-        verify=partial(_verify_self_similarity, transforms.boolean_convolve)),
+        verify=partial(_verify_self_similarity, "boolean")),
     "monotone-stable": Law(
         params=("alpha",),
         moments=lambda args, cutoff: _monotone(args.alpha, _parse_complex(args.b), cutoff),
-        verify=partial(_verify_self_similarity, transforms.monotone_convolve)),
+        verify=partial(_verify_self_similarity, "monotone")),
     "positive-stable": Law(
         params=("alpha",),
         moments=_positive_stable,
@@ -922,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("convolve", help="convolve two moment series")
-    p.add_argument("--kind", choices=tuple(_CONV_KINDS), required=True)
+    p.add_argument("--kind", choices=_CONV_KINDS, required=True)
     p.add_argument("--in-a", dest="in_a", type=str, default=None)
     p.add_argument("--in-b", dest="in_b", type=str, default=None)
     p.add_argument("--law-a", dest="law_a", choices=_laws_with("moments"), default=None)

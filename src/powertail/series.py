@@ -6,8 +6,10 @@ read the same coefficients as a map {exponent: complex}.  Kernels read
 and write the vector, and a change of reading passes it on unchanged.
 Each public operation wraps a private kernel on grid vectors, and the
 transforms and law constructors chain those kernels: a vector becomes a
-series only where a public call returns (``GenSeries._adopt``), and
-each kernel's result gets the finite check the constructor runs.
+series only where a public call returns (``GenSeries._adopt``).  Each
+vector gets the finite check the constructor runs once, where it is
+written: a kernel checks its result, with numpy's overflow warnings
+off, and ``_adopt`` takes it as it is.
 The variable direction says whether terms mean c * z^gamma (ASCENDING,
 densities and characteristic functions near zero) or c * z^(-gamma)
 (DESCENDING, transforms at infinity).  GAMMA normalization divides
@@ -201,10 +203,11 @@ class GenSeries:
     the cutoff is dropped and counted in ``dropped``, and one off the
     grid at or below it raises.  Either way the constructor stores a
     fresh copy with no negative zero, and a coefficient that is not
-    finite raises ResourceGuardError.  A kernel's result is adopted
-    instead (``_adopt``): the same checks, on a vector that no one else
-    holds, with no copy.  The ``terms`` property reads it back as a
-    read-only map of the nonzero coefficients by ascending exponent.
+    finite raises ResourceGuardError.  A vector checked so where it was
+    written, as every kernel's result is, is adopted instead
+    (``_adopt``), with no copy and no second check.  The ``terms``
+    property reads it back as a read-only map of the nonzero
+    coefficients by ascending exponent.
     """
 
     def __init__(self, spec: SemigroupSpec, variable: Variable,
@@ -240,6 +243,7 @@ class GenSeries:
             coefs = np.zeros(len(grid), dtype=np.complex128)
             # in map order, so merged keys add up as a loop over the map would
             np.add.at(coefs, at[on], np.array(vals, dtype=np.complex128))
+        _finite(coefs, spec, cutoff)
         self._own(spec, variable, normalization, coefs, cutoff, shift, dropped)
 
     @classmethod
@@ -247,14 +251,15 @@ class GenSeries:
                coefs: np.ndarray, cutoff: float, exponent_shift: int = 0) -> "GenSeries":
         """The series that takes over ``coefs``, a fresh complex vector on
         the grid of (spec, cutoff) that no one else holds, with no copy:
-        the one way a kernel's result becomes a series.  The arguments are
-        those of a series already checked, so only the vector is."""
+        the one way a checked vector becomes a series.  The arguments are
+        those of a series already checked, and the vector has been passed
+        through ``_finite`` where it was written, so nothing is checked
+        again."""
         f = cls.__new__(cls)
         f._own(spec, variable, normalization, coefs, cutoff, exponent_shift, 0)
         return f
 
     def _own(self, spec, variable, normalization, coefs, cutoff, shift, dropped) -> None:
-        _finite(coefs, spec, cutoff)
         coefs.flags.writeable = False
         self.__dict__.update(spec=spec, variable=variable, normalization=normalization,
                              coefs=coefs, cutoff=cutoff, exponent_shift=shift,
@@ -481,7 +486,11 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
 # on grid vectors.  A kernel takes full-length vectors on one grid,
 # writes its result into one fresh full-length vector, and passes that
 # through ``_finite``; a chain of kernels passes vectors along, and
-# ``GenSeries._adopt`` makes the series only where a public call returns.
+# ``GenSeries._adopt`` makes the series only where a public call returns,
+# with no second check.  A kernel runs with numpy's overflow, invalid and
+# divide warnings off (``_quiet``): a coefficient past double range is
+# refused by that finite check, which names its exponent, and by nothing
+# before it.
 
 
 def _full(idx: np.ndarray, part: np.ndarray, n: int) -> np.ndarray:
@@ -498,11 +507,20 @@ def _checked(out: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     return _finite(out, grid.spec, grid.cutoff)
 
 
+def _quiet(kernel):
+    # an errstate of its own per kernel: before numpy 2.0 the decorator keeps
+    # the state it restores on the instance, so only a kernel calling itself
+    # would restore the wrong one, and none does
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")(kernel)
+
+
+@_quiet
 def _combine_v(a: complex, x: np.ndarray, b: complex, y: np.ndarray,
                grid: ExponentGrid) -> np.ndarray:
     return _checked(complex(a) * x + complex(b) * y, grid)
 
 
+@_quiet
 def _product_v(a: np.ndarray, b: np.ndarray, grid: ExponentGrid,
                normalization: Normalization) -> np.ndarray:
     idx, sub = grid.generated(np.flatnonzero((a != 0) | (b != 0)))
@@ -517,6 +535,7 @@ def _product_v(a: np.ndarray, b: np.ndarray, grid: ExponentGrid,
     return _checked(_full(idx, out, len(grid)), grid)
 
 
+@_quiet
 def _reciprocal_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     c0 = complex(a[0])
     if c0 == 0:
@@ -528,6 +547,7 @@ def _reciprocal_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     return _checked(_full(idx, p / c0, len(grid)), grid)
 
 
+@_quiet
 def _power_v(a: np.ndarray, grid: ExponentGrid, beta: complex) -> np.ndarray:
     idx, sub = grid.generated(np.flatnonzero(a))
     h = a[idx]
@@ -536,6 +556,7 @@ def _power_v(a: np.ndarray, grid: ExponentGrid, beta: complex) -> np.ndarray:
     return _checked(_full(idx, p, len(grid)), grid)
 
 
+@_quiet
 def _exp_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     idx, sub = grid.generated(np.flatnonzero(a))
     p = _euler_rows(sub, a[idx], np.ones(1), "exp")[0]
@@ -645,6 +666,7 @@ def _outer_rows(coefs: np.ndarray, grid: ExponentGrid):
     return index, coefs[index], 1.0 - grid.values[index].astype(np.complex128)
 
 
+@_quiet
 def _compose_v(a: np.ndarray, h: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     index, coef, betas = _outer_rows(a, grid)
     idx, sub = grid.generated(np.flatnonzero((a != 0) | (h != 0)))
@@ -672,6 +694,7 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
                             _compose_v(a, h, grid), grid.cutoff, exponent_shift=-1)
 
 
+@_quiet
 def _revert_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
     # the first row is the unit at exponent 0, which is not part of the tail
     index, coef, betas = (x[1:] for x in _outer_rows(a, grid))

@@ -41,6 +41,7 @@ from .series import (
     Normalization,
     Variable,
     _exp_v,
+    _finite,
     _power_v,
     _seeded,
     binomial_power,
@@ -167,7 +168,7 @@ def classical_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF
     moments = np.zeros(len(grid), dtype=np.complex128)
     moments[idx] = [c * gamma_factor(tau + 1.0) * cmath.exp(-1j * math.pi * tau / 2.0)
                     for tau, c in zip(grid.values[idx].tolist(), ft[idx].tolist())]
-    m = _moments(moments, spec, grid.cutoff)
+    m = _moments(_finite(moments, spec, grid.cutoff), spec, grid.cutoff)
     return m, _diagnose(m)
 
 

@@ -43,6 +43,7 @@ from .series import (
     _common_grid,
     _compose_v,
     _eval_plan,
+    _finite,
     _reciprocal_v,
     _revert_v,
     evaluate,
@@ -150,7 +151,7 @@ def _phased(s: GenSeries) -> GenSeries:
         coefs[idx] = [c * cmath.exp(1j * math.pi * g / 2.0) for g, c in
                       zip(s.grid().values[idx].tolist(), s.coefs[idx].tolist())]
         phased = s.__dict__["_phased"] = GenSeries._adopt(
-            s.spec, s.variable, s.normalization, coefs, s.cutoff)
+            s.spec, s.variable, s.normalization, _finite(coefs, s.spec, s.cutoff), s.cutoff)
     return phased
 
 

@@ -9,6 +9,7 @@ up as an escaping exception.
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -857,6 +858,91 @@ def test_expand_convolve_classify_start_without_scipy():
     seen = json.loads(proc.stdout)
     assert seen["codes"] == [0] * 10
     assert seen["scipy"] == []
+
+
+def run_python(script: str) -> tuple[str, str]:
+    """Run script in a fresh interpreter, which must exit 0: (stdout, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k != "GPS_CUTOFF"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+_MODULES_AFTER = """
+import contextlib, io, json, sys, types
+{run}
+# a module bound lazily keeps LazyLoader's class until its first read
+print(json.dumps({{k: type(m) is types.ModuleType for k, m in sys.modules.items()
+                  if m is not None and (k == "numpy" or k.startswith("powertail."))}}))
+"""
+
+
+def modules_after(run: str) -> dict:
+    """{module: whether it ran} for numpy and every powertail submodule in
+    sys.modules, after the statements in run execute in a fresh interpreter."""
+    return json.loads(run_python(_MODULES_AFTER.format(run=run))[0])
+
+
+def test_import_powertail_loads_no_submodule_and_no_numpy():
+    assert modules_after("import powertail") == {}
+
+
+def test_expand_loads_only_the_modules_its_law_reads():
+    argv = ["expand", "--law", "classical-stable", "--alpha", "0.5", "--b=-1"]
+    seen = modules_after("import powertail.cli as cli\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    assert cli.main(%r) == 0" % argv)
+    ran = {name for name, done in seen.items() if done}
+    assert {"numpy", "powertail.stable", "powertail.transforms"} <= ran
+    assert not ran & {"powertail.diophantine", "powertail.oracles", "powertail.pareto"}
+
+
+def test_classify_runs_without_numpy_and_prints_the_same_bytes():
+    argv = ["classify", "--golden", "--profile", "50"]
+    out, err = run_python("import sys\n"
+                          "sys.modules['numpy'] = None  # any import of numpy raises\n"
+                          "from powertail.cli import main\n"
+                          "sys.exit(main(%r))" % argv)
+    assert err == ""
+    assert out == run_cli(*argv)[0]
+
+
+def test_every_public_name_is_its_modules_own():
+    import powertail
+    for name in powertail.__all__:
+        home = importlib.import_module("powertail." + powertail._HOME[name])
+        assert getattr(powertail, name) is getattr(home, name), name
+    for module in ("errors", "semigroup", "series", "transforms", "pareto", "stable",
+                   "diophantine", "oracles"):
+        assert getattr(powertail, module) is importlib.import_module("powertail." + module)
+    assert set(powertail.__all__) <= set(dir(powertail))
+    namespace = {}
+    exec("from powertail import *", namespace)
+    assert {name: namespace[name] for name in powertail.__all__} == {
+        name: getattr(powertail, name) for name in powertail.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        powertail.no_such_name
+    with pytest.raises(ImportError):
+        exec("from powertail import no_such_name", {})
+
+
+def test_a_convolution_past_double_range_exits_four_with_one_line(tmp_path):
+    path = tmp_path / "big.json"
+    assert run_main(["expand", "--law", "boolean-stable", "--alpha", "1.5", "--b=0.5",
+                     "--cutoff", "12", "--out", str(path)]) == (0, "")
+    doc = json.loads(path.read_text())
+    for rec in doc["records"]:
+        if rec["exponent"] in (1.5, 3.0):
+            rec["re"] = 1e200
+    path.write_text(json.dumps(doc))
+    # the kernels overflow with numpy's warnings off: the finite check speaks alone
+    for kind in cli._CONV_KINDS:
+        code, out, err = main_output(["convolve", "--kind", kind, "--in-a", str(path),
+                                      "--in-b", str(path)])
+        assert (code, out) == (4, ""), kind
+        assert err.startswith("numeric guard: the coefficient at exponent 3 is")
+        assert err.count("\n") == 1, err
 
 
 # ------------------------------------------------------------ determinism

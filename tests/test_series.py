@@ -854,21 +854,28 @@ def test_an_adopted_series_is_the_one_built_from_its_vector():
         assert not np.signbit(got.coefs.imag[got.coefs.imag == 0]).any()
 
 
-def _overflowing(fn):
-    # numpy warns as the kernel overflows; the refusal is the finite check's
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fn()
+def _refused_in_silence(fn, coefficient: str):
+    # the kernel overflows with numpy's warnings off: with every warning an
+    # error, the finite check's refusal is still the first thing raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceGuardError, match=re.escape(coefficient + " in double")):
+            fn()
 
 
 def test_a_reciprocal_that_overflows_is_refused():
     f = desc({0.0: 1.0, 1.0: 1e200}, 4.0)  # 1 / (1 + c w): c^2 is past double range
-    with pytest.raises(ResourceGuardError, match=re.escape("exponent 2 is (nan+nanj) in")):
-        _overflowing(lambda: reciprocal(f))
+    _refused_in_silence(lambda: reciprocal(f), "exponent 2 is (nan+nanj)")
+
+
+def test_a_power_and_a_product_that_overflow_are_refused():
+    f = desc({0.0: 1.0, 1.0: 1e200}, 4.0)
+    _refused_in_silence(lambda: binomial_power(f, 0.5), "exponent 2 is (-inf+nanj)")
+    _refused_in_silence(lambda: product(f, f), "exponent 2 is (inf+0j)")
 
 
 def test_a_reversion_that_overflows_is_refused():
     # the residual of an overflowed inverse is nan, which its check reads as
     # consistent: the finite check after it refuses the inverse
     F = f_form(NAT, {2.0: 1e200}, 8.0)
-    with pytest.raises(ResourceGuardError, match=re.escape("exponent 4 is (-inf+0j) in")):
-        _overflowing(lambda: revert_F(F))
+    _refused_in_silence(lambda: revert_F(F), "exponent 4 is (-inf+0j)")

@@ -10,6 +10,7 @@ moments and resolvent (z - sqrt(z^2 - 4))/2.
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -408,10 +409,35 @@ def test_vector_paths_are_the_public_chains_bit_for_bit():
 def test_a_voiculescu_inverse_that_overflows_is_refused():
     phi = GenSeries(NAT, Variable.DESCENDING, Normalization.RAW, {2.0: 1e200}, 8.0,
                     exponent_shift=-1)
-    # the inverse form overflows first: its check, not the moments', refuses it
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns as it overflows
+    # the inverse form overflows first: its check, not the moments', refuses
+    # it, and numpy's warnings stay off while it overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ResourceGuardError, match=re.escape("exponent 4 is (-inf+0j) in")):
             moments_from_voiculescu(phi)
+
+
+def test_each_vector_is_checked_once_where_it_is_written(monkeypatch):
+    real, checked = series_module._finite, []
+
+    def counted(coefs, spec, cutoff):
+        checked.append(len(coefs))
+        return real(coefs, spec, cutoff)
+
+    for module in (series_module, transforms_module):
+        monkeypatch.setattr(module, "_finite", counted)
+    m = boolean_stable(StableParams(1.5, 0.5, kind=StableKind.BOOLEAN), 12.0)
+    assert len(checked) == 1  # the reciprocal of the form; the moments are adopted
+    boolean_convolve(m, m)
+    # the form, the sum of the two forms, and its reciprocal
+    assert len(checked) == 4
+
+
+def test_a_phased_series_past_double_range_is_refused():
+    # no kernel writes the phased Fourier series: its writer checks it
+    m = moment_series(HALF, {0.5: complex(1.5e308, 1.5e308)}, 4.0)
+    with pytest.raises(ResourceGuardError, match=re.escape("exponent 0.5 is (1.99584")):
+        FourierEvaluator(m)
 
 
 def test_the_fourier_series_and_its_plan_are_built_once_per_moment_series(monkeypatch):
