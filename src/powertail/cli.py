@@ -601,7 +601,7 @@ def cmd_classify(args) -> int:
             for w in evidence.witnesses
         ],
     }
-    if args.profile:
+    if args.profile is not None:
         prof = dio.sin_growth_profile(cert, args.profile)
         body["profile"] = {
             "N": args.profile,

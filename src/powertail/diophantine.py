@@ -34,6 +34,7 @@ being materializable almost immediately and are never needed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -402,6 +403,20 @@ class SinGrowthProfile:
 
 
 def sin_growth_profile(cert: RealCertificate, N: int) -> SinGrowthProfile:
+    """The profile of beta ~ p/q for n = 1..N.  r = p n mod q is stepped
+    by adding p mod q, and sin and log are taken only where the distance
+    d = min(r, q - r) can raise a maximum.
+
+    Skip rule: with M and L the maxima (at least 0 by then) before
+    n0 = 4, 8, 16, ..., take B = max(e^(-M n0), n0^(-L), smallest normal
+    double).  Jordan's inequality sin(pi x) >= 2x on [0, 1/2] turns
+    d >= B q into growth <= -log(2B) <= min(M n, L log n) - log 2 for all
+    n >= n0, so neither maximum moves; the margin log 2 dwarfs the
+    rounding of B, which the floor keeps normal.  The threshold
+    floor(B q) + 1 is built from B's exact ratio, so q may pass the float
+    range.  Every other n runs the plain loop's arithmetic, so the result
+    is the same bit for bit.
+    """
     if N < 1:
         raise InvalidArgumentError("N must be at least 1")
     if N > MAX_PROFILE_N:
@@ -411,8 +426,20 @@ def sin_growth_profile(cert: RealCertificate, N: int) -> SinGrowthProfile:
     p, q = frac.numerator, frac.denominator
     max_lin = -math.inf
     max_log = -math.inf
+    step, r = p % q, 0
+    # d = min(r, q - r) >= lo exactly when lo <= r <= hi = q - lo; lo = q skips nothing
+    lo, hi, n0 = q, 0, 4
     for n in range(1, N + 1):
-        r = (p * n) % q
+        r += step
+        if r >= q:
+            r -= q
+        if n == n0:
+            num, den = max(math.exp(-max_lin * n), n ** -max_log,
+                           sys.float_info.min).as_integer_ratio()
+            lo = q * num // den + 1
+            hi, n0 = q - lo, 2 * n0
+        if lo <= r <= hi:
+            continue
         dist = min(r, q - r)
         s = math.sin(math.pi * (dist / q)) if dist else 0.0
         growth = math.inf if s == 0.0 else -math.log(s)

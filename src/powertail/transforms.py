@@ -123,7 +123,8 @@ class FourierEvaluator:
     reduces to the plain GAMMA-normalized series at real z.  That phased
     series and its evaluation plan are built once per moment series and
     kept on it, so every evaluator of m, and ``laplace_link_check`` on m,
-    share them.
+    share them (as they share the resolvent series of
+    ``stieltjes_from_moments``).
     """
 
     def __init__(self, m: MomentSeries):
@@ -160,9 +161,15 @@ def _phased(s: GenSeries) -> GenSeries:
 
 def stieltjes_from_moments(m: MomentSeries) -> GenSeries:
     """Descending series with d_gamma = m_gamma stored at key gamma and a
-    structural extra power of 1/z (shift +1): G(z) = sum m_g z^(-g-1)."""
-    return GenSeries(m.spec, Variable.DESCENDING, Normalization.RAW,
-                     m.series.coefs, m.cutoff, exponent_shift=1)
+    structural extra power of 1/z (shift +1): G(z) = sum m_g z^(-g-1).
+    Made on first use and kept on m's series, as the phased Fourier
+    series is, so every caller on m shares it and its evaluation plan."""
+    G = m.series.__dict__.get("_resolvent")
+    if G is None:
+        G = m.series.__dict__["_resolvent"] = GenSeries(
+            m.spec, Variable.DESCENDING, Normalization.RAW, m.series.coefs, m.cutoff,
+            exponent_shift=1)
+    return G
 
 
 def moments_from_stieltjes(G: GenSeries) -> MomentSeries:

@@ -1,8 +1,10 @@
 """Shared builders for the test suite: a few standard laws as moment
 series, termwise comparison utilities, the term-by-term series
-evaluator that ``series.evaluate`` must reproduce bit for bit, and two
+evaluator that ``series.evaluate`` must reproduce bit for bit, two
 coefficient-by-coefficient Euler-operator kernels, over the pair list
-and over a progression, that ``series._euler_rows`` must reproduce."""
+and over a progression, that ``series._euler_rows`` must reproduce, and
+the plain sine growth profile loop that ``sin_growth_profile`` must
+reproduce bit for bit."""
 
 import cmath
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 
 from powertail import series
+from powertail.diophantine import SinGrowthProfile
 from powertail.semigroup import SemigroupSpec, density_constant
 from powertail.series import (Branch, EvalResult, GrowthBound,
                               Normalization, Variable, gamma_factor, growth_fit)
@@ -83,6 +86,23 @@ def reference_evaluate(f, z, branch=Branch.PRINCIPAL):
     c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
     return EvalResult(value=total, tail_bound=series._tail_bound(f, absz, growth, c)
                       if absz > 0 else math.inf)
+
+
+def reference_sin_growth_profile(cert, N):
+    """The sine growth profile with sin and log taken at every n = 1..N."""
+    frac = cert.high_precision_fraction(min_q=N * 10 ** 13)
+    p, q = frac.numerator, frac.denominator
+    max_lin = -math.inf
+    max_log = -math.inf
+    for n in range(1, N + 1):
+        r = (p * n) % q
+        dist = min(r, q - r)
+        s = math.sin(math.pi * (dist / q)) if dist else 0.0
+        growth = math.inf if s == 0.0 else -math.log(s)
+        max_lin = max(max_lin, growth / n)
+        if n >= 2:
+            max_log = max(max_log, growth / math.log(n))
+    return SinGrowthProfile(running_max_linear=max_lin, running_max_log=max_log)
 
 
 def reference_euler_rows(grid, h, betas, kind, shifts=None, tail_coef=None):

@@ -461,6 +461,8 @@ def assert_one_line_error(err):
     ("classify", "--golden", "--q-limit", "-5"),
     # 1.0 / q overflows past about 1.8e308
     ("classify", "--golden", "--q-limit", str(10 ** 400)),
+    ("classify", "--golden", "--profile", "0"),
+    ("classify", "--golden", "--profile", "-3"),
 ])
 def test_bad_classify_input_exits_two_with_one_line(argv):
     out, err = run_cli(*argv, expect=2)

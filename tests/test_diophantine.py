@@ -7,8 +7,10 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as hst
 
-from powertail.diophantine import (CFCertificate, ClassifyParams,
+from helpers import reference_sin_growth_profile
+from powertail.diophantine import (MAX_PROFILE_N, CFCertificate, ClassifyParams,
                                    FloatCertificate, QuadraticCertificate,
                                    RationalCertificate, TransformOp, Verdict,
                                    classify, convergents,
@@ -71,6 +73,54 @@ def test_rational_profile_hits_an_exact_sine_zero():
 def test_super_liouville_profile_explodes():
     p = sin_growth_profile(super_liouville_certificate(), 1000)
     assert p.running_max_log > 5.0
+
+
+def _scaled_golden(amount):
+    return transform_certificate(golden_ratio_certificate(), TransformOp.SCALE, amount)
+
+
+def _same_profile(cert, N):
+    got, ref = sin_growth_profile(cert, N), reference_sin_growth_profile(cert, N)
+    assert got.running_max_linear.hex() == ref.running_max_linear.hex()
+    assert got.running_max_log.hex() == ref.running_max_log.hex()
+
+
+_PROFILE_NS = (1, 2, 3, 4, 5, 63, 64, 65, 500, 3000)
+
+
+@pytest.mark.parametrize("cert, Ns", [
+    (golden_ratio_certificate(), _PROFILE_NS + (MAX_PROFILE_N,)),
+    # the quadratics of the benchmark's profile ops
+    (QuadraticCertificate(P=0, D=2, Q=1), _PROFILE_NS),
+    (QuadraticCertificate(P=1, D=3, Q=2), _PROFILE_NS),
+    (QuadraticCertificate(P=2, D=7, Q=3), _PROFILE_NS),
+    (QuadraticCertificate(P=-1, D=5, Q=2), _PROFILE_NS),
+    # distance 0, so sin is 0 and the growth infinite
+    (RationalCertificate(Fraction(3, 7)), _PROFILE_NS),
+    (RationalCertificate(Fraction(1, 2)), _PROFILE_NS),
+    (_scaled_golden(Fraction(-3, 7)), _PROFILE_NS),
+    (transform_certificate(_scaled_golden(Fraction(-3, 7)), TransformOp.INVERT), _PROFILE_NS),
+    (super_liouville_certificate(), _PROFILE_NS),
+    # q near 10^320 is past the float range, and every distance / q is subnormal
+    (_scaled_golden(Fraction(1, 10 ** 320)), _PROFILE_NS),
+], ids=["golden", "sqrt2", "quad-1-3-2", "quad-2-7-3", "quad-m1-5-2", "3/7", "1/2",
+        "golden-scaled", "golden-scaled-inverted", "super-liouville", "golden-tiny"])
+def test_profile_is_the_plain_loop_bit_for_bit(cert, Ns):
+    for N in Ns:
+        _same_profile(cert, N)
+
+
+def _quadratics():
+    return hst.builds(QuadraticCertificate, P=hst.integers(-60, 60),
+                      D=hst.integers(2, 10 ** 4).filter(lambda D: math.isqrt(D) ** 2 != D),
+                      Q=hst.integers(-60, 60).filter(bool))
+
+
+@given(hst.one_of(_quadratics(),
+                  hst.builds(RationalCertificate, hst.fractions(max_denominator=10 ** 6))),
+       hst.integers(1, 5000))
+def test_profile_of_drawn_certificates_is_the_plain_loop(cert, N):
+    _same_profile(cert, N)
 
 
 # --------------------------------------------------------------- verdicts

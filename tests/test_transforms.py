@@ -457,3 +457,8 @@ def test_the_fourier_series_and_its_plan_are_built_once_per_moment_series(monkey
     # plan is the resolvent's
     assert sum(p.gamma is not None for p in plans) == 1 and len(plans) == 2
     assert link.discrepancy <= 1e-6
+    # a second link and the caller's own resolvent reuse both
+    assert laplace_link_check(m, 2.5 * max(c * A, 0.4)) == link
+    S = stieltjes_from_moments(m)
+    evaluate(S, complex(0.0, -3.0))
+    assert stieltjes_from_moments(m) is S and len(plans) == 2
