@@ -1,10 +1,14 @@
 """Constructors for the concrete law families.
 
-Classical stable laws come from expanding exp(i gamma z + i^alpha b z^alpha)
-as a graded exponential; the non-commutative stable laws are declared
-directly on the transform side: the free one by its Voiculescu series
--gamma + b z^(1-alpha), the Boolean one by F(z) = z + gamma - b z^(1-alpha),
-the monotone one by F(z) = (z^alpha - b)^(1/alpha).  Stable mixtures and
+The four stable laws are declared by their transforms: the classical one
+by exp(i gamma z + i^alpha b z^alpha), the free one by its Voiculescu
+series -gamma + b z^(1-alpha), the Boolean one by F(z) = z + gamma -
+b z^(1-alpha), the monotone one by F(z) = (z^alpha - b)^(1/alpha).  With
+no drift gamma, each law's moments on the multiples of alpha have a
+closed form, which its constructor writes with no series kernel.  A
+drift translates a classical or free law, one GAMMA product with a point
+mass; a Boolean law with drift is the reciprocal of its form.  Stable
+mixtures and
 the mu^alpha_{b,r} family are explicit series with known coefficients.
 The positive stable, supremum and last-passage densities are each a
 PowerSumDensity, sum_k c_k x^(-p_k) above a guard radius x_min; their
@@ -33,16 +37,26 @@ from .errors import (
     ResonanceError,
     ResourceGuardError,
 )
-from .semigroup import SemigroupSpec, exponent_grid, guard_radius
+from .semigroup import (
+    MAX_PAIRS,
+    MERGE_REL_TOL,
+    ExponentGrid,
+    SemigroupSpec,
+    exponent_grid,
+    guard_radius,
+)
 from .series import (
+    _CHUNK_CELLS,
     DEFAULT_CUTOFF,
     Branch,
     GenSeries,
     Normalization,
     Variable,
-    _exp_v,
     _finite,
+    _positive_cutoff,
     _power_v,
+    _product_v,
+    _quiet,
     _seeded,
     binomial_power,
     gamma_factor,
@@ -53,7 +67,6 @@ from .transforms import (
     TailDensityModel,
     _moments,
     _moments_from_F_v,
-    _moments_from_voiculescu_v,
     moment_series,
     tail_from_moments,
 )
@@ -144,31 +157,125 @@ def _diagnose(m: MomentSeries) -> MembershipDiagnosis:
                                relative_increase=rel, cutoff_stable=stable, note=note)
 
 
+@_quiet
+def _closed_form_v(grid: ExponentGrid, kind: StableKind, alpha: float,
+                   b: complex) -> np.ndarray:
+    """The moments of the drift-free stable law of ``kind`` as one checked
+    vector on ``grid``.  They live on the multiples alpha k of alpha, the
+    sub-grid that alpha generates (on a grid that merged exponents, those
+    among its exponents that lie on a multiple), where they are b^k times
+
+    * classical, exp(i^alpha b z^alpha): Gamma(alpha k + 1) / k!, since
+      the phases i^(alpha k) of the coefficients and the moments cancel;
+    * Boolean, F = z - b z^(1-alpha): 1;
+    * monotone, F = (z^alpha - b)^(1/alpha): (1/alpha)_k / k!, a rising
+      factorial;
+    * free, phi = b z^(1-alpha): C(alpha k, k - 1) / k, by Lagrange
+      inversion of z + b z^(1-alpha);
+
+    and 0 elsewhere.  At alpha = 1 and a real b the Boolean form z - b is
+    the point mass at b, with moments b^k on the integers.
+    """
+    out = np.zeros(len(grid), dtype=np.complex128)
+    out[0] = 1.0
+    at = grid.index_of(alpha)
+    if at < 0 or b == 0:  # alpha is past the cutoff, or the law is a point mass
+        return _finite(out, grid.spec, grid.cutoff)
+    idx, sub = grid.generated([at])
+    tau = sub.values
+    k = np.rint(tau / alpha)
+    on = np.abs(tau - alpha * k) <= MERGE_REL_TOL * np.maximum(1.0, tau)
+    if not on.all():
+        idx, tau, k = idx[on], tau[on], k[on]
+    K = int(k[-1])
+    ks = k.astype(np.intp)
+    fac = np.ones(len(k))
+    if kind is StableKind.CLASSICAL:
+        fac[1:] = _gamma_ratios(tau[1:], k[1:])
+    elif kind is StableKind.MONOTONE:
+        j = np.arange(K, dtype=np.float64)
+        fac = np.cumprod(np.append(1.0, (1.0 / alpha + j) / (j + 1.0)))[ks]
+    elif kind is StableKind.FREE:
+        fac[1:] = _free_binomials(tau[1:], k[1:], grid)
+    powers = np.full(K + 1, complex(b))
+    powers[0] = 1.0
+    powers = np.cumprod(powers)[ks]
+    m = powers * fac
+    # where b^k or its factor has left the normal doubles, their product
+    # need not have: it is taken in logs
+    tiny = np.finfo(np.float64).tiny
+    lost = np.flatnonzero(~np.isfinite(m) | (np.abs(powers) < tiny) | (np.abs(fac) < tiny))
+    if len(lost):
+        logs = ([math.lgamma(t + 1.0) - math.lgamma(n + 1.0)
+                 for t, n in zip(tau[lost].tolist(), k[lost].tolist())]
+                if kind is StableKind.CLASSICAL else np.log(fac[lost] + 0j))
+        m[lost] = np.exp(k[lost] * np.log(complex(b)) + logs)
+    out[idx] = m
+    return _finite(out, grid.spec, grid.cutoff)
+
+
+def _gamma_ratios(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Gamma(tau + 1) / k! at the exponents tau of alpha k, k >= 1: both
+    gammas while they are finite, and the difference of their logs past
+    that, which is exactly 0 at alpha = 1, so no ratio is inf / inf.
+    Gamma is read at the grid's tau + 1, where a GAMMA product reads it."""
+    xs, ns = (tau + 1.0).tolist(), (k + 1.0).tolist()
+    out = np.array([math.gamma(x) / math.gamma(n) if x < 171.0 and n < 171.0 else math.inf
+                    for x, n in zip(xs, ns)])
+    big = np.flatnonzero(out == math.inf).tolist()
+    if big:
+        out[big] = np.exp([math.lgamma(xs[i]) - math.lgamma(ns[i]) for i in big])
+    return out
+
+
+def _free_binomials(tau: np.ndarray, k: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    """C(tau_r, k_r - 1) / k_r for k_r >= 1, each a product of the ratios
+    (tau - i) / (i + 1) over i < k - 1: exactly 0 where tau is an integer
+    below k - 1, which a ratio of gammas would leave to roundoff."""
+    K = int(k[-1])
+    factors = K * (K - 1) // 2
+    if factors > MAX_PAIRS:
+        raise ResourceGuardError(
+            "the free stable moments up to exponent %g of %s take %d binomial factors, "
+            "more than the limit of %d" % (tau[-1], grid.spec.describe(), factors, MAX_PAIRS))
+    i = np.arange(max(K - 1, 0), dtype=np.float64)
+    out = np.empty(len(k))
+    step = max(1, _CHUNK_CELLS // max(K, 1))
+    for r in range(0, len(k), step):
+        t, n = tau[r:r + step, None], k[r:r + step, None]
+        ratios = np.where(i < n - 1.0, (t - i) / (i + 1.0), 1.0)
+        out[r:r + step] = ratios.prod(1) / n[:, 0]
+    return out
+
+
+def _stable_moments(kind: StableKind, alpha: float, b: complex, cutoff: float,
+                    at: float = 0.0) -> MomentSeries:
+    """The closed-form moments of the stable law of ``kind``, translated by
+    ``at``: convolved with the point mass there, which translates a law
+    under the classical and the free convolution alike."""
+    grid = _law_grid(alpha, cutoff)
+    moments = _closed_form_v(grid, kind, alpha, b)
+    if at != 0.0:
+        mass = _closed_form_v(grid, StableKind.BOOLEAN, 1.0, at)
+        moments = _product_v(moments, mass, grid, Normalization.GAMMA)
+    return _moments(moments, grid.spec, grid.cutoff)
+
+
+def _law_grid(alpha: float, cutoff: float) -> ExponentGrid:
+    if not 0.0 < alpha <= 2.0:
+        raise InvalidArgumentError("stability index must lie in (0, 2]")
+    return exponent_grid(SemigroupSpec.with_alphas(alpha), _positive_cutoff(cutoff))
+
+
 def classical_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF
                      ) -> tuple[MomentSeries, MembershipDiagnosis]:
     """Moments of the classical stable law with transform
-    exp(i gamma z + i^alpha b z^alpha), plus a growth diagnosis.
-
-    The exponent series is expanded raw in z; the coefficient of
-    z^tau is converted to the moment m_tau = coef * Gamma(tau+1) / i^tau.
-    """
+    exp(i gamma z + i^alpha b z^alpha), plus a growth diagnosis: those of
+    exp(i^alpha b z^alpha), translated by gamma."""
     if params.kind is not StableKind.CLASSICAL:
         raise InvalidArgumentError("params.kind must be CLASSICAL")
-    alpha, b, g0 = params.alpha, params.b, params.gamma_shift
-    spec = SemigroupSpec.with_alphas(alpha)
-    exponent: dict[float, complex] = {}
-    if g0 != 0.0:
-        exponent[1.0] = 1j * g0
-    if b != 0:
-        phase = cmath.exp(1j * math.pi * alpha / 2.0)
-        exponent[alpha] = exponent.get(alpha, 0j) + phase * b
-    grid, raw = _seeded(spec, cutoff, exponent)
-    ft = _exp_v(raw, grid)
-    idx = np.flatnonzero(ft)
-    moments = np.zeros(len(grid), dtype=np.complex128)
-    moments[idx] = [c * gamma_factor(tau + 1.0) * cmath.exp(-1j * math.pi * tau / 2.0)
-                    for tau, c in zip(grid.values[idx].tolist(), ft[idx].tolist())]
-    m = _moments(_finite(moments, spec, grid.cutoff), spec, grid.cutoff)
+    m = _stable_moments(StableKind.CLASSICAL, params.alpha, params.b, cutoff,
+                        params.gamma_shift)
     return m, _diagnose(m)
 
 
@@ -181,42 +288,28 @@ def classical_stable_scale_skew(alpha: float, c: float, beta_hat: float,
 
 
 def free_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> MomentSeries:
-    """Free stable law declared by its Voiculescu series -gamma + b z^(1-alpha)."""
+    """Free stable law declared by its Voiculescu series -gamma + b z^(1-alpha):
+    the law of b z^(1-alpha), translated by -gamma, since the point mass
+    at -gamma has the Voiculescu series -gamma."""
     if params.kind is not StableKind.FREE:
         raise InvalidArgumentError("params.kind must be FREE")
-    alpha, b, g0 = params.alpha, params.b, params.gamma_shift
-    spec = SemigroupSpec.with_alphas(alpha)
-    phi_terms: dict[float, complex] = {}
-    if g0 != 0.0:
-        phi_terms[1.0] = -g0
-    if b != 0:
-        phi_terms[alpha] = phi_terms.get(alpha, 0j) + b
-    grid, phi = _seeded(spec, cutoff, phi_terms)
-    return _moments_from_voiculescu_v(phi, grid)
+    return _stable_moments(StableKind.FREE, params.alpha, params.b, cutoff,
+                           -params.gamma_shift)
 
 
 def boolean_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> MomentSeries:
-    """Boolean stable law: F(z) = z + gamma - b z^(1-alpha)."""
+    """Boolean stable law: F(z) = z + gamma - b z^(1-alpha).  With a drift
+    its moments are the reciprocal of that form: they have no closed form
+    on the multiples of alpha."""
     if params.kind is not StableKind.BOOLEAN:
         raise InvalidArgumentError("params.kind must be BOOLEAN")
     alpha, b, g0 = params.alpha, params.b, params.gamma_shift
-    spec = SemigroupSpec.with_alphas(alpha)
-    tail: dict[float, complex] = {}
-    if g0 != 0.0:
-        tail[1.0] = complex(g0)
-    if b != 0:
-        tail[alpha] = tail.get(alpha, 0j) - b
-    grid, form = _seeded(spec, cutoff, {0.0: 1.0 + 0j, **tail})
+    if g0 == 0.0:
+        return _stable_moments(StableKind.BOOLEAN, alpha, b, cutoff)
+    tail = {1.0: complex(g0)}
+    tail[alpha] = tail.get(alpha, 0j) - b
+    grid, form = _seeded(SemigroupSpec.with_alphas(alpha), cutoff, {0.0: 1.0 + 0j, **tail})
     return _moments_from_F_v(form, grid)
-
-
-def _monotone_form_v(alpha: float, b: complex, cutoff: float):
-    """The grid and the vector of the monotone stable law's form."""
-    if not 0.0 < float(alpha) <= 2.0:
-        raise InvalidArgumentError("stability index must lie in (0, 2]")
-    grid, base = _seeded(SemigroupSpec.with_alphas(alpha), cutoff,
-                         {0.0: 1.0 + 0j, float(alpha): -complex(b)})
-    return grid, _power_v(base, grid, 1.0 / float(alpha))
 
 
 def monotone_stable_form(alpha: float, b: complex,
@@ -227,15 +320,19 @@ def monotone_stable_form(alpha: float, b: complex,
     Powers for monotone laws live on the branch with Im log z in
     (-2 pi, 0), which is what the returned Branch records.
     """
-    grid, form = _monotone_form_v(alpha, b, cutoff)
-    return GenSeries._adopt(grid.spec, Variable.DESCENDING, Normalization.RAW, form,
-                            grid.cutoff, exponent_shift=-1), Branch.MONOTONE
+    alpha = float(alpha)
+    grid = _law_grid(alpha, cutoff)
+    _, base = _seeded(grid.spec, grid.cutoff, {0.0: 1.0 + 0j, alpha: -complex(b)})
+    return GenSeries._adopt(grid.spec, Variable.DESCENDING, Normalization.RAW,
+                            _power_v(base, grid, 1.0 / alpha), grid.cutoff,
+                            exponent_shift=-1), Branch.MONOTONE
 
 
 def monotone_stable(alpha: float, b: complex,
                     cutoff: float = DEFAULT_CUTOFF) -> MomentSeries:
-    grid, form = _monotone_form_v(alpha, b, cutoff)
-    return _moments_from_F_v(form, grid)
+    """Moments of the monotone stable law, (1 - b z^(-alpha))^(-1/alpha)
+    in closed form."""
+    return _stable_moments(StableKind.MONOTONE, float(alpha), complex(b), cutoff)
 
 
 def _finite_coefficient(c: float, order: int | tuple[int, int]) -> float:

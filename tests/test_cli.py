@@ -417,15 +417,25 @@ def test_past_gamma_and_factorial_overflow_where_every_term_is_finite():
 
 
 def test_pair_guard_counts_the_sub_grid_a_kernel_runs_on():
-    # the whole grid has 53M exponent pairs at cutoff 120, but the law's
-    # kernels run on the multiples of alpha alone
+    # the whole grid has 53M exponent pairs at cutoff 120, but the reciprocal
+    # that makes the law's form runs on the multiples of alpha alone
     out, err = run_cli("expand", "--law", "classical-stable", "--alpha", "0.4123",
-                       "--b=-1", "--cutoff", "120")
+                       "--b=-1", "--cutoff", "120", "--repr", "F")
     assert json.loads(out)["records"] and err == ""
-    # the Cauchy moments fill the naturals, whose grid has 200M pairs
-    out, err = run_cli("expand", "--law", "cauchy", "--cutoff", "20000", expect=4)
+    # the Cauchy moments fill the naturals, whose grid has 200M pairs: they
+    # run no kernel, but their form's reciprocal is refused
+    out, err = run_cli("expand", "--law", "cauchy", "--cutoff", "20000", "--repr", "F",
+                       expect=4)
     assert out == "" and err.startswith("numeric guard:") and "exponent pairs" in err
     assert err.count("\n") == 1
+
+
+def test_cauchy_moments_pass_gamma_overflow():
+    # Gamma(k + 1) and k! overflow from k = 171 on, but their ratio is 1
+    out, err = run_cli("expand", "--law", "cauchy", "--cutoff", "200")
+    recs = json.loads(out)["records"]
+    assert len(recs) == 201 and err == ""
+    assert {abs(complex(r["re"], r["im"])) for r in recs} == {1.0}
 
 
 # ------------------------------------------------------------ exit code 2
