@@ -55,9 +55,10 @@ alpha that a stable law without drift lives on, they are the slices
 run of the pair list.
 
 Evaluation reads a per-series plan, built on the first ``evaluate`` and
-kept on the instance, so a point costs one vectorised exp; the value is
-bit for bit the term-by-term sum in Python complex arithmetic.  The tail
-bound is computed when the result's ``tail_bound`` is first read.
+kept on the instance, so a point costs one vectorised exp and one dot
+product with the coefficients, divided by their Gamma factors once in
+the plan.  The tail bound is computed when the result's ``tail_bound``
+is first read.
 """
 
 from __future__ import annotations
@@ -841,9 +842,7 @@ class _EvalPlan(NamedTuple):
 
     powers: np.ndarray         # sign * (gamma + shift) by ascending gamma; sign -1 if DESCENDING
     reach: float               # max |power|; 0 when no term needs the log
-    ri: np.ndarray             # (2, n): real parts of the coefficients c over imaginary parts
-    jr: np.ndarray             # the same of i * c, so that c * w = ri * Re w + jr * Im w
-    gamma: np.ndarray | None   # Gamma(gamma + 1) under GAMMA normalization, else None
+    scaled: np.ndarray         # c / Gamma(gamma + 1) under GAMMA normalization, else c
     growth: GrowthBound        # the growth fit
     c: float                   # density constant up to the cutoff
     guard_scale: float         # guard radius per unit of A (it is linear in A)
@@ -855,15 +854,14 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
     plan = f.__dict__.get("_plan")
     if plan is None:
         keys = list(f.terms)  # ascending
-        coefs = np.array(list(f.terms.values()), dtype=np.complex128)
+        scaled = np.array(list(f.terms.values()), dtype=np.complex128)
+        if f.normalization is Normalization.GAMMA:
+            scaled /= [gamma_factor(k + 1.0) for k in keys]
         sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
         powers = np.array([sign * (k + f.exponent_shift) for k in keys])
         horizon = max(1, int(math.ceil(f.cutoff)))
         plan = _EvalPlan(
-            powers=powers, reach=float(np.max(np.abs(powers), initial=0.0)),
-            ri=np.array([coefs.real, coefs.imag]), jr=np.array([-coefs.imag, coefs.real]),
-            gamma=(np.array([gamma_factor(k + 1.0) for k in keys])
-                   if f.normalization is Normalization.GAMMA else None),
+            powers=powers, reach=float(np.max(np.abs(powers), initial=0.0)), scaled=scaled,
             growth=growth_fit(f) if keys else GrowthBound(0.0),
             c=density_constant(f.spec, horizon),
             guard_scale=guard_radius(f.spec, 1.0, horizon))
@@ -878,31 +876,28 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
     DivergenceGuardWarning inside |z| <= 1.25 * c * A; the value is
     still returned.  The tail bound is a conservative estimate of the
     discarded terms' total mass from the fitted growth bound; it is
-    computed when ``tail_bound`` is first read.
+    computed when ``tail_bound`` is first read.  A z that is not finite
+    raises InvalidArgumentError.
 
-    The products and the division by Gamma are spelled out in real parts
-    as Python's complex arithmetic does them (adding -Im c Im w is
-    subtracting Im c Im w), and the sum is sequential, so the value is
-    the one a term-by-term loop gives.
+    The value is one dot product of the powers z^(+-(gamma + shift)) with
+    the plan's coefficients, divided by Gamma(gamma + 1) once per series
+    under GAMMA normalization.  Like a term-by-term loop, and in another
+    order, it sums the terms t_k to within n u sum |t_k| (Higham,
+    Accuracy and Stability, 3.1).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidArgumentError("cannot evaluate a series at %r" % (z,))
     plan = _eval_plan(f)
-    total = 0j
-    if len(plan.powers):
-        t = plan.ri
-        if plan.reach:
-            L = _branch_log(z, branch)
-            arg = plan.powers * L
-            if plan.reach * abs(L.real) < _EXP_SAFE:
-                w = np.exp(arg)
-            else:  # a power near or past overflow: round and raise as cmath does
-                w = np.array([cmath.exp(a) for a in arg.tolist()])
-            t = plan.ri * w.real + plan.jr * w.imag
-        if plan.gamma is not None:
-            t = t / plan.gamma
-        s = np.add.accumulate(t, axis=1)[:, -1].tolist()
-        # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
-        total = complex(0.0 + s[0], 0.0 + s[1])
+    L = _branch_log(z, branch) if plan.reach else 0j
+    arg = plan.powers * L
+    if plan.reach * abs(L.real) < _EXP_SAFE:
+        w = np.exp(arg)
+    else:  # a power near or past overflow: round and raise as cmath does
+        w = np.array([cmath.exp(a) for a in arg.tolist()])
+    s = complex(np.dot(w, plan.scaled))
+    # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
+    total = complex(0.0 + s.real, 0.0 + s.imag)
     absz = abs(z)
     if f.variable is Variable.DESCENDING:
         radius = plan.guard_scale * plan.growth.A
@@ -919,15 +914,14 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
 
 def _evaluate_many(f: GenSeries, t: np.ndarray) -> np.ndarray:
     """Partial sums of f at the real points t > 0, principal branch, in
-    one product: W = exp(log t ⊗ powers), then W @ (c / Gamma).  For
-    quadrature nodes; no tail bound, and the sums are not ``evaluate``'s
-    bit for bit.  A power that underflows reads 0; where one may
-    overflow, the nodes go through ``evaluate``, which raises as it
-    does."""
+    one product: exp(log t ⊗ powers) @ scaled, with the plan's scaled
+    coefficients that ``evaluate`` reads.  For quadrature nodes; no tail
+    bound.  A power that underflows reads 0; where one may overflow, the
+    nodes go through ``evaluate``, which raises as it does."""
     plan = _eval_plan(f)
     arg = np.multiply.outer(np.log(t), plan.powers)
     if np.max(arg, initial=0.0) >= _EXP_SAFE:
         return np.array([evaluate(f, x).value for x in t.tolist()], dtype=np.complex128)
-    ri = plan.ri if plan.gamma is None else plan.ri / plan.gamma
-    v = np.exp(arg) @ ri.T  # two real products: numpy's real-by-complex one is far slower
+    # two real products: numpy's real-by-complex one is far slower
+    v = np.exp(arg) @ plan.scaled.view(np.float64).reshape(len(plan.scaled), 2)
     return v[:, 0] + 1j * v[:, 1]

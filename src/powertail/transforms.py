@@ -137,20 +137,23 @@ class FourierEvaluator:
 
     def __call__(self, z: float) -> EvalResult:
         z = complex(z)
-        if z.imag != 0.0 or z.real <= 0.0:
+        if not (z.imag == 0.0 and 0.0 < z.real < math.inf):
             raise OutsideValidityRegionError(
                 "Fourier-side evaluator is defined for real z > 0, got %r" % (z,))
         return evaluate(self.series, z.real, Branch.PRINCIPAL)
 
 
 def _phased(s: GenSeries) -> GenSeries:
-    """m_gamma i^gamma for the moment series s, made on first use and kept on s."""
+    """m_gamma i^gamma for the moment series s, made on first use and kept
+    on s.  At an integer gamma, i^gamma is exactly 1, i, -1 or -i, where
+    exp(i pi gamma / 2) would leave a ghost part of an ulp of pi."""
     phased = s.__dict__.get("_phased")
     if phased is None:
         idx = np.flatnonzero(s.coefs)
         coefs = np.zeros(len(s.coefs), dtype=np.complex128)
-        coefs[idx] = [c * cmath.exp(1j * math.pi * g / 2.0) for g, c in
-                      zip(s.grid().values[idx].tolist(), s.coefs[idx].tolist())]
+        coefs[idx] = [c * ((1, 1j, -1, -1j)[int(g) % 4] if g.is_integer()
+                           else cmath.exp(1j * math.pi * g / 2.0))
+                      for g, c in zip(s.grid().values[idx].tolist(), s.coefs[idx].tolist())]
         phased = s.__dict__["_phased"] = GenSeries._adopt(
             s.spec, s.variable, s.normalization, _finite(coefs, s.spec, s.cutoff), s.cutoff)
     return phased

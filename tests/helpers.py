@@ -1,8 +1,9 @@
 """Shared builders for the test suite: a few standard laws as moment
 series, termwise comparison utilities, the term-by-term series
-evaluator that ``series.evaluate`` must reproduce bit for bit, two
-coefficient-by-coefficient Euler-operator kernels, over the pair list
-and over a progression, that ``series._euler_rows`` must reproduce, and
+evaluator and the rounding bound within which ``series.evaluate`` must
+agree with it, two coefficient-by-coefficient Euler-operator kernels,
+over the pair list and over a progression, that ``series._euler_rows``
+must reproduce, and
 the plain sine growth profile loop that ``sin_growth_profile`` must
 reproduce bit for bit, and the closed-form moments of the four
 drift-free stable families in 40 digits."""
@@ -106,25 +107,46 @@ def worst_termwise_rel(a, b):
     return out
 
 
-def reference_evaluate(f, z, branch=Branch.PRINCIPAL):
-    """Partial sum at z one term at a time in Python complex arithmetic,
-    with the tail bound of ``series.evaluate`` (no guard warning)."""
+def reference_terms(f, z, branch=Branch.PRINCIPAL):
+    """The terms of f at z, each as Python complex arithmetic rounds it:
+    c z^(+-(gamma + shift)), divided by Gamma(gamma + 1) under GAMMA
+    normalization, by ascending gamma."""
     z = complex(z)
     sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
     needs_log = any((k + f.exponent_shift) != 0 for k in f.terms)
     L = series._branch_log(z, branch) if needs_log else 0j
-    total = 0j
+    out = []
     for k, c in sorted(f.terms.items()):
         e = k + f.exponent_shift
         term = c if e == 0 else c * cmath.exp(sign * e * L)
         if f.normalization is Normalization.GAMMA:
             term /= gamma_factor(k + 1.0)
+        out.append(term)
+    return out
+
+
+def reference_evaluate(f, z, branch=Branch.PRINCIPAL):
+    """Partial sum at z one term at a time in Python complex arithmetic,
+    with the tail bound of ``series.evaluate`` (no guard warning)."""
+    z = complex(z)
+    total = 0j
+    for term in reference_terms(f, z, branch):
         total += term
     growth = growth_fit(f) if f.terms else GrowthBound(0.0)
     absz = abs(z)
     c = density_constant(f.spec, max(1, int(math.ceil(f.cutoff))))
     return EvalResult(value=total, tail_bound=series._tail_bound(f, absz, growth, c)
                       if absz > 0 else math.inf)
+
+
+def dot_bound(f, z, branch=Branch.PRINCIPAL, scale=2.0):
+    """scale * n * u * sum |t_k| over the loop's n terms t_k of f at z,
+    u = 2^-53.  A sum of n terms in any order, the loop's or a dot
+    product's, is within about n u sum |t_k| of the exact sum of its
+    terms (Higham, Accuracy and Stability, 3.1), so two of them are
+    within twice that of each other."""
+    terms = reference_terms(f, z, branch)
+    return scale * len(terms) * 2.0 ** -53 * math.fsum(abs(t) for t in terms)
 
 
 def reference_sin_growth_profile(cert, N):

@@ -74,6 +74,26 @@ def test_transform_requires_positive_frequency():
         ft(-1.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(3.0, math.nan)])
+def test_transform_refuses_a_frequency_that_is_not_finite(z):
+    ft = FourierEvaluator(cauchy_moments())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideValidityRegionError):
+            ft(z)
+
+
+def test_integer_phases_are_exact_quarter_turns():
+    # the Cauchy law's moments i^k turn into (-1)^k with no ghost part, so
+    # its transform e^-x is real to the last bit
+    m = classical_stable(StableParams(1.0, 1j), 20.0)[0]
+    fe = FourierEvaluator(m)
+    for k, c in enumerate(fe.series.coefs.tolist()):
+        assert c == (-1) ** k and math.copysign(1.0, c.imag) == 1.0, k
+    for i in range(1, 41):
+        assert fe(i / 40.0).value.imag == 0.0, i
+
+
 def test_transform_multiplies_under_classical_convolution():
     a = random_half_series(11)
     b = random_half_series(12)
@@ -461,9 +481,9 @@ def test_the_fourier_series_and_its_plan_are_built_once_per_moment_series(monkey
     A, c = fe.growth.A, density_constant(m.spec, 20)
     link = laplace_link_check(m, 2.5 * max(c * A, 0.4))
     assert FourierEvaluator(m).series is fe.series
-    # one plan of the Fourier series (GAMMA-normalized); the link's other
-    # plan is the resolvent's
-    assert sum(p.gamma is not None for p in plans) == 1 and len(plans) == 2
+    # one plan of the Fourier series (ascending powers); the link's other
+    # plan is the resolvent's (descending)
+    assert sorted(bool(np.all(p.powers >= 0)) for p in plans) == [False, True]
     assert link.discrepancy <= 1e-6
     # a second link and the caller's own resolvent reuse both
     assert laplace_link_check(m, 2.5 * max(c * A, 0.4)) == link
