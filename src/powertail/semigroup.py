@@ -25,7 +25,7 @@ rational spec and its counts on a float one: one exact lookup of their
 sums finds the grid's pairs, and their multiples of a support's gcds
 are closed under sums and hold the sub-semigroup the support generates.
 On an arithmetic progression 0, g, ..., (n - 1) g the pairs onto k are
-(i, k - i), built by arithmetic with no lookup.
+(i, k - i), and a kernel indexes them by arithmetic with no list.
 """
 
 from __future__ import annotations
@@ -158,14 +158,16 @@ def _count_vectors(spec: SemigroupSpec, cutoff: float, counts: bool = True):
         top, counts = limit + MERGE_REL_TOL * max(1.0, limit), True
     else:
         den = math.lcm(*[f.denominator for f in fracs])
-        limit = math.floor(Fraction(cutoff) * den)
+        cn, cd = cutoff.as_integer_ratio()
+        limit = cn * den // cd
         if max(den, limit) >= _EXACT_INTS:
             raise UnsupportedSemigroupError(
                 "the common denominator %d of %s puts cutoff %g past the 2^53 integers "
                 "a double holds exactly" % (den, spec.describe(), cutoff))
         # a rational just above the cutoff whose double is the cutoff is on
-        # the grid; with den and limit below 2^53 it adds at most two points
-        while float(Fraction(limit + 1, den)) <= cutoff:
+        # the grid; with den and limit below 2^53 it adds at most two points.
+        # An int quotient is correctly rounded: it is the rational's double
+        while (limit + 1) / den <= cutoff:
             limit += 1
         # a weight past the limit is only ever taken zero times
         weights = [min(int(f * den), limit + 1) for f in fracs]
@@ -174,10 +176,12 @@ def _count_vectors(spec: SemigroupSpec, cutoff: float, counts: bool = True):
     cols = np.zeros((1, 0), np.int64) if counts else None
     for w in weights:
         tot = sums[:, None] + np.arange(int(top // w) + 2) * w
-        row, n = np.nonzero(tot <= top)
-        sums = tot[row, n]
         if counts:
-            cols = np.column_stack((cols[row], n))
+            row, n = np.nonzero(tot <= top)
+            sums, cols = tot[row, n], np.column_stack((cols[row], n))
+        else:
+            tot = tot.ravel()
+            sums = tot[tot <= top]
     return den, limit, sums, cols
 
 
@@ -305,9 +309,9 @@ class ExponentGrid:
     its first read: no kernel reads it.  ``pairs()`` lists every (i, j)
     -> k with values[i] + values[j] == values[k], grouped by k (see
     ``PairList``); sums past the cutoff are never formed.  The pairs are
-    found on the exponents' exact integer coordinates, and on an
-    arithmetic progression by arithmetic; there a kernel reads the pairs
-    onto each k as slices (``progression_runs``) and builds no list.  A
+    found on the exponents' exact integer coordinates.  On an arithmetic
+    progression no kernel asks for them: it reads the pairs onto each k
+    as slices (``progression_runs``), or convolves.  A
     float spec whose enumeration merged distinct values by tolerance warns
     with ``ToleranceMergeWarning``, since its sums then hold only to that
     tolerance.
@@ -342,6 +346,11 @@ class ExponentGrid:
         if self._reps is None:
             self._reps = _least_counts(self.spec, self.cutoff, self._coords, self._keys)
         return self._reps
+
+    @property
+    def merged(self) -> bool:
+        """Whether several count vectors share an exponent of this grid."""
+        return self._merged is not None
 
     def top(self, cutoff: float) -> float:
         """The largest exponent the grid of this spec up to ``cutoff``
@@ -392,14 +401,16 @@ class ExponentGrid:
         merged count vectors, where a sum of kept exponents may land on one
         not kept.  The last 8 sub-grids are kept here, by g."""
         n, coords = len(self.values), self._coords
-        g = tuple(np.gcd.reduce(coords.take(np.asarray(support, dtype=np.intp), axis=0)).tolist())
+        c = self._flat()
+        gcd = np.gcd.reduce(c.take(np.asarray(support, dtype=np.intp), axis=0))
+        g = tuple(np.atleast_1d(gcd).tolist())
         if self._merged is not None or g.count(1) == len(g):
             return np.arange(n), self
         hit = self._subs.pop(g, None)
         if hit is None:
             # a coordinate whose gcd is 0 must be 0, the one multiple of its top + 1
-            mod = [x or t + 1 for x, t in zip(g, coords.max(0).tolist())]
-            idx = np.flatnonzero(~(coords % mod).any(1))
+            rem = c % np.where(gcd == 0, c.max(0) + 1, gcd)
+            idx = np.flatnonzero(rem == 0 if c.ndim == 1 else ~rem.any(1))
             if len(idx) == n:
                 return idx, self
             sub = copy.copy(self)
@@ -409,6 +420,12 @@ class ExponentGrid:
         if len(self._subs) > 8:
             del self._subs[next(iter(self._subs))]
         return hit
+
+    def _flat(self) -> np.ndarray:
+        """The coordinates: a rational spec's one column of lattice
+        integers as a 1-D array, a float spec's counts as rows."""
+        coords = self._coords
+        return coords[:, 0] if coords.shape[1] == 1 else coords
 
     def pairs(self) -> PairList:
         if self._pairs is None:
@@ -421,10 +438,10 @@ class ExponentGrid:
         (i, j) -> i + j, n (n + 1) / 2 of them, and a kernel may index it
         as a power series in z^g without building them; one over
         MAX_PAIRS is refused here as ``pairs()`` would refuse it."""
-        n, coords = len(self.values), self._coords
+        n, c = len(self.values), self._flat()
         if self._progression is None:  # read once; the guard runs on every call
             self._progression = bool(n > 1 and self._merged is None
-                                     and (np.diff(coords, axis=0) == coords[1]).all())
+                                     and (np.diff(c, axis=0) == c[1]).all())
         if self._progression:
             self._check_pairs(n * (n + 1) // 2)
         return self._progression
@@ -470,34 +487,27 @@ class ExponentGrid:
         lim = np.searchsorted(w, top - w, side="right")
         total = int(lim.sum())
         self._check_pairs(total)
-        if self.progression() and (lim == np.arange(n, 0, -1)).all():
-            # the pairs onto k are (i, k - i) for i = 0 .. k
-            per = np.arange(1, n + 1)
-            k = np.repeat(np.arange(n, dtype=np.int32), per)
-            i = (np.arange(total) - np.repeat(np.cumsum(per) - per, per)).astype(np.int32)
-            j = k - i
-        else:
-            i = np.repeat(np.arange(n, dtype=np.int32), lim)
-            first = np.cumsum(lim) - lim
-            j = (np.arange(total, dtype=np.int64) - np.repeat(first, lim)).astype(np.int32)
-            # a sum is on the grid when its key is one of the table's
-            table, at = self._merged or (keys, np.arange(n))
-            if np.any(table[1:] < table[:-1]):
-                order = np.argsort(table)
-                table, at = table[order], at[order]
-            tot = keys[i] + keys[j]
-            # a sum past the last key clips onto it, which it does not equal
-            p = np.searchsorted(table, tot)
-            ok, k = table.take(p, mode="clip") == tot, at.take(p, mode="clip")
-            if not ok.all():
-                i, j, k = i[ok], j[ok], k[ok]
-            order = np.argsort(k, kind="stable")
-            i, j, k = i[order], j[order], k[order].astype(np.int32)
-            # a kernel fills k from the pairs onto it, so their i and j must come first
-            if np.any(((i >= k) | (j >= k)) & (i > 0) & (j > 0)):
-                raise UnsupportedSemigroupError(
-                    "grid sums are out of order: an exponent pair lands at or below one "
-                    "of its summands")
+        i = np.repeat(np.arange(n, dtype=np.int32), lim)
+        first = np.cumsum(lim) - lim
+        j = (np.arange(total, dtype=np.int64) - np.repeat(first, lim)).astype(np.int32)
+        # a sum is on the grid when its key is one of the table's
+        table, at = self._merged or (keys, np.arange(n))
+        if np.any(table[1:] < table[:-1]):
+            order = np.argsort(table)
+            table, at = table[order], at[order]
+        tot = keys[i] + keys[j]
+        # a sum past the last key clips onto it, which it does not equal
+        p = np.searchsorted(table, tot)
+        ok, k = table.take(p, mode="clip") == tot, at.take(p, mode="clip")
+        if not ok.all():
+            i, j, k = i[ok], j[ok], k[ok]
+        order = np.argsort(k, kind="stable")
+        i, j, k = i[order], j[order], k[order].astype(np.int32)
+        # a kernel fills k from the pairs onto it, so their i and j must come first
+        if np.any(((i >= k) | (j >= k)) & (i > 0) & (j > 0)):
+            raise UnsupportedSemigroupError(
+                "grid sums are out of order: an exponent pair lands at or below one "
+                "of its summands")
         # the first pair is (0, 0) -> 0, the one pair onto the exponent 0
         defect = 0.0 if exact else float(np.max(
             np.abs(w[i] + w[j] - w[k])[1:] / w[k[1:]], initial=0.0))

@@ -32,7 +32,9 @@ multiples of their gcds over its operands' nonzero exponents
 (``ExponentGrid.generated``), which is closed under sums and holds its
 result, and scatters the result back to the whole grid: a stable law
 without drift, say, lives on the multiples of alpha, rational or
-not.  A product is one grouped sum over the pair list.  Reciprocals,
+not.  A product is one grouped sum over the pair list; on an arithmetic
+progression 0, s, ..., (n - 1) s a series is a power series in z^s,
+and a product there is one ``np.convolve``.  Reciprocals,
 binomial powers, the graded exponential, composition and reversion all
 go through one triangular recurrence kernel built on the Euler
 operator theta, which multiplies the coefficient at exponent e by e: a
@@ -54,6 +56,15 @@ alpha that a stable law without drift lives on, they are the slices
 [:k] and [k:0:-1] with no pair list, and elsewhere they are the k-th
 run of the pair list.
 
+The substitution kernel ``_substitute_v`` computes
+sum_g a_g w^g (1 + h)^(1 + g), the moments of a monotone convolution
+(``transforms.monotone_convolve``).  Off a progression it runs the
+shifted rows of composition, with powers 1 + g where composition takes
+1 - g.  On a progression of step s it is (1 + h) A(x q), with x = w^s,
+q = (1 + h)^s one row of the recurrence, and A read by Horner's rule in
+one convolution a step.  Composition keeps its rows on every grid: a
+Horner composition of forms measured less accurate.
+
 Evaluation reads a per-series plan, built on the first ``evaluate`` and
 kept on the instance, so a point costs one vectorised exp and one dot
 product with the coefficients, divided by their Gamma factors once in
@@ -66,6 +77,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -388,6 +400,14 @@ def _shift_pairs(grid: ExponentGrid, index: np.ndarray):
     return pl.i[sel], rows[sel], pl.k[sel]
 
 
+def _check_cells(rows: int, grid: ExponentGrid) -> None:
+    """Refuse a kernel of ``rows`` rows on ``grid`` past MAX_KERNEL_CELLS."""
+    if rows * len(grid) > MAX_KERNEL_CELLS:
+        raise ResourceGuardError(
+            "a %d-row series kernel on the %d-exponent grid of %s needs more than "
+            "%d cells" % (rows, len(grid), grid.spec.describe(), MAX_KERNEL_CELLS))
+
+
 def _euler_weights(kind: str, w: np.ndarray):
     """u, v and d of the recurrence d_k p_k = sum p_i h_j (beta u_j - v_i)
     of ``kind``, from the additive weights w of a grid's exponents."""
@@ -432,10 +452,7 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
     summed in another order, would leave a residual of their roundoff.
     """
     n, R = len(grid), len(betas)
-    if R * n > MAX_KERNEL_CELLS:
-        raise ResourceGuardError(
-            "a %d-row series kernel on the %d-exponent grid of %s needs more than "
-            "%d cells" % (R, n, grid.spec.describe(), MAX_KERNEL_CELLS))
+    _check_cells(R, grid)
     if grid.progression():
         ii, jj, start, I, J, w, reach = grid.progression_runs()
     else:
@@ -526,14 +543,15 @@ def _product_v(a: np.ndarray, b: np.ndarray, grid: ExponentGrid,
                normalization: Normalization) -> np.ndarray:
     idx, sub = grid.generated(np.flatnonzero((a != 0) | (b != 0)))
     a, b = a[idx], b[idx]
-    if normalization is Normalization.GAMMA:
+    gamma = normalization is Normalization.GAMMA
+    if gamma:
         # Gamma only where the product lives: past 170.6 it is inf, and
         # an exact zero times inf would be nan
         gw = np.array([gamma_factor(v + 1.0) for v in sub.values.tolist()])
-        out = _convolve(a / gw, b / gw, sub) * gw
-    else:
-        out = _convolve(a, b, sub)
-    return _checked(_full(idx, out, len(grid)), grid)
+        a, b = a / gw, b / gw
+    # on a progression the pairs onto k are (i, k - i): one convolution
+    out = np.convolve(a, b)[:len(sub)] if sub.progression() else _convolve(a, b, sub)
+    return _checked(_full(idx, out * gw if gamma else out, len(grid)), grid)
 
 
 @_quiet
@@ -660,22 +678,64 @@ def identity_f_form(spec: SemigroupSpec, cutoff: float = DEFAULT_CUTOFF) -> GenS
     return f_form(spec, {}, cutoff)
 
 
-def _outer_rows(coefs: np.ndarray, grid: ExponentGrid):
-    """Grid indices, coefficients and powers 1 - g of the nonzero terms
-    of a grid vector, by ascending exponent g."""
+def _outer_rows(coefs: np.ndarray, grid: ExponentGrid, sign: float = -1.0):
+    """Grid indices, coefficients and powers 1 + sign g of the nonzero
+    terms of a grid vector, by ascending exponent g."""
     index = np.flatnonzero(coefs)
-    return index, coefs[index], 1.0 - grid.values[index].astype(np.complex128)
+    return index, coefs[index], 1.0 + sign * grid.values[index].astype(np.complex128)
+
+
+def _outer_inner(a: np.ndarray, h: np.ndarray, grid: ExponentGrid):
+    """The sub-grid that the terms of a and h generate, its indices in
+    grid, and a and h on it, h with its constant term read as 0."""
+    idx, sub = grid.generated(np.flatnonzero((a != 0) | (h != 0)))
+    a, h = a[idx], h[idx]
+    h[0] = 0.0
+    return idx, sub, a, h
+
+
+def _shifted_rows(a: np.ndarray, h: np.ndarray, grid: ExponentGrid,
+                  sign: float) -> np.ndarray:
+    """sum_g a_g w^g (1 + h)^(1 + sign g) on grid, h with no constant
+    term: one power series per nonzero a_g, all filled together by the
+    Euler-operator recurrence, then shifted by w^g and summed."""
+    index, coef, betas = _outer_rows(a, grid, sign)
+    P = _euler_rows(grid, h, betas, "power", shifts=index)
+    i, r, k = _shift_pairs(grid, index)
+    return _group_sum(k, coef[r] * P[r, i], len(grid))
 
 
 @_quiet
 def _compose_v(a: np.ndarray, h: np.ndarray, grid: ExponentGrid) -> np.ndarray:
-    index, coef, betas = _outer_rows(a, grid)
-    idx, sub = grid.generated(np.flatnonzero((a != 0) | (h != 0)))
-    h, shifts = h[idx], np.searchsorted(idx, index)
-    h[0] = 0.0
-    P = _euler_rows(sub, h, betas, "power", shifts=shifts)
-    i, r, k = _shift_pairs(sub, shifts)
-    return _checked(_full(idx, _group_sum(k, coef[r] * P[r, i], len(sub)), len(grid)), grid)
+    idx, sub, a, h = _outer_inner(a, h, grid)
+    return _checked(_full(idx, _shifted_rows(a, h, sub, -1.0), len(grid)), grid)
+
+
+@_quiet
+def _substitute_v(a: np.ndarray, h: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    """sum_g a_g w^g (1 + h)^(1 + g), with h's constant term read as 0:
+    the moments M_a(w (1 + h)) (1 + h) of a monotone convolution.
+
+    On a progression 0, s, ..., (n - 1) s it is a power series in x = w^s:
+    with q = (1 + h)^s it is (1 + h) A(x q), A read by Horner's rule,
+    r <- a_m + x q r for m = n - 2 .. 0, one convolution a step.  Step m
+    keeps the n - m coefficients that x^m can still carry under the
+    cutoff.  Elsewhere it runs one shifted row per term of a.  Both
+    refuse what the rows would refuse, before any work."""
+    idx, sub, a, h = _outer_inner(a, h, grid)
+    if not sub.progression():
+        return _checked(_full(idx, _shifted_rows(a, h, sub, 1.0), len(grid)), grid)
+    n = len(sub)
+    _check_cells(np.count_nonzero(a), sub)
+    q = _euler_rows(sub, h, sub.values[1:2], "power")[0]
+    r = a[n - 1:]
+    for m in range(n - 2, -1, -1):
+        nxt = np.empty(n - m, dtype=np.complex128)
+        nxt[0] = a[m]
+        nxt[1:] = np.convolve(q[:n - m - 1], r)[:n - m - 1]
+        r = nxt
+    h[0] = 1.0
+    return _checked(_full(idx, np.convolve(h, r)[:n], len(grid)), grid)
 
 
 def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
@@ -835,6 +895,7 @@ def _tail_bound(f: GenSeries, absz: float, growth: GrowthBound, c: float) -> flo
 # below this real part np.exp and cmath.exp round alike; from log(DBL_MAX / 4)
 # = 708.4 on cmath.exp rescales, and past 709.8 it raises OverflowError
 _EXP_SAFE = 708.0
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class _EvalPlan(NamedTuple):
@@ -843,6 +904,7 @@ class _EvalPlan(NamedTuple):
     powers: np.ndarray         # sign * (gamma + shift) by ascending gamma; sign -1 if DESCENDING
     reach: float               # max |power|; 0 when no term needs the log
     scaled: np.ndarray         # c / Gamma(gamma + 1) under GAMMA normalization, else c
+    safe: float                # below this real part of a power, no sum overflows
     growth: GrowthBound        # the growth fit
     c: float                   # density constant up to the cutoff
     guard_scale: float         # guard radius per unit of A (it is linear in A)
@@ -860,8 +922,13 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
         sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
         powers = np.array([sign * (k + f.exponent_shift) for k in keys])
         horizon = max(1, int(math.ceil(f.cutoff)))
+        # n terms of modulus below big e^safe sum to below the largest double
+        big = float(np.max(np.abs(scaled), initial=0.0))
+        safe = min(_EXP_SAFE, _LOG_DBL_MAX - math.log(big) - math.log(len(keys))) \
+            if big else _EXP_SAFE
         plan = _EvalPlan(
             powers=powers, reach=float(np.max(np.abs(powers), initial=0.0)), scaled=scaled,
+            safe=safe,
             growth=growth_fit(f) if keys else GrowthBound(0.0),
             c=density_constant(f.spec, horizon),
             guard_scale=guard_radius(f.spec, 1.0, horizon))
@@ -877,7 +944,8 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
     still returned.  The tail bound is a conservative estimate of the
     discarded terms' total mass from the fitted growth bound; it is
     computed when ``tail_bound`` is first read.  A z that is not finite
-    raises InvalidArgumentError.
+    raises InvalidArgumentError, and a power or a sum past double range
+    raises OverflowError.
 
     The value is one dot product of the powers z^(+-(gamma + shift)) with
     the plan's coefficients, divided by Gamma(gamma + 1) once per series
@@ -891,11 +959,14 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
     plan = _eval_plan(f)
     L = _branch_log(z, branch) if plan.reach else 0j
     arg = plan.powers * L
-    if plan.reach * abs(L.real) < _EXP_SAFE:
-        w = np.exp(arg)
-    else:  # a power near or past overflow: round and raise as cmath does
+    if plan.reach * abs(L.real) < plan.safe:
+        s = complex(np.dot(np.exp(arg), plan.scaled))
+    else:  # a power or the sum near or past overflow: round and raise as cmath does
         w = np.array([cmath.exp(a) for a in arg.tolist()])
-    s = complex(np.dot(w, plan.scaled))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = complex(np.dot(w, plan.scaled))
+        if not cmath.isfinite(s):
+            raise OverflowError("the partial sum at %r is past double range" % (z,))
     # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
     total = complex(0.0 + s.real, 0.0 + s.imag)
     absz = abs(z)
@@ -916,11 +987,12 @@ def _evaluate_many(f: GenSeries, t: np.ndarray) -> np.ndarray:
     """Partial sums of f at the real points t > 0, principal branch, in
     one product: exp(log t ⊗ powers) @ scaled, with the plan's scaled
     coefficients that ``evaluate`` reads.  For quadrature nodes; no tail
-    bound.  A power that underflows reads 0; where one may overflow, the
-    nodes go through ``evaluate``, which raises as it does."""
+    bound.  A power that underflows reads 0; where a power or the sum
+    may overflow, the nodes go through ``evaluate``, which raises as it
+    does."""
     plan = _eval_plan(f)
     arg = np.multiply.outer(np.log(t), plan.powers)
-    if np.max(arg, initial=0.0) >= _EXP_SAFE:
+    if np.max(arg, initial=0.0) >= plan.safe:
         return np.array([evaluate(f, x).value for x in t.tolist()], dtype=np.complex128)
     # two real products: numpy's real-by-complex one is far slower
     v = np.exp(arg) @ plan.scaled.view(np.float64).reshape(len(plan.scaled), 2)

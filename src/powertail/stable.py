@@ -73,6 +73,7 @@ from .transforms import (
 
 RESONANCE_TOL = 1e-8
 _PHASE_TOL = 1e-12
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
 # hard cap on the (M + 1) N coefficients of one supremum density series
 MAX_SUPREMUM_TERMS = 100_000
 
@@ -183,12 +184,14 @@ def _closed_form_v(grid: ExponentGrid, kind: StableKind, alpha: float,
         return _finite(out, grid.spec, grid.cutoff)
     idx, sub = grid.generated([at])
     tau = sub.values
-    k = np.rint(tau / alpha)
-    on = np.abs(tau - alpha * k) <= MERGE_REL_TOL * np.maximum(1.0, tau)
-    if not on.all():
+    if not sub.merged:  # the multiples alpha k, k = 0 .. K, at index k
+        k, ks = np.arange(len(tau), dtype=np.float64), slice(None)
+    else:  # the whole merged grid: those of its exponents on a multiple
+        k = np.rint(tau / alpha)
+        on = np.abs(tau - alpha * k) <= MERGE_REL_TOL * np.maximum(1.0, tau)
         idx, tau, k = idx[on], tau[on], k[on]
+        ks = k.astype(np.intp)
     K = int(k[-1])
-    ks = k.astype(np.intp)
     fac = np.ones(len(k))
     if kind is StableKind.CLASSICAL:
         fac[1:] = _gamma_ratios(tau[1:], k[1:])
@@ -203,9 +206,9 @@ def _closed_form_v(grid: ExponentGrid, kind: StableKind, alpha: float,
     m = powers * fac
     # where b^k or its factor has left the normal doubles, their product
     # need not have: it is taken in logs
-    tiny = np.finfo(np.float64).tiny
-    lost = np.flatnonzero(~np.isfinite(m) | (np.abs(powers) < tiny) | (np.abs(fac) < tiny))
-    if len(lost):
+    ok, mag, size = np.isfinite(m), np.abs(powers), np.abs(fac)
+    if not (ok.all() and mag.min() >= _TINY and size.min() >= _TINY):
+        lost = np.flatnonzero(~ok | (mag < _TINY) | (size < _TINY))
         logs = ([math.lgamma(t + 1.0) - math.lgamma(n + 1.0)
                  for t, n in zip(tau[lost].tolist(), k[lost].tolist())]
                 if kind is StableKind.CLASSICAL else np.log(fac[lost] + 0j))

@@ -6,7 +6,8 @@ d_gamma = m_gamma stored at key gamma and one structural power of 1/z),
 reciprocal-Cauchy form, and the Voiculescu series.  On top of the
 conversions sit the four convolutions: classical (GAMMA product),
 Boolean (tails of the reciprocal-Cauchy forms add), monotone (forms
-compose), free (Voiculescu series add).
+compose, which the moments do by substitution), free (Voiculescu series
+add).
 
 Integer exponents are special throughout: a tail density only pins
 down the imaginary part of an integer-indexed moment (the real part
@@ -41,11 +42,11 @@ from .series import (
     Variable,
     _combine_v,
     _common_grid,
-    _compose_v,
     _eval_plan,
     _finite,
     _reciprocal_v,
     _revert_v,
+    _substitute_v,
     evaluate,
     growth_fit,
     is_f_form,
@@ -407,11 +408,17 @@ def boolean_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
 
 
 def monotone_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
-    """Monotone convolution: reciprocal-Cauchy forms compose (left acts)."""
+    """Monotone convolution: reciprocal-Cauchy forms compose (left acts),
+    F = F1 o F2 (Franz, Indiana Univ. Math. J. 58, 2009).
+
+    Since G = 1/F, the moments compose too: G(z) = G1(F2(z)), and with
+    w = 1/z and F2(z) = z / M2(w) that is M(w) = M2(w) M1(w M2(w)), the
+    sum over the moments m1_g of m1_g w^g M2(w)^(1 + g).  One substitution
+    on the two moment vectors computes it, so the route takes no
+    reciprocal: neither of an operand nor of the composed form."""
     m1, m2 = _on_common_spec(m1, m2)
-    F1 = F_from_moments(m1)
-    grid, a, h = _common_grid(F1, F1 if m2 is m1 else F_from_moments(m2))
-    return _moments_from_F_v(_compose_v(a, h, grid), grid)
+    grid, a, h = _common_grid(m1.series, m2.series)
+    return _moments(_substitute_v(a, h, grid), grid.spec, grid.cutoff)
 
 
 def free_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:

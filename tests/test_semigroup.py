@@ -397,40 +397,6 @@ def test_sub_grids_live_on_their_grid_only():
     assert fresh._subs == {}
 
 
-def _key_lookup_pairs(grid, monkeypatch):
-    """The pairs of grid as the sorted-key lookup builds them, as if it
-    were not a progression."""
-    with monkeypatch.context() as m:
-        m.setattr(ExponentGrid, "progression", lambda self: False)
-        return grid._build_pairs()
-
-
-@pytest.mark.parametrize("alphas, cutoff", [((), 12.0), ((0.4,), 10.0), ((1.0 / 3.0,), 9.0),
-                                            ((0.4123,), 8.0), ((math.pi / 8,), 8.0),
-                                            ((math.sqrt(2.0) / 2,), 6.0), ((0.4, 0.7), 6.0)])
-def test_progression_pairs_are_the_key_lookup_pairs(alphas, cutoff, monkeypatch):
-    """On a progression, the whole grid or a sub-grid from ``generated``
-    (the multiples of alpha, 2 alpha and 1), the pairs built by arithmetic
-    equal the key-lookup build field for field, dtypes included."""
-    grid = ExponentGrid(SemigroupSpec.with_alphas(*alphas), cutoff)
-    gens = [grid.index_of(g) for g in (*alphas[:1], *(2 * a for a in alphas[:1]), 1.0)]
-    grids = [grid] + [grid.generated(np.array([g]))[1] for g in gens]
-    checked = 0
-    for g in grids:
-        if not g.progression():
-            continue
-        got = g.pairs()
-        want = _key_lookup_pairs(g, monkeypatch)
-        assert got._fields == want._fields
-        for name, a, b in zip(got._fields, got, want):
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
-            else:
-                assert type(a) is type(b) and a == b, name
-        checked += 1
-    assert checked >= 2
-
-
 @pytest.mark.parametrize("alphas, cutoff", [
     ((), 5.0), ((Fraction(1, 3),), 8.0), ((Fraction(2, 5),), 7.5),
     ((Fraction(1, 2), Fraction(1, 3)), 6.0), ((Fraction(3, 10), Fraction(7, 10)), 4.0)])

@@ -287,10 +287,13 @@ def _bits(m):
     (boolean_convolve, "F_from_moments"), (monotone_convolve, "F_from_moments"),
     (free_convolve, "voiculescu_from_moments")])
 def test_self_convolution_converts_its_operand_once(monkeypatch, conv, converter):
+    # the monotone convolution substitutes one moment vector into the
+    # other and converts neither
     m, _ = classical_stable(StableParams(0.5, -1.0), 12.0)
     twin = moment_series(m.spec, m.terms, m.cutoff)
     assert twin == m and twin is not m
     real, calls = getattr(transforms_module, converter), []
+    once = 0 if conv is monotone_convolve else 1
 
     def counted(x):
         calls.append(x)
@@ -298,9 +301,9 @@ def test_self_convolution_converts_its_operand_once(monkeypatch, conv, converter
 
     monkeypatch.setattr(transforms_module, converter, counted)
     same = conv(m, m)
-    assert len(calls) == 1
+    assert len(calls) == once
     assert _bits(same) == _bits(conv(m, twin))
-    assert len(calls) == 3
+    assert len(calls) == 3 * once
 
 
 @given(hst.integers(min_value=0, max_value=200))
@@ -405,9 +408,10 @@ def test_each_public_call_builds_the_series_it_returns(constructions):
 
 def test_vector_paths_are_the_public_chains_bit_for_bit():
     # each convolution against the chain of public calls it stands for,
-    # every coefficient by its bits; each law constructor against its
-    # closed form, and against the chain of kernels it replaced within
-    # 5e-16 (measured: free 2.2e-16, monotone 7.3e-18, Boolean bit for bit)
+    # every coefficient by its bits but the monotone one's; each law
+    # constructor against its closed form, and against the chain of kernels
+    # it replaced within 5e-16 (measured: free 2.2e-16, monotone 7.3e-18,
+    # Boolean bit for bit)
     alpha, b = 1.5, 0.5 + 0.2j
     spec = SemigroupSpec.with_alphas(alpha)
     desc_raw = (Variable.DESCENDING, Normalization.RAW)
@@ -428,7 +432,9 @@ def test_vector_paths_are_the_public_chains_bit_for_bit():
     sum_form = linear_combine(1.0, F, 1.0, F)
     assert _bits(boolean_convolve(m, m)) == _bits(moments_from_F(
         sum_form.with_terms(sum_form.coefs - (np.arange(len(F.coefs)) == 0))))
-    assert _bits(monotone_convolve(m, m)) == _bits(moments_from_F(compose_F(F, F)))
+    # the monotone convolution substitutes moments, where the chain composes
+    # forms between two reciprocals: measured 1.9e-16 apart
+    assert worst_termwise_rel(monotone_convolve(m, m), moments_from_F(compose_F(F, F))) <= 1e-14
     p = voiculescu_from_moments(m)
     assert _bits(free_convolve(m, m)) == _bits(moments_from_voiculescu(
         linear_combine(1.0, p, 1.0, p)))
