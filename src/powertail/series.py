@@ -47,9 +47,13 @@ factors it gathers for many coefficients at once, and one product and
 column sum for several rows.  Composition and reversion fill one power
 series per term of the outer form together, reversion online, as each
 new coefficient of the inverse becomes known (van der Hoeven, "Relax,
-but don't be too lazy", JSC 34, 2002); reversion sums each
-coefficient's tail terms in the order ``revert_F``'s residual check
-sums them, since those terms can exceed the coefficient by many
+but don't be too lazy", JSC 34, 2002).  The online pass takes its rows
+in one set or two: one set's tail terms set its own unknown (the
+inverse of a form, or the subordination function of a free
+self-convolution), and of two sets each sets the other's (the two
+subordination functions of a free convolution, ``_subordinate_v``).
+Each unknown's tail terms are summed in the order the pass's residual
+check sums them, since those terms can exceed the coefficient by many
 orders.  Only the indexing of the pairs onto k depends on the grid: on
 an arithmetic progression 0, g, ..., (n - 1) g, as the multiples of
 alpha that a stable law without drift lives on, they are the slices
@@ -417,7 +421,8 @@ def _euler_weights(kind: str, w: np.ndarray):
 
 def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
                 shifts: np.ndarray | None = None,
-                tail_coef: np.ndarray | None = None) -> np.ndarray:
+                tail_coef: np.ndarray | None = None,
+                split: int | None = None) -> np.ndarray:
     """Rows p_r of a series function of 1 + h, one coefficient at a time.
 
     With w the grid's additive weights (so that the Euler operator
@@ -444,12 +449,23 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
     shift keeps under the cutoff (k below ``reach[shifts[r]]``); shifts
     must ascend.
 
-    ``tail_coef`` makes h unknown on entry: h_k is set first, to minus
-    the sum of tail_coef_r p_r[i] over the pairs (i, shifts[r]) -> k, and
-    h_k keeps being set after every row has dropped out.  The terms are
-    summed by descending r in one ``reduceat``: that is how ``revert_F``
-    sums them again to check its residual, and terms far larger than h_k,
-    summed in another order, would leave a residual of their roundoff.
+    ``tail_coef`` makes h unknown on entry, and the rows come in one set
+    or, with ``split``, two: rows [0, split) are powers of 1 + h[0] and
+    rows [split, R) of 1 + h[1], h a (2, n) array, the shifts ascending
+    within each set.  At each k the unknowns are set first: one set's
+    tail, the sum of tail_coef_r p_r[i] over the pairs (i, shifts[r]) -> k
+    of its rows, sets its own unknown, and of two sets each one's tail
+    sets the other's; the unknowns keep being set after every row has
+    dropped out.  Each tail is summed by descending r in one
+    ``reduceat``, and a closing residual check sums it again, in that
+    order, from the finished rows: terms far larger than h_k, summed in
+    another order, would leave a residual of their roundoff.  A residual past 1e-9 of
+    the largest unknown (or of 1) raises NonConvergentReversionError; one
+    that is not finite passes, and the caller's finite check refuses the
+    overflowed result.  Each set keeps its own block of rows and count of
+    active rows: merged by shift, a step that one set runs with a single
+    row (a pairwise sum in numpy) would run with two (a sum in sequence),
+    and two equal sets would no longer give two equal unknowns.
     """
     n, R = len(grid), len(betas)
     _check_cells(R, grid)
@@ -479,22 +495,37 @@ def _euler_rows(grid: ExponentGrid, h: np.ndarray, betas: np.ndarray, kind: str,
                 p[k] = np.dot(fac[start[k] - base:start[k + 1] - base], p[ii[k]]) / d[k]
             k0 = k1
         return P.T
-    bu, vc, hc = betas * u[:, None], v[:, None], h[:, None]
-    # a shifted row r is needed while k < reach[shifts[r]]
-    active = [R] * n if shifts is None else np.searchsorted(
-        -reach[shifts], -np.arange(n), side="left").tolist()
+    bu, vc = betas * u[:, None], v[:, None]
+    # the sets as (first row, end row, unknown); a shifted row r is needed
+    # while k < reach[shifts[r]]
+    sets = [(0, R, h)] if split is None else [(0, split, h[0]), (split, R, h[1])]
+    blocks = [(lo, [hi - lo] * n if shifts is None else np.searchsorted(
+        -reach[shifts[lo:hi]], -np.arange(n), side="left").tolist(), x[:, None])
+        for lo, hi, x in sets]
+    tails, flat = [], P.reshape(-1)
     if tail_coef is not None:
-        ti, tr, tk = _shift_pairs(grid, shifts)
-        tc, tflat, flat = tail_coef[tr], ti * R + tr, P.reshape(-1)
-        tstart = np.searchsorted(tk, np.arange(n + 1)).tolist()
+        for s, (_, _, x) in enumerate(sets):
+            lo, hi, _ = sets[s - 1]  # the other set's rows, or with one set its own
+            ti, tr, tk = _shift_pairs(grid, shifts[lo:hi])
+            tails.append((x, tk, tail_coef[lo + tr], ti * R + lo + tr,
+                          np.searchsorted(tk, np.arange(n + 1)).tolist()))
     for k in range(1, n):
-        if tail_coef is not None and tstart[k] < tstart[k + 1]:
-            t = slice(tstart[k], tstart[k + 1])
-            h[k] = -np.add.reduceat(tc[t] * flat.take(tflat[t]), [0])[0]
-        a, i, j = active[k], ii[k], jj[k]
-        if a:
-            fac = hc[j] * (bu[j, :a] - vc[i])
-            P[k, :a] = (P[i, :a] * fac).sum(0) / d[k]
+        for x, _, tc, tflat, tstart in tails:
+            if tstart[k] < tstart[k + 1]:
+                t = slice(tstart[k], tstart[k + 1])
+                x[k] = np.add.reduceat(tc[t] * flat.take(tflat[t]), [0])[0]
+        i, j = ii[k], jj[k]
+        for lo, active, hc in blocks:
+            a = active[k]
+            if a:
+                fac = hc[j] * (bu[j, lo:lo + a] - vc[i])
+                P[k, lo:lo + a] = (P[i, lo:lo + a] * fac).sum(0) / d[k]
+    if tails:
+        resid = float(np.max(np.abs([_group_sum(tk, tc * flat.take(tflat), n) - x
+                                     for x, tk, tc, tflat, _ in tails])))
+        if resid > 1e-9 * max(1.0, float(np.max(np.abs(h)))):
+            raise NonConvergentReversionError(
+                "reversion recurrence is inconsistent (residual %g)" % resid)
     return P.T
 
 
@@ -756,25 +787,46 @@ def compose_F(outer: GenSeries, inner: GenSeries) -> GenSeries:
 
 
 @_quiet
+def _online_form(forms: list, grid: ExponentGrid, double: bool = False) -> np.ndarray:
+    """The form 1 + sum_s u_s, or 1 + 2 u with ``double``, with the tails
+    u_s that one online pass of ``_euler_rows`` finds for one or two
+    forms 1 + sum_g c_g w^g, grid vectors of unit constant term: one form
+    gives u = sum_g c_g w^g (1 + u)^(1 - g), and two give
+    u_1 = sum_g c2_g w^g (1 + u_2)^(1 - g) and
+    u_2 = sum_g c1_g w^g (1 + u_1)^(1 - g), on the sub-grid that their
+    tails generate."""
+    # the first row of each form is the unit at exponent 0, not a tail term
+    rows = [[x[1:] for x in _outer_rows(a, grid)] for a in forms]
+    index, coef, betas = (np.concatenate(x) for x in zip(*rows))
+    out = np.zeros(len(grid), dtype=np.complex128)
+    if len(index):
+        idx, sub = grid.generated(index)
+        u = np.zeros((len(forms), len(sub)), dtype=np.complex128)
+        split = len(rows[0][0]) if len(forms) > 1 else None
+        _euler_rows(sub, u if split is not None else u[0], betas, "power",
+                    shifts=np.searchsorted(idx, index), tail_coef=coef, split=split)
+        out[idx] = u.sum(0)
+    if double:  # u + u, as two equal sets add up, also where u overflows
+        out += out
+    out[0] += 1.0
+    return _checked(out, grid)
+
+
 def _revert_v(a: np.ndarray, grid: ExponentGrid) -> np.ndarray:
-    # the first row is the unit at exponent 0, which is not part of the tail
-    index, coef, betas = (x[1:] for x in _outer_rows(a, grid))
-    if not len(index):
-        return a.copy()
-    idx, sub = grid.generated(index)
-    shifts = np.searchsorted(idx, index)
-    f = np.zeros(len(sub), dtype=np.complex128)
-    P = _euler_rows(sub, f, betas, "power", shifts=shifts, tail_coef=coef)
-    i, r, k = _shift_pairs(sub, shifts)
-    resid = -_group_sum(k, coef[r] * P[r, i], len(sub)) - f
-    scale_ref = max(1.0, float(np.max(np.abs(f))))
-    if np.max(np.abs(resid)) > 1e-9 * scale_ref:
-        raise NonConvergentReversionError(
-            "reversion recurrence is inconsistent (residual %g)"
-            % float(np.max(np.abs(resid))))
-    f = _full(idx, f, len(grid))
-    f[0] += 1.0
-    return _checked(f, grid)
+    # the inverse z (1 + f) of z (1 + t) has f = -sum_g t_g w^g (1 + f)^(1 - g)
+    return _online_form([-a], grid)
+
+
+def _subordinate_v(a: np.ndarray, b: np.ndarray, grid: ExponentGrid) -> np.ndarray:
+    """The reciprocal-Cauchy form of a free convolution, from the forms
+    a = z (1 + t1) and b = z (1 + t2) of its operands, by subordination:
+    z (1 + f + tau), with the subordination function omega_1 = z (1 + f)
+    and omega_2 = z + h1(omega_1) = z (1 + tau), where
+    f = sum_g t2_g w^g (1 + tau)^(1 - g) and tau = sum_g t1_g w^g
+    (1 + f)^(1 - g), both found in one online pass.  Where b is a, f and
+    tau are equal, and one set of rows finds f: the form is z (1 + 2 f),
+    bit for bit what the two sets give on equal operands."""
+    return _online_form([a], grid, double=True) if b is a else _online_form([a, b], grid)
 
 
 def revert_F(F: GenSeries) -> GenSeries:

@@ -7,7 +7,7 @@ reciprocal-Cauchy form, and the Voiculescu series.  On top of the
 conversions sit the four convolutions: classical (GAMMA product),
 Boolean (tails of the reciprocal-Cauchy forms add), monotone (forms
 compose, which the moments do by substitution), free (Voiculescu series
-add).
+add, which the forms do by subordination).
 
 Integer exponents are special throughout: a tail density only pins
 down the imaginary part of an integer-indexed moment (the real part
@@ -46,6 +46,7 @@ from .series import (
     _finite,
     _reciprocal_v,
     _revert_v,
+    _subordinate_v,
     _substitute_v,
     evaluate,
     growth_fit,
@@ -235,16 +236,11 @@ def _require_voiculescu(phi: GenSeries) -> None:
             "expected a Voiculescu-type series (descending, shift -1, no unit term)")
 
 
-def _moments_from_voiculescu_v(phi, grid) -> MomentSeries:
-    """The moments of the Voiculescu series held by the grid vector phi,
-    which becomes its reciprocal-Cauchy form in place."""
-    phi[0] = 1.0
-    return _moments_from_F_v(_revert_v(phi, grid), grid)
-
-
 def moments_from_voiculescu(phi: GenSeries) -> MomentSeries:
     _require_voiculescu(phi)
-    return _moments_from_voiculescu_v(phi.coefs.copy(), phi.grid())
+    grid, form = phi.grid(), phi.coefs.copy()
+    form[0] = 1.0  # the reciprocal-Cauchy form's inverse
+    return _moments_from_F_v(_revert_v(form, grid), grid)
 
 
 # -- tail density ---------------------------------------------------------
@@ -422,9 +418,23 @@ def monotone_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
 
 
 def free_convolve(m1: MomentSeries, m2: MomentSeries) -> MomentSeries:
-    """Free convolution: Voiculescu series add."""
+    """Free convolution by subordination (Biane, Math. Z. 227, 1998;
+    Belinschi and Bercovici, J. Anal. Math. 101, 2007).
+
+    With h_i(z) = F_i(z) - z, the subordination functions solve
+    omega_1 = z + h2(omega_2) and omega_2 = z + h1(omega_1), and the form
+    of the convolution is F = F1(omega_1) = omega_1 + omega_2 - z.  Its
+    tail in w = 1/z is f + tau, where omega_1 = z (1 + f) and
+    omega_2 = z (1 + tau) are found together in one online pass
+    (``series._subordinate_v``): F1(omega_1) is read off the two
+    subordination functions, so no composition is computed.  The route
+    never passes through the Voiculescu series, whose reversion back to a
+    form lost every digit at cutoff 48 (a free stable law convolved with
+    itself missed the law at twice its weight by 7.5e7).  A
+    self-convolution solves omega = z + h(omega) alone, one set of rows in
+    place of two."""
     m1, m2 = _on_common_spec(m1, m2)
-    p1 = voiculescu_from_moments(m1)
-    p2 = p1 if m2 is m1 else voiculescu_from_moments(m2)
-    grid, a, b = _common_grid(p1, p2)
-    return _moments_from_voiculescu_v(_combine_v(1.0, a, 1.0, b, grid), grid)
+    F1 = F_from_moments(m1)
+    F2 = F1 if m2 is m1 else F_from_moments(m2)
+    grid, a, b = _common_grid(F1, F2)
+    return _moments_from_F_v(_subordinate_v(a, b, grid), grid)

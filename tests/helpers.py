@@ -166,61 +166,79 @@ def reference_sin_growth_profile(cert, N):
     return SinGrowthProfile(running_max_linear=max_lin, running_max_log=max_log)
 
 
-def reference_euler_rows(grid, h, betas, kind, shifts=None, tail_coef=None):
+def _row_sets(h, R, split):
+    """(first row, end row, unknown) of each set of rows."""
+    return [(0, R, h)] if split is None else [(0, split, h[0]), (split, R, h[1])]
+
+
+def reference_euler_rows(grid, h, betas, kind, shifts=None, tail_coef=None, split=None):
     """``series._euler_rows`` one coefficient at a time over the pair list:
     coefficient k sums, over the pairs (i, j) -> k with j > 0, less those
     whose h_j is 0 when h is known, p_i h_j (beta u_j - v_i), divided by
     d_k, as one dot for one row and one product and column sum for
-    several.  A single row is filled whole; of several, one shifted by the
-    exponent at index s is filled while k < reach[s].  In reversion h_k is
-    set first from the pairs (i, shifts[r]) -> k, in pair-list order."""
+    several, each set of rows on its own.  A single row is filled whole;
+    of several, one shifted by the exponent at index s is filled while
+    k < reach[s].  With a tail each unknown h_k is set first from the
+    pairs (i, shifts[r]) -> k, in pair-list order, of the rows of the
+    other set, or of its own where it is alone."""
     pl = grid.pairs()
     n, R = len(grid), len(betas)
     u, v, d = series._euler_weights(kind, pl.weights)
     P = np.zeros((n, R), dtype=np.complex128)
     P[0] = 1.0
-    row_of = {} if shifts is None else {int(s): r for r, s in enumerate(shifts)}
+    sets = _row_sets(h, R, split)
     runs = np.searchsorted(pl.k, np.arange(n + 1)).tolist()
     for k in range(1, n):
         i, j = pl.i[runs[k]:runs[k + 1]], pl.j[runs[k]:runs[k + 1]]
-        if tail_coef is not None:
+        for s, (_, _, x) in enumerate(sets if tail_coef is not None else ()):
+            lo, hi, _ = sets[s - 1]
+            row_of = {int(sh): r for r, sh in enumerate(shifts[lo:hi], lo)}
             tail = [(a, row_of[b]) for a, b in zip(i.tolist(), j.tolist()) if b in row_of]
             if tail:
                 ti, tr = np.array(tail).T
-                h[k] = -np.add.reduceat(tail_coef[tr] * P[ti, tr], [0])[0]
+                x[k] = np.add.reduceat(tail_coef[tr] * P[ti, tr], [0])[0]
         keep = j > 0 if tail_coef is not None else h[j] != 0
         i, j = i[keep], j[keep]
-        rows = R if shifts is None else sum(1 for s in shifts if k < pl.reach[s])
         if R == 1 and tail_coef is None:
             fac = h[j] * (betas[0] * u[j] - v[i])
             P[k, 0] = np.dot(fac, P[i, 0]) / d[k]
-        elif rows:
-            fac = h[j, None] * (betas[:rows] * u[j, None] - v[i, None])
-            P[k, :rows] = (P[i, :rows] * fac).sum(0) / d[k]
+            continue
+        for lo, hi, x in sets:
+            rows = hi - lo if shifts is None else sum(1 for s in shifts[lo:hi]
+                                                      if k < pl.reach[s])
+            if rows:
+                fac = x[j, None] * (betas[lo:lo + rows] * u[j, None] - v[i, None])
+                P[k, lo:lo + rows] = (P[i, lo:lo + rows] * fac).sum(0) / d[k]
     return P.T
 
 
-def reference_progression_rows(h, betas, kind, shifts=None, tail_coef=None):
+def reference_progression_rows(h, betas, kind, shifts=None, tail_coef=None, split=None):
     """``series._euler_rows`` on the grid 0, g, ..., (n - 1) g, one
     coefficient at a time: the sum over i < k of p_i h_(k-i)
     (beta u_(k-i) - v_i) with the index as weight, divided by d_k, as one
-    dot for one row and one product and column sum for several; in
-    reversion h_k is set first from the tail terms, by descending row."""
-    n, R = len(h), len(betas)
+    dot for one row and one product and column sum for several, each set
+    of rows on its own; with a tail each unknown h_k is set first from
+    the tail terms of the other set, or of its own where it is alone, by
+    descending row."""
+    n, R = h.shape[-1], len(betas)
     u, v, d = series._euler_weights(kind, np.arange(float(n)))
     P = np.zeros((n, R), dtype=np.complex128)
     P[0] = 1.0
+    sets = _row_sets(h, R, split)
     for k in range(1, n):
-        if tail_coef is not None:
-            rows = [r for r in reversed(range(R)) if shifts[r] <= k]
+        for s, (_, _, x) in enumerate(sets if tail_coef is not None else ()):
+            lo, hi, _ = sets[s - 1]
+            rows = [r for r in reversed(range(lo, hi)) if shifts[r] <= k]
             if rows:
                 terms = tail_coef[rows] * P[k - shifts[rows], rows]
-                h[k] = -np.add.reduceat(terms, [0])[0]
-        rows = R if shifts is None else sum(1 for s in shifts if s + k < n)
+                x[k] = np.add.reduceat(terms, [0])[0]
         if R == 1 and tail_coef is None:
             fac = h[k:0:-1] * (betas[0] * u[k:0:-1] - v[:k])
             P[k, 0] = np.dot(fac, P[:k, 0]) / d[k]
-        elif rows:
-            fac = h[k:0:-1, None] * (betas[:rows] * u[k:0:-1, None] - v[:k, None])
-            P[k, :rows] = (P[:k, :rows] * fac).sum(0) / d[k]
+            continue
+        for lo, hi, x in sets:
+            rows = hi - lo if shifts is None else sum(1 for s in shifts[lo:hi] if s + k < n)
+            if rows:
+                fac = x[k:0:-1, None] * (betas[lo:lo + rows] * u[k:0:-1, None] - v[:k, None])
+                P[k, lo:lo + rows] = (P[:k, lo:lo + rows] * fac).sum(0) / d[k]
     return P.T

@@ -346,9 +346,16 @@ def _kernel_cases(grid, h, index, coef, betas):
             ((h, betas, "power"), {"shifts": index}),
             ((h, betas[:1], "power"), {"shifts": index[:1]}),
             ((np.zeros(len(grid), dtype=np.complex128), betas, "power"),
-             {"shifts": index, "tail_coef": coef}),
+             {"shifts": index, "tail_coef": -coef}),
             ((np.zeros(len(grid), dtype=np.complex128), betas[:1], "power"),
-             {"shifts": index[:1], "tail_coef": coef[:1]})]
+             {"shifts": index[:1], "tail_coef": coef[:1]}),
+            # two sets, a free convolution's: the second form has two terms
+            ((np.zeros((2, len(grid)), dtype=np.complex128), np.r_[betas, betas[:2]],
+              "power"), {"shifts": np.r_[index, index[:2]],
+                         "tail_coef": np.r_[coef, 0.5j * coef[:2]], "split": len(index)}),
+            ((np.zeros((2, len(grid)), dtype=np.complex128), np.r_[betas[:2], betas],
+              "power"), {"shifts": np.r_[index[:2], index],
+                         "tail_coef": np.r_[coef[:2] - 0.2, coef], "split": 2})]
 
 
 def _assert_kernel_is(reference, grid, inputs):
@@ -389,6 +396,25 @@ def test_progression_kernel_is_the_coefficient_loop_bit_for_bit(monkeypatch, alp
     grid, *inputs = _progression_inputs(alpha, cutoff)
     assert grid.progression() and grid.values[1] == alpha
     _assert_kernel_is(reference_progression_rows, grid, inputs)
+
+
+@pytest.mark.parametrize("alpha,cutoff", KERNEL_LATTICES)
+def test_two_equal_row_sets_are_one_set_bit_for_bit(alpha, cutoff):
+    # a free self-convolution runs one set of rows where its operands are
+    # one object and two where they are equal; each set sums its own block,
+    # so a step where one row is left sums alike in both (numpy sums one
+    # column pairwise and several in sequence)
+    for grid, _, index, coef, betas in (_kernel_inputs(alpha, cutoff),
+                                        _progression_inputs(alpha, cutoff)):
+        one = np.zeros(len(grid), dtype=np.complex128)
+        P1 = series_module._euler_rows(grid, one, betas, "power", shifts=index,
+                                       tail_coef=coef)
+        two = np.zeros((2, len(grid)), dtype=np.complex128)
+        P2 = series_module._euler_rows(grid, two, np.r_[betas, betas], "power",
+                                       shifts=np.r_[index, index],
+                                       tail_coef=np.r_[coef, coef], split=len(index))
+        assert one.tobytes() == two[0].tobytes() == two[1].tobytes()
+        assert P2.tobytes() == np.r_[P1, P1].tobytes()
 
 
 # the grids of the sub-semigroup tests: alpha N is a proper part of each

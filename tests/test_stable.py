@@ -234,11 +234,9 @@ def test_convolving_a_stable_law_with_itself_doubles_the_weight():
         assert worst_termwise_rel(conv(one, one), make(2.0 * b)) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: each law's Voiculescu series comes back within 4e-12, "
-    "but the Voiculescu-to-moments step is ill-conditioned on a full series "
-    "and amplifies that noise to a closure of about 1e8"))
 def test_deep_free_self_convolution_closes():
+    # the route through the Voiculescu series and back missed by 7.5e7
+    # here; subordination reads 1.2e-15
     alpha = 0.4
     b = symmetric_phase(alpha)
 
@@ -250,11 +248,37 @@ def test_deep_free_self_convolution_closes():
     assert worst_termwise_rel(free_convolve(one, one), make(2.0 * b)) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha, cutoff", [(0.3, 32.0), (0.65, 32.0), (math.pi / 8, 16.0)])
+def test_free_self_convolutions_close_to_double_precision(alpha, cutoff):
+    # measured 6.6e-14, 4.2e-15 and 1.6e-15; the Voiculescu route missed by
+    # 4.8e-2, 7.3e-2 and 7.7e-11
+    b = symmetric_phase(alpha)
+
+    def make(w):
+        return free_stable(StableParams(alpha=alpha, b=w, kind=StableKind.FREE), cutoff)
+
+    one = make(b)
+    assert worst_termwise_rel(free_convolve(one, one), make(2.0 * b)) <= 1e-13
+
+
+def test_drifted_free_self_convolution_closes_off_a_progression():
+    # the drift puts the law on {0.7, 1}, 174 exponents at cutoff 20, where
+    # the pass runs on the pair list: measured 1.9e-12, the Voiculescu
+    # route 5.2e-6
+    def make(w, g):
+        return free_stable(StableParams(0.7, w, g, kind=StableKind.FREE), 20.0)
+
+    one = make(1j, 0.3)
+    assert not one.series.grid().progression()
+    assert worst_termwise_rel(free_convolve(one, one), make(2j, 0.6)) <= 1e-10
+
+
 def test_free_self_convolution_closes_on_a_progression():
-    # the reversions run on the multiples of alpha; in one of them the tail
-    # terms of a coefficient reach 2e7 where every coefficient is below 1,
-    # and summed in another order than revert_F's residual they missed it
-    # by their roundoff and raised NonConvergentReversionError
+    # the online pass runs on the multiples of alpha; in the reversions of
+    # the Voiculescu route the tail terms of a coefficient reached 2e7 where
+    # every coefficient is below 1, and summed in another order than the
+    # residual check they missed it by their roundoff and raised
+    # NonConvergentReversionError
     b = 0.851773574992444 + 0.3919067988726227j
 
     def make(w):

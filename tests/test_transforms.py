@@ -23,13 +23,13 @@ import powertail.transforms as transforms_module
 from helpers import (HALF, NAT, bernoulli_moments, cauchy_moments,
                      closed_form_moments, semicircle_moments, symmetric_phase,
                      worst_against, worst_termwise, worst_termwise_rel)
-from powertail.errors import (LogTermObstructionError,
+from powertail.errors import (LogTermObstructionError, NonConvergentReversionError,
                               OutsideValidityRegionError, ResourceGuardError)
 from powertail.oracles import laplace_link_check
 from powertail.semigroup import SemigroupSpec, density_constant
 from powertail.series import (GenSeries, Normalization, Variable, compose_F,
                               divergence_guard_radius, evaluate, growth_fit,
-                              identity_f_form, linear_combine)
+                              identity_f_form, linear_combine, revert_F)
 from powertail.stable import (StableKind, StableParams, boolean_stable, classical_stable,
                               free_stable, monotone_stable, monotone_stable_form,
                               stable_mixture)
@@ -285,10 +285,12 @@ def _bits(m):
 
 @pytest.mark.parametrize("conv,converter", [
     (boolean_convolve, "F_from_moments"), (monotone_convolve, "F_from_moments"),
-    (free_convolve, "voiculescu_from_moments")])
+    (free_convolve, "F_from_moments")])
 def test_self_convolution_converts_its_operand_once(monkeypatch, conv, converter):
     # the monotone convolution substitutes one moment vector into the
-    # other and converts neither
+    # other and converts neither; the free one runs one set of rows where
+    # its operands are one object and two sets where they are twins, bit
+    # for bit alike
     m, _ = classical_stable(StableParams(0.5, -1.0), 12.0)
     twin = moment_series(m.spec, m.terms, m.cutoff)
     assert twin == m and twin is not m
@@ -435,9 +437,65 @@ def test_vector_paths_are_the_public_chains_bit_for_bit():
     # the monotone convolution substitutes moments, where the chain composes
     # forms between two reciprocals: measured 1.9e-16 apart
     assert worst_termwise_rel(monotone_convolve(m, m), moments_from_F(compose_F(F, F))) <= 1e-14
-    p = voiculescu_from_moments(m)
-    assert _bits(free_convolve(m, m)) == _bits(moments_from_voiculescu(
-        linear_combine(1.0, p, 1.0, p)))
+    # the free convolution subordinates: F(omega) with omega the inverse of
+    # 2 id - F, which the chain composes and the route reads off (measured
+    # 0 apart), and the law at 2b (measured 2.4e-16)
+    omega = revert_F(linear_combine(2.0, identity_f_form(m.spec, 16.0), -1.0, F))
+    free = free_convolve(m, m)
+    assert worst_termwise_rel(free, moments_from_F(compose_F(F, omega))) <= 1e-14
+    assert worst_against(free, closed_form_moments("free", alpha, 2.0 * b,
+                                                   free.series.grid())) <= 1e-15
+
+
+# ------------------------------------------------ free subordination pass
+
+
+def _free_laws():
+    """A free law on the multiples of 0.4 (21 moments), and one with drift
+    on {0.7, 1} (174 exponents), which is not a progression."""
+    return [free_stable(StableParams(0.4, symmetric_phase(0.4), kind=StableKind.FREE), 8.0),
+            free_stable(StableParams(0.7, 1j, 0.3, kind=StableKind.FREE), 20.0)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["progression", "pair-list"])
+def test_free_convolution_refuses_past_the_cells_before_any_row(monkeypatch, which):
+    m = _free_laws()[which]
+    twin = moment_series(m.spec, m.terms, m.cutoff)
+    F = F_from_moments(m)
+    rows = np.count_nonzero(F.coefs) - 1
+    sub = F.grid().generated(np.flatnonzero(F.coefs)[1:])[1]
+    assert sub.progression() is (which == 0) and rows > 1
+    done, real = [], series_module._euler_rows
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        done.append(args[3])
+        return out
+
+    monkeypatch.setattr(series_module, "_euler_rows", counted)
+    # an operand's form is one row; the pass of one set or of two is refused
+    monkeypatch.setattr(series_module, "MAX_KERNEL_CELLS", len(sub))
+    for other, pass_rows in ((m, rows), (twin, 2 * rows)):
+        with pytest.raises(ResourceGuardError, match="a %d-row series kernel" % pass_rows):
+            free_convolve(m, other)
+    assert done == ["reciprocal"] * 3
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["progression", "pair-list"])
+def test_a_pass_whose_residual_misses_is_refused(monkeypatch, which):
+    # the residual sums each unknown's tail terms again from the finished
+    # rows in the pass's order, so it reads 0; here the sums it recomputes
+    # are made to miss by 1e-6 of themselves
+    m = _free_laws()[which]
+    twin = moment_series(m.spec, m.terms, m.cutoff)
+    F = F_from_moments(m)
+    real = series_module._group_sum
+    monkeypatch.setattr(series_module, "_group_sum",
+                        lambda keys, vals, n: real(keys, vals, n) * (1.0 + 1e-6))
+    for run in (lambda: free_convolve(m, m), lambda: free_convolve(m, twin),
+                lambda: revert_F(F)):
+        with pytest.raises(NonConvergentReversionError, match="residual"):
+            run()
 
 
 def test_a_voiculescu_inverse_that_overflows_is_refused():
