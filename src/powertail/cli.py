@@ -626,6 +626,12 @@ def _check(name: str, passed: bool, discrepancy: float, tolerance: float,
             "tolerance": tolerance, "note": note, "flag": flag}
 
 
+# heights below the axis for the inversion checks: four decades from 1e-2
+# leave an extrapolation error near 1e-14, where the oracle's default three
+# from 0.1 leave 1e-11 to 1e-8, so a check's discrepancy is the series' own
+_INVERSION_HEIGHTS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
 def _verify_cauchy(args, cutoff: float) -> list[dict]:
     m, _ = _moments(args, cutoff)
     checks = []
@@ -644,7 +650,7 @@ def _verify_cauchy(args, cutoff: float) -> list[dict]:
                          link.discrepancy, 1e-7, note="y = 3"))
     S = transforms.stieltjes_from_moments(m)
     dens = oracles.stieltjes_inversion(
-        lambda zz: complex(series.evaluate(S, zz)), 5.0)
+        lambda zz: complex(series.evaluate(S, zz)), 5.0, _INVERSION_HEIGHTS)
     d = abs(dens - 1.0 / (26.0 * math.pi))
     checks.append(_check("stieltjes-inversion", d <= 1e-7, d, 1e-7,
                          note="x = 5 vs 1/(26 pi)"))
@@ -729,7 +735,8 @@ def _verify_positive_stable(args, cutoff: float) -> list[dict]:
     m, _ = law.moments(args, cutoff)
     S = transforms.stieltjes_from_moments(m)
     x = max(4.0, 1.5 * den.x_min)
-    inv = oracles.stieltjes_inversion(lambda zz: complex(series.evaluate(S, zz)), x)
+    inv = oracles.stieltjes_inversion(lambda zz: complex(series.evaluate(S, zz)), x,
+                                      _INVERSION_HEIGHTS)
     series_val = complex(den.density(x)).real
     d = abs(inv - series_val) / max(abs(series_val), 1e-300)
     return [_check("density-vs-inversion", d <= 1e-5, d, 1e-5,

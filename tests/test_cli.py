@@ -288,6 +288,21 @@ def test_verify_cauchy_all_pass():
         assert check["discrepancy"] <= check["tolerance"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--law", "cauchy"),
+    ("verify", "--law", "positive-stable", "--alpha", "0.5"),
+    ("verify", "--law", "positive-stable", "--alpha", "0.75"),
+    ("verify", "--law", "positive-stable", "--alpha", "0.95"),
+], ids=["cauchy", "ps-0.5", "ps-0.75", "ps-0.95"])
+def test_verify_inversion_reports_the_series_not_the_extrapolation(argv):
+    # the inverted resolvent and the density agree to rounding; the oracle's
+    # default heights alone would report 1e-11 to 2e-8 here
+    doc = run_json(*argv)
+    (check,) = [c for c in doc["checks"] if c["name"].endswith("inversion")]
+    assert check["status"] == "pass"
+    assert check["discrepancy"] <= 1e-14
+
+
 def test_verify_pareto_integer_beta_flags_log_term():
     doc = run_json("verify", "--law", "pareto", "--beta", "2")
     by_name = {c["name"]: c for c in doc["checks"]}
