@@ -39,19 +39,18 @@ _EXPORTS = {
         Variable binomial_power compose_F divergence_guard_radius evaluate f_form
         graded_exp growth_fit identity_f_form is_f_form linear_combine product
         reciprocal revert_F scale unit_series""",
-    "transforms": """FourierEvaluator MomentSeries TailDensityModel F_from_moments
-        boolean_convolve classical_convolve delta_zero free_convolve moment_series
-        moments_from_F moments_from_stieltjes moments_from_tail moments_from_voiculescu
-        monotone_convolve stieltjes_from_moments tail_from_moments tail_real_to_complex
-        voiculescu_from_moments""",
+    "transforms": """FourierEvaluator MomentSeries PowerSumDensity TailDensityModel
+        F_from_moments boolean_convolve classical_convolve delta_zero free_convolve
+        moment_series moments_from_F moments_from_stieltjes moments_from_tail
+        moments_from_voiculescu monotone_convolve stieltjes_from_moments
+        tail_from_moments tail_real_to_complex voiculescu_from_moments""",
     "pareto": """CancellationResidual ParetoExpansion SingularPart cancellation_residual
         negative_tail_fourier oscillatory_constant pareto_fourier""",
-    "stable": """LastPassageParams MembershipDiagnosis PowerSumDensity StableKind
-        StableParams SupremumSeriesParams boolean_stable classical_stable
-        classical_stable_scale_skew free_stable last_passage_coefficient
-        last_passage_density monotone_stable monotone_stable_form mu_br
-        positive_stable_density scale_skew_to_b stable_mixture supremum_coefficient
-        supremum_density""",
+    "stable": """LastPassageParams MembershipDiagnosis StableKind StableParams
+        SupremumSeriesParams boolean_stable classical_stable classical_stable_scale_skew
+        free_stable last_passage_coefficient last_passage_density monotone_stable
+        monotone_stable_form mu_br positive_stable_density scale_skew_to_b
+        stable_mixture supremum_coefficient supremum_density""",
     "diophantine": """ApproximationWitness CFCertificate ClassifyParams
         DiophantineEvidence ExtremeGrowthCertificate FloatCertificate
         QuadraticCertificate RationalCertificate RealCertificate SinGrowthProfile

@@ -346,10 +346,8 @@ def _represent(m: "transforms.MomentSeries", repr_name: str, cutoff: float) -> d
                             transforms.voiculescu_from_moments(m), cutoff)
     if repr_name == "tail":
         model = transforms.tail_from_moments(m)
-        recs = []
-        for beta in sorted(model.a):
-            c = model.a[beta]
-            recs.append({"exponent": float(beta), "re": c.real, "im": c.imag})
+        # the model keeps its exponents sorted
+        recs = [{"exponent": beta, "re": c.real, "im": c.imag} for beta, c in model.a.items()]
         inner = [{"n": n, "re": c.real, "im": c.imag}
                  for n, c in sorted(model.inner_moments.items())]
         return {
@@ -380,7 +378,7 @@ def _document(command: str, config: dict, body: dict) -> dict:
 # -- density ---------------------------------------------------------------
 
 
-def _supremum_with_clamp(args, cutoff: float) -> "stable.PowerSumDensity":
+def _supremum_with_clamp(args, cutoff: float) -> "transforms.PowerSumDensity":
     M, N = _param(args, "M"), _param(args, "N")
     while True:
         try:
@@ -396,7 +394,7 @@ def _supremum_with_clamp(args, cutoff: float) -> "stable.PowerSumDensity":
                 % (M, N), TruncationWarning, stacklevel=2)
 
 
-def _last_passage(args, cutoff: float) -> "stable.PowerSumDensity":
+def _last_passage(args, cutoff: float) -> "transforms.PowerSumDensity":
     return stable.last_passage_density(
         stable.LastPassageParams(alpha=args.alpha, d=args.d, M=_param(args, "M")))
 
@@ -815,7 +813,7 @@ class Law:
     defaults: dict = field(default_factory=dict)  # for optional flags left out
     moments: Callable | None = None  # -> (MomentSeries, extra body fields)
     expand: Callable | None = None  # -> expand body, for laws without moments
-    density: Callable | None = None  # -> stable.PowerSumDensity
+    density: Callable | None = None  # -> transforms.PowerSumDensity
     verify: Callable | None = None  # -> list of checks
 
 

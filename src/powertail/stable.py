@@ -8,11 +8,11 @@ no drift gamma, each law's moments on the multiples of alpha have a
 closed form, which its constructor writes with no series kernel.  A
 drift translates a classical or free law, one GAMMA product with a point
 mass; a Boolean law with drift is the reciprocal of its form.  Stable
-mixtures and
-the mu^alpha_{b,r} family are explicit series with known coefficients.
-The positive stable, supremum and last-passage densities are each a
-PowerSumDensity, sum_k c_k x^(-p_k) above a guard radius x_min; their
-builders refuse a coefficient that is not finite in double precision.
+mixtures and the mu^alpha_{b,r} family are explicit series with known
+coefficients.  The positive stable, supremum and last-passage densities,
+like a mixture's tail model, are each a ``transforms.PowerSumDensity``,
+Re sum_k c_k x^(-p_k) past a guard radius x_min; their builders refuse a
+coefficient that is not finite in double precision.
 
 The admissible phase window for b (classical/free/Boolean kinds):
 arg b in [(1-alpha)pi, pi] for alpha in (0,1], and in [0, (2-alpha)pi]
@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
-    OutsideValidityRegionError,
     ResonanceError,
     ResourceGuardError,
 )
@@ -64,7 +63,9 @@ from .series import (
 )
 from .transforms import (
     MomentSeries,
+    PowerSumDensity,
     TailDensityModel,
+    _i_power,
     _moments,
     _moments_from_F_v,
     moment_series,
@@ -217,17 +218,19 @@ def _closed_form_v(grid: ExponentGrid, kind: StableKind, alpha: float,
     return _finite(out, grid.spec, grid.cutoff)
 
 
-def _gamma_ratios(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Gamma(tau + 1) / k! at the exponents tau of alpha k, k >= 1: both
+def _gamma_ratios(tau: np.ndarray, k: np.ndarray, w=None) -> np.ndarray:
+    """w Gamma(tau + 1) / k! at the exponents tau of alpha k, with the
+    weights w (1 by default) multiplied in before the division: both
     gammas while they are finite, and the difference of their logs past
     that, which is exactly 0 at alpha = 1, so no ratio is inf / inf.
     Gamma is read at the grid's tau + 1, where a GAMMA product reads it."""
     xs, ns = (tau + 1.0).tolist(), (k + 1.0).tolist()
-    out = np.array([math.gamma(x) / math.gamma(n) if x < 171.0 and n < 171.0 else math.inf
-                    for x, n in zip(xs, ns)])
+    ws = np.ones(len(xs)) if w is None else np.asarray(w, dtype=np.float64)
+    out = np.array([v * math.gamma(x) / math.gamma(n) if x < 171.0 and n < 171.0 else math.inf
+                    for v, x, n in zip(ws.tolist(), xs, ns)])
     big = np.flatnonzero(out == math.inf).tolist()
     if big:
-        out[big] = np.exp([math.lgamma(xs[i]) - math.lgamma(ns[i]) for i in big])
+        out[big] = ws[big] * np.exp([math.lgamma(xs[i]) - math.lgamma(ns[i]) for i in big])
     return out
 
 
@@ -346,38 +349,6 @@ def _finite_coefficient(c: float, order: int | tuple[int, int]) -> float:
     return c
 
 
-class PowerSumDensity:
-    """A density sum_k c_k x^(-p_k), a finite mixture of Pareto densities,
-    trusted only for x above the guard radius x_min.
-
-    The terms are summed in stored order.  ``edge`` flags the terms on
-    the truncation boundary, whose size bounds what was dropped; a
-    series with no flags has no remainder estimate.
-    """
-
-    def __init__(self, powers, coefs, x_min: float, edge=()):
-        self.powers = tuple(powers)
-        self.coefs = tuple(coefs)
-        self.x_min = float(x_min)
-        self.edge = tuple(edge)
-
-    def density(self, x: float) -> float:
-        x = float(x)
-        if x <= self.x_min:
-            raise OutsideValidityRegionError(
-                "series density is trusted only for x > %g" % self.x_min)
-        return sum(c * x ** -p for p, c in zip(self.powers, self.coefs))
-
-    def remainder_estimate(self, x: float) -> float:
-        """Twice the absolute sum of the edge terms: the dropped terms are
-        dominated by the outermost retained ones."""
-        x = float(x)
-        return 2.0 * sum(abs(c * x ** -p)
-                         for p, c, e in zip(self.powers, self.coefs, self.edge) if e)
-
-    __call__ = density
-
-
 def positive_stable_density(alpha: float, cutoff: float = DEFAULT_CUTOFF
                             ) -> PowerSumDensity:
     """Density series of the one-sided alpha-stable law, 0 < alpha < 1:
@@ -390,9 +361,7 @@ def positive_stable_density(alpha: float, cutoff: float = DEFAULT_CUTOFF
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("one-sided stable laws need alpha in (0, 1)")
-    cutoff = float(cutoff)
-    if not math.isfinite(cutoff) or cutoff <= 0:
-        raise InvalidArgumentError("cutoff must be a positive real")
+    cutoff = _positive_cutoff(cutoff)
     if cutoff < alpha:
         raise InvalidArgumentError(
             "cutoff %g is below alpha %g, so the density series keeps no term"
@@ -426,11 +395,12 @@ def stable_mixture(nu_moments: Iterable[float], alpha: float,
     """Mixture of symmetric alpha-stable laws with mixing moments m_n(nu):
     the Fourier side is sum (-1)^n m_n(nu) z^(alpha n) / n! for z > 0.
 
-    Moments: m_{alpha n} = (-1)^n m_n(nu) Gamma(alpha n + 1) e^(-i pi alpha n / 2) / n!.
-    The phase converts the real Fourier coefficients to gamma-complex
-    moments (at alpha = 1, nu = delta_1 this lands on the Cauchy law).
-    Only the m_n(nu) with alpha n up to the cutoff are read, so
-    nu_moments may be an endless iterator.
+    Moments: m_{alpha n} = (-1)^n m_n(nu) Gamma(alpha n + 1) i^(-alpha n) / n!.
+    The phase, exactly +-1 or +-i at an integer alpha n, converts the real
+    Fourier coefficients to gamma-complex moments; the Gamma ratio is the
+    classical stable law's (at alpha = 1, nu = delta_1 this is the Cauchy
+    law bit for bit).  Only the m_n(nu) with alpha n up to the cutoff are
+    read, so nu_moments may be an endless iterator.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -440,14 +410,11 @@ def stable_mixture(nu_moments: Iterable[float], alpha: float,
     nu = [float(v) for v in itertools.islice(nu_moments, int(cutoff // alpha) + 2)]
     if not nu or nu[0] != 1.0:
         raise InvalidArgumentError("mixing moments must start with m_0(nu) = 1")
-    terms: dict[float, complex] = {}
-    for n, mn in enumerate(nu):
-        e = alpha * n
-        if e > cutoff:
-            break
-        coef = ((-1) ** n) * mn * gamma_factor(e + 1.0) / gamma_factor(n + 1.0)
-        terms[e] = coef * cmath.exp(-1j * math.pi * e / 2.0)
-    m = moment_series(spec, terms, cutoff)
+    k = np.arange(len(nu), dtype=np.float64)
+    k = k[alpha * k <= cutoff]
+    mags = _gamma_ratios(alpha * k, k, [(-1) ** n * v for n, v in enumerate(nu[:len(k)])])
+    m = moment_series(spec, {e: c * _i_power(-e)
+                             for e, c in zip((alpha * k).tolist(), mags.tolist())}, cutoff)
     return m, tail_from_moments(m)
 
 

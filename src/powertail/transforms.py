@@ -9,6 +9,9 @@ Boolean (tails of the reciprocal-Cauchy forms add), monotone (forms
 compose, which the moments do by substitution), free (Voiculescu series
 add, which the forms do by subordination).
 
+The paper's tail density, sum_beta Im(a_beta x^(-beta-1)) near infinity,
+is a PowerSumDensity: the one density object the library returns.
+
 Integer exponents are special throughout: a tail density only pins
 down the imaginary part of an integer-indexed moment (the real part
 belongs to the compactly supported inner piece), and real tail data at
@@ -55,7 +58,7 @@ from .series import (
 )
 
 __all__ = [
-    "MomentSeries", "moment_series", "TailDensityModel",
+    "MomentSeries", "moment_series", "PowerSumDensity", "TailDensityModel",
     "stieltjes_from_moments", "moments_from_stieltjes",
     "F_from_moments", "moments_from_F",
     "voiculescu_from_moments", "moments_from_voiculescu",
@@ -145,16 +148,20 @@ class FourierEvaluator:
         return evaluate(self.series, z.real, Branch.PRINCIPAL)
 
 
+def _i_power(g: float) -> complex:
+    """i^g: at an integer g exactly 1, i, -1 or -i, where exp(i pi g / 2)
+    would leave a ghost part of an ulp of pi."""
+    return (1, 1j, -1, -1j)[int(g) % 4] if g.is_integer() else cmath.exp(1j * math.pi * g / 2.0)
+
+
 def _phased(s: GenSeries) -> GenSeries:
     """m_gamma i^gamma for the moment series s, made on first use and kept
-    on s.  At an integer gamma, i^gamma is exactly 1, i, -1 or -i, where
-    exp(i pi gamma / 2) would leave a ghost part of an ulp of pi."""
+    on s."""
     phased = s.__dict__.get("_phased")
     if phased is None:
         idx = np.flatnonzero(s.coefs)
         coefs = np.zeros(len(s.coefs), dtype=np.complex128)
-        coefs[idx] = [c * ((1, 1j, -1, -1j)[int(g) % 4] if g.is_integer()
-                           else cmath.exp(1j * math.pi * g / 2.0))
+        coefs[idx] = [c * _i_power(g)
                       for g, c in zip(s.grid().values[idx].tolist(), s.coefs[idx].tolist())]
         phased = s.__dict__["_phased"] = GenSeries._adopt(
             s.spec, s.variable, s.normalization, _finite(coefs, s.spec, s.cutoff), s.cutoff)
@@ -246,14 +253,62 @@ def moments_from_voiculescu(phi: GenSeries) -> MomentSeries:
 # -- tail density ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailDensityModel:
-    """Tail density sum over beta of Im(a_beta (1/x)^(beta+1)) on |x| >= R.
+class PowerSumDensity:
+    """A density Re sum_k c_k x^(-p_k), a finite mixture of Pareto
+    densities, trusted only for x (|x| with a mirror) past the guard
+    radius x_min.
+
+    The coefficients may be complex.  ``mirror`` holds the coefficients
+    on the negative half-line, read at |x|, for a law that has one; with
+    none, every x <= x_min is refused.  The terms are summed in stored
+    order.  ``edge`` flags the terms on the truncation boundary, whose
+    size bounds what was dropped; a series with no flags has no
+    remainder estimate.
+    """
+
+    def __init__(self, powers, coefs, x_min: float, edge=(), mirror=None):
+        self.powers = tuple(powers)
+        self.coefs = tuple(coefs)
+        self.x_min = float(x_min)
+        self.edge = tuple(edge)
+        self.mirror = None if mirror is None else tuple(mirror)
+
+    def _half_line(self, x: float) -> tuple[float, tuple]:
+        """|x| and the coefficients of its half-line, or a refusal."""
+        x, coefs = float(x), self.coefs
+        if x < 0.0 and self.mirror is not None:
+            x, coefs = -x, self.mirror
+        if x <= self.x_min:
+            raise OutsideValidityRegionError("series density is trusted only for %s > %g" % (
+                "x" if self.mirror is None else "|x|", self.x_min))
+        return x, coefs
+
+    def density(self, x: float) -> float:
+        x, coefs = self._half_line(x)
+        return sum((c * x ** -p for p, c in zip(self.powers, coefs)), 0.0).real
+
+    def remainder_estimate(self, x: float) -> float:
+        """Twice the absolute sum of the edge terms: the dropped terms are
+        dominated by the outermost retained ones."""
+        x, coefs = self._half_line(x)
+        return 2.0 * sum(abs(c * x ** -p)
+                         for p, c, e in zip(self.powers, coefs, self.edge) if e)
+
+    __call__ = density
+
+
+@dataclass
+class TailDensityModel(PowerSumDensity):
+    """Tail density sum over beta of Im(a_beta (1/x)^(beta+1)) on |x| >= R:
+    the PowerSumDensity with coefficients -i a_beta, and -i a_beta
+    e^(i(beta+1)pi) on x < 0, where (1/x)^(beta+1) reads as
+    e^(i(beta+1)pi) |x|^(-beta-1).  It is trusted past R, the guard
+    radius of the a_beta fit and ``guard_radius``; its edge is the terms
+    within the largest generator of ``cutoff``, the moment cutoff.
 
     ``inner_moments`` carries the integer-exponent moment data the tail
     cannot see: by convention entry n holds the real part of m_n, with
-    m_0 = 1 when absent.  The negative-axis convention reads
-    (1/x)^(beta+1) as e^(i(beta+1)pi) |x|^(-beta-1).
+    m_0 = 1 when absent.
     """
 
     spec: SemigroupSpec
@@ -262,19 +317,14 @@ class TailDensityModel:
     R: float
     inner_moments: dict = field(default_factory=dict)
     guard_radius: float = 0.0  # extra validity floor, e.g. from a moment fit
+    cutoff: float = math.inf
 
     def __post_init__(self):
-        a = {}
-        for beta, coef in self.a.items():
-            beta = float(beta)
-            coef = complex(coef)
-            if beta <= 0 or not math.isfinite(beta):
-                raise InvalidModelError("tail exponents must be positive reals")
-            if coef != 0:
-                a[beta] = coef
-        object.__setattr__(self, "a", dict(sorted(a.items())))
-        r = float(self.r)
-        R = float(self.R)
+        a = {float(beta): complex(coef) for beta, coef in self.a.items()}
+        if not all(0.0 < beta < math.inf for beta in a):
+            raise InvalidModelError("tail exponents must be positive reals")
+        self.a = a = {beta: coef for beta, coef in sorted(a.items()) if coef != 0}
+        r, R = float(self.r), float(self.R)
         if not (r > 0 and R > 0):
             raise InvalidModelError("scales r and R must be positive")
         c = density_constant(self.spec, 20)
@@ -286,32 +336,16 @@ class TailDensityModel:
                 raise InvalidModelError(
                     "|a_%g| = %g exceeds the geometric bound r^beta = %g"
                     % (beta, abs(coef), r ** beta))
-        inner = {int(k): complex(v) for k, v in self.inner_moments.items()}
-        inner.setdefault(0, 1.0 + 0j)
-        object.__setattr__(self, "inner_moments", inner)
-
-    def validity_radius(self) -> float:
-        A = max((abs(c) ** (1.0 / (b + 1.0)) for b, c in self.a.items()), default=0.0)
-        return max(guard_radius(self.spec, A, 20), self.guard_radius)
-
-    def density(self, x: float) -> float:
-        x = float(x)
-        B = max(self.validity_radius(), 0.0)
-        if abs(x) <= B or abs(x) < self.R:
-            raise OutsideValidityRegionError(
-                "tail density is only evaluated for |x| > %g" % max(B, self.R))
-        total = 0.0
-        if x > 0:
-            for beta, coef in self.a.items():
-                total += (coef * x ** (-beta - 1.0)).imag
-        else:
-            ax = -x
-            for beta, coef in self.a.items():
-                phase = cmath.exp(1j * math.pi * (beta + 1.0))
-                total += (coef * phase * ax ** (-beta - 1.0)).imag
-        return total
-
-    __call__ = density
+        self.inner_moments = {0: 1.0 + 0j, **{int(k): complex(v)
+                                              for k, v in self.inner_moments.items()}}
+        A = max((abs(c) ** (1.0 / (b + 1.0)) for b, c in a.items()), default=0.0)
+        # the model holds on |x| >= R, so the double below R is the radius
+        x_min = max(math.nextafter(R, 0.0), guard_radius(self.spec, A, 20), self.guard_radius)
+        g = max(self.spec.generators)
+        super().__init__(
+            [b + 1.0 for b in a], [-1j * c for c in a.values()], x_min,
+            edge=[self.cutoff - b <= g for b in a],
+            mirror=[-1j * (c * cmath.exp(1j * math.pi * (b + 1.0))) for b, c in a.items()])
 
 
 def tail_from_moments(m: MomentSeries) -> TailDensityModel:
@@ -333,8 +367,8 @@ def tail_from_moments(m: MomentSeries) -> TailDensityModel:
     A = growth_fit(m.series).A
     r = max(A, 1e-6)
     R = 2.0 * r * density_constant(m.spec, 20)
-    return TailDensityModel(spec=m.spec, a=a, r=r * (1 + 1e-9), R=R,
-                            inner_moments=inner, guard_radius=guard_radius(m.spec, A, 20))
+    return TailDensityModel(spec=m.spec, a=a, r=r * (1 + 1e-9), R=R, inner_moments=inner,
+                            guard_radius=guard_radius(m.spec, A, 20), cutoff=m.cutoff)
 
 
 def moments_from_tail(model: TailDensityModel,

@@ -5,8 +5,9 @@ agree with it, two coefficient-by-coefficient Euler-operator kernels,
 over the pair list and over a progression, that ``series._euler_rows``
 must reproduce, and
 the plain sine growth profile loop that ``sin_growth_profile`` must
-reproduce bit for bit, and the closed-form moments of the four
-drift-free stable families in 40 digits."""
+reproduce bit for bit, the closed-form moments of the four
+drift-free stable families in 40 digits, and the two-sided tail density
+loop that a ``TailDensityModel`` must reproduce bit for bit."""
 
 import cmath
 import math
@@ -15,7 +16,8 @@ import numpy as np
 
 from powertail import series
 from powertail.diophantine import SinGrowthProfile
-from powertail.semigroup import SemigroupSpec, density_constant
+from powertail.errors import OutsideValidityRegionError
+from powertail.semigroup import SemigroupSpec, density_constant, guard_radius
 from powertail.series import (Branch, EvalResult, GrowthBound,
                               Normalization, Variable, gamma_factor, growth_fit)
 from powertail.transforms import moment_series
@@ -147,6 +149,30 @@ def dot_bound(f, z, branch=Branch.PRINCIPAL, scale=2.0):
     within twice that of each other."""
     terms = reference_terms(f, z, branch)
     return scale * len(terms) * 2.0 ** -53 * math.fsum(abs(t) for t in terms)
+
+
+def reference_tail_density(model, x):
+    """sum over beta of Im(a_beta (1/x)^(beta+1)) for the tail data of
+    ``model``, one term at a time, with (1/x)^(beta+1) read as
+    e^(i(beta+1)pi) |x|^(-beta-1) on x < 0; |x| below R, or at most the
+    guard radius of the a_beta fit and of ``model.guard_radius``, is
+    refused."""
+    A = max((abs(c) ** (1.0 / (b + 1.0)) for b, c in model.a.items()), default=0.0)
+    B = max(guard_radius(model.spec, A, 20), model.guard_radius, 0.0)
+    x = float(x)
+    if abs(x) <= B or abs(x) < model.R:
+        raise OutsideValidityRegionError(
+            "tail density is only evaluated for |x| > %g" % max(B, model.R))
+    total = 0.0
+    if x > 0:
+        for beta, coef in model.a.items():
+            total += (coef * x ** (-beta - 1.0)).imag
+    else:
+        ax = -x
+        for beta, coef in model.a.items():
+            phase = cmath.exp(1j * math.pi * (beta + 1.0))
+            total += (coef * phase * ax ** (-beta - 1.0)).imag
+    return total
 
 
 def reference_sin_growth_profile(cert, N):

@@ -14,6 +14,7 @@ Closed forms used as anchors:
 """
 
 import cmath
+import itertools
 import math
 
 import pytest
@@ -346,9 +347,39 @@ def test_point_mixture_recovers_plain_stable_transform():
 def test_uniform_mixture_produces_valid_tail_model():
     m, tail = stable_mixture([1.0 / (n + 1) for n in range(30)], 0.7,
                              cutoff=14.0)
-    x = 2.0 * max(tail.validity_radius(), tail.R, 1.0)
+    x = 2.0 * max(tail.x_min, 1.0)
     assert tail.density(x) > 0.0
     assert abs(m.moment(0.0) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [20.0, 200.0])
+def test_point_mixture_at_alpha_one_is_the_cauchy_law_bit_for_bit(cutoff):
+    # past n = 170, Gamma(n + 1) / n! is 1 by the difference of its logs
+    m, _tail = stable_mixture(itertools.repeat(1.0), 1.0, cutoff=cutoff)
+    want, _ = classical_stable(StableParams(1.0, 1j), cutoff=cutoff)
+    assert m.spec == want.spec and m.cutoff == want.cutoff
+    assert m.series.coefs.tobytes() == want.series.coefs.tobytes()
+
+
+def test_mixture_moments_past_factorial_overflow_stay_exact():
+    mpmath = pytest.importorskip("mpmath")
+    m, _tail = stable_mixture(itertools.repeat(1.0), 0.5, cutoff=100.0)
+    for n in (170, 171, 200):
+        # |m_{n/2}| = Gamma(n/2 + 1) / n!, 1.2e-217 at n = 200
+        want = float(mpmath.gamma(mpmath.mpf(n) / 2 + 1) / mpmath.factorial(n))
+        assert abs(m.moment(n / 2.0)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_mixture_integer_moments_carry_no_ghost_parts(alpha):
+    # i^(-alpha n) is exactly +-1 or +-i at an integer alpha n, so the
+    # even moments are real and the odd ones imaginary, and the tail
+    # model keeps only the odd integer exponents
+    m, tail = stable_mixture([1.0 / (n + 1) for n in range(41)], alpha, cutoff=20.0)
+    for n in range(21):
+        c = m.moment(float(n))
+        assert (c.imag if n % 2 == 0 else c.real) == 0.0
+    assert sorted(b for b in tail.a if b.is_integer()) == list(range(1, 20, 2))
 
 
 def test_mixture_validations():

@@ -21,8 +21,8 @@ import powertail.stable as stable_module
 import powertail.transforms as transforms_module
 
 from helpers import (HALF, NAT, bernoulli_moments, cauchy_moments,
-                     closed_form_moments, semicircle_moments, symmetric_phase,
-                     worst_against, worst_termwise, worst_termwise_rel)
+                     closed_form_moments, reference_tail_density, semicircle_moments,
+                     symmetric_phase, worst_against, worst_termwise, worst_termwise_rel)
 from powertail.errors import (LogTermObstructionError, NonConvergentReversionError,
                               OutsideValidityRegionError, ResourceGuardError)
 from powertail.oracles import laplace_link_check
@@ -206,9 +206,54 @@ def test_cauchy_tail_density_closed_form():
 
 def test_tail_density_guards_small_arguments():
     tail = tail_from_moments(cauchy_moments())
-    assert tail.validity_radius() == pytest.approx(1.25)
+    # the model holds on |x| >= R = 2, past its fit's guard radius 1.25
+    assert tail.x_min == pytest.approx(2.0)
+    assert tail.R == 2.0
     with pytest.raises(OutsideValidityRegionError):
         tail.density(1.0)
+    assert tail.density(2.0) == tail.density(-2.0) > 0.0
+    for x in (math.nextafter(2.0, 0.0), -math.nextafter(2.0, 0.0)):
+        with pytest.raises(OutsideValidityRegionError):
+            tail.density(x)
+
+
+def _refused_or_value(f, x):
+    try:
+        return f(x).hex()
+    except OutsideValidityRegionError:
+        return "refused"
+
+
+@pytest.mark.parametrize("law", [
+    lambda: tail_from_moments(cauchy_moments()),
+    lambda: tail_from_moments(classical_stable(StableParams(0.6, -1.0))[0]),
+    lambda: tail_from_moments(classical_stable(StableParams(1.5, symmetric_phase(1.5)))[0]),
+    lambda: tail_from_moments(delta_zero(NAT)),
+    lambda: stable_mixture([1.0 / (n + 1) for n in range(70)], 0.3)[1],
+    lambda: stable_mixture([1.0 / (n + 1) for n in range(41)], 0.5)[1],
+    lambda: stable_mixture([1.0] * 30, 0.7)[1],
+    lambda: stable_mixture([1.0 / (n + 1) for n in range(23)], 0.9)[1],
+], ids=["cauchy", "classical-0.6", "classical-1.5", "point-mass",
+        "mixture-0.3", "mixture-0.5", "mixture-0.7", "mixture-0.9"])
+def test_tail_model_reproduces_the_term_loop_bit_for_bit(law):
+    tail = law()
+    xs = [0.5, 1.0, tail.R, math.nextafter(tail.R, 0.0), tail.x_min,
+          math.nextafter(tail.x_min, math.inf), 1.05 * tail.x_min, 2.4, 3.0, 4.0,
+          7.3, 40.0, 1e3]
+    for x in xs + [-x for x in xs]:
+        assert _refused_or_value(tail.density, x) == \
+            _refused_or_value(lambda u: reference_tail_density(tail, u), x)
+
+
+def test_cauchy_tail_remainder_covers_its_truncation_error():
+    # at cutoff 20 the tail stops at x^-20; the first dropped term is
+    # x^-22 / pi, 2.5e-8 of the density at x = 2.4
+    tail = tail_from_moments(cauchy_moments(20.0))
+    for x in (2.4, 3.0, 4.0):
+        want = 1.0 / (math.pi * (1.0 + x * x))
+        for side in (x, -x):
+            error = abs(tail.density(side) - want)
+            assert 0.0 < error <= tail.remainder_estimate(side)
 
 
 def test_point_mass_has_no_tail():
