@@ -9,7 +9,10 @@ Three double-exponential (DE) rules do every integral, each on one
 vector of nodes: exp-sinh on half-lines and tanh-sinh on finite
 intervals (Takahasi and Mori, Publ. RIMS 9, 1974), and Ooura and Mori's
 rule for Fourier-type half-lines (J. Comput. Appl. Math. 112, 1999).
-Each returns the sum at step h/2 with the error estimate
+Their nodes and weights are read-only tables, built on first use once
+per step h: a call maps them to its interval, or scales them by 1/|w|,
+and reads the integrand, a density included, in one call on all its
+nodes.  Each returns the sum at step h/2 with the error estimate
 |I_h - I_{h/2}| + n u sum |w f| over its n terms (u the unit
 roundoff), which accounts for the rounding of a sum whose terms cancel;
 exp-sinh and tanh-sinh add their two end terms for the truncated range.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,8 +53,10 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class IntegrableDensity:
-    """Pointwise density with enough support/decay metadata to integrate.
+    """Density with enough support/decay metadata to integrate.
 
+    ``fn`` maps an array of nodes to an array of values of its shape, or
+    to one scalar for every node; a rule calls it once on all its nodes.
     Beyond |x| >= envelope_start the density is promised to obey
     |f(x)| <= envelope_scale * |x|^(-envelope_exponent - 1).  The
     quadratures read ``fn``, ``lower``, ``upper`` and ``envelope_start``,
@@ -59,7 +65,7 @@ class IntegrableDensity:
     ``envelope_scale``.
     """
 
-    fn: Callable[[float], complex]
+    fn: Callable[[np.ndarray], np.ndarray]
     lower: float = -math.inf
     upper: float = math.inf
     envelope_scale: float = 1.0
@@ -116,10 +122,25 @@ def _trapezoid(on_h: np.ndarray, terms: np.ndarray) -> QuadratureResult:
     return _result(complex(np.sum(fine)), complex(_H * np.sum(terms[on_h])), fine, ends)
 
 
-def _steps() -> tuple[np.ndarray, np.ndarray]:
-    """s = k h/2 over [-_S_MAX, _S_MAX], and which of them lie on the h grid."""
-    k = np.arange(-math.floor(2.0 * _S_MAX / _H), math.floor(2.0 * _S_MAX / _H) + 1)
-    return 0.5 * _H * k, k % 2 == 0
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _de_table(h: float) -> tuple[np.ndarray, ...]:
+    """exp-sinh and tanh-sinh at step h/2, read-only.  With s = k h/2 over
+    [-_S_MAX, _S_MAX] and e = (pi/2) sinh s: the nodes on the h grid,
+    exp-sinh's x - a = e^e and weights (pi/2) cosh s e^e, and for
+    tanh-sinh the nodes nearer b, e^(2|e|) + 1 (a node's gap to its end
+    over (b - a)/2 is 2 over it), cosh s and cosh(e)^2."""
+    k = np.arange(-math.floor(2.0 * _S_MAX / h), math.floor(2.0 * _S_MAX / h) + 1)
+    s = 0.5 * h * k
+    e = _HALF_PI * np.sinh(s)
+    u, cosh_s = np.exp(e), np.cosh(s)
+    return _frozen(k % 2 == 0, u, _HALF_PI * cosh_s * u,
+                   e > 0.0, np.exp(2.0 * np.abs(e)) + 1.0, cosh_s, np.cosh(e) ** 2)
 
 
 def exp_sinh(f: Vectorized, a: float = 0.0, x_max: float = math.inf) -> QuadratureResult:
@@ -130,11 +151,9 @@ def exp_sinh(f: Vectorized, a: float = 0.0, x_max: float = math.inf) -> Quadratu
     >= x_max are left out, for an integrand already below double
     precision there.
     """
-    s, on_h = _steps()
-    u = np.exp(_HALF_PI * np.sinh(s))
+    on_h, u, w = _de_table(_H)[:3]
     keep = u < x_max
-    s, on_h, u = s[keep], on_h[keep], u[keep]
-    return _trapezoid(on_h, _HALF_PI * np.cosh(s) * u * f(a + u))
+    return _trapezoid(on_h[keep], w[keep] * f(a + u[keep]))
 
 
 def tanh_sinh(f: Vectorized, a: float, b: float) -> QuadratureResult:
@@ -143,23 +162,23 @@ def tanh_sinh(f: Vectorized, a: float, b: float) -> QuadratureResult:
     Each node is placed from its gap to the nearer end, and nodes that
     round onto an end are left out, so f is never called at a or b.
     """
-    s, on_h = _steps()
-    e = _HALF_PI * np.sinh(s)
+    on_h, _, _, right, ends, cosh_s, cosh_e2 = _de_table(_H)
     d = 0.5 * (b - a)
-    gap = 2.0 * d / (np.exp(2.0 * np.abs(e)) + 1.0)
-    x = np.where(e > 0.0, b - gap, a + gap)
+    gap = 2.0 * d / ends
+    x = np.where(right, b - gap, a + gap)
     keep = (x > a) & (x < b)
-    s, on_h, e, x = s[keep], on_h[keep], e[keep], x[keep]
-    w = d * _HALF_PI * np.cosh(s) / np.cosh(e) ** 2
-    return _trapezoid(on_h, w * f(x))
+    w = d * _HALF_PI * cosh_s[keep] / cosh_e2[keep]
+    return _trapezoid(on_h[keep], w * f(x[keep]))
 
 
-def _ooura_mori_terms(f: Vectorized, w: float, h: float) -> np.ndarray:
-    """The weighted terms of Ooura and Mori's step-h sum for
-    integral_0^inf f(x) e^{iwx} dx, w != 0: x = M phi(t) / |w| with
-    M = pi / h and phi(t) = t / (1 - exp(-2t - alpha (1 - e^-t) - beta (e^t - 1))),
-    at t = n h for the sine part and t = (n - 1/2) h for the cosine
-    part, where the factors vanish double-exponentially as t grows."""
+@lru_cache(maxsize=None)
+def _ooura_mori_table(h: float) -> tuple:
+    """Ooura and Mori's step-h rule for integral_0^inf f(x) e^{iwx} dx at
+    |w| = 1, read-only: M = pi / h, the nodes M phi(t), phi'(t), the
+    trigonometric factors and which terms are sine terms.  Here
+    phi(t) = t / (1 - exp(-2t - alpha (1 - e^-t) - beta (e^t - 1))), at
+    t = n h for the sine part and t = (n - 1/2) h for the cosine part,
+    where the factors vanish double-exponentially as t grows."""
     M = math.pi / h
     alpha = _OM_BETA / math.sqrt(1.0 + M * math.log1p(M) / (4.0 * math.pi))
     c = 2.0 + alpha + _OM_BETA
@@ -181,18 +200,21 @@ def _ooura_mori_terms(f: Vectorized, w: float, h: float) -> np.ndarray:
     # whose argument is small; for t <= 0 phi itself is small
     near = np.where(n % 2 == 0, 1.0, -1.0) * np.sin(M * ts * r)
     trig = np.where(t > 0.0, near, np.where(sine, np.sin(M * phi), np.cos(M * phi)))
-    aw = abs(w)
-    terms = (M / aw) * h * dphi * trig * f(M * phi / aw)
-    return np.where(sine, 1j * math.copysign(1.0, w), 1.0) * terms
+    return (M,) + _frozen(M * phi, dphi, trig, sine)
 
 
 def ooura_mori(f: Vectorized, w: float) -> QuadratureResult:
     """integral_0^inf f(x) e^{iwx} dx for w != 0 and f decaying, by
-    Ooura and Mori's rule.  The h and h/2 sums have their own nodes,
-    since M = pi / h ties the nodes to the step."""
-    coarse = complex(np.sum(_ooura_mori_terms(f, w, _OM_H)))
-    fine = _ooura_mori_terms(f, w, 0.5 * _OM_H)
-    return _result(complex(np.sum(fine)), coarse, fine)
+    Ooura and Mori's rule: the table's nodes and weights scaled by
+    1 / |w|.  The h and h/2 sums have their own nodes, since M = pi / h
+    ties the nodes to the step."""
+    aw, sums = abs(w), []
+    for h in (_OM_H, 0.5 * _OM_H):
+        M, x, dphi, trig, sine = _ooura_mori_table(h)
+        terms = (M / aw) * h * dphi * trig * f(x / aw)
+        sums.append(np.where(sine, 1j * math.copysign(1.0, w), 1.0) * terms)
+    coarse, fine = sums
+    return _result(complex(np.sum(fine)), complex(np.sum(coarse)), fine)
 
 
 def _summed(parts: list[QuadratureResult]) -> QuadratureResult:
@@ -202,9 +224,12 @@ def _summed(parts: list[QuadratureResult]) -> QuadratureResult:
                             tail_bound=0.0)
 
 
-def _at(fn: Callable[[float], complex], x: np.ndarray) -> np.ndarray:
-    """A pointwise density at every node."""
-    return np.array([fn(v) for v in x.tolist()], dtype=np.complex128)
+def _at(fn: Vectorized, x: np.ndarray) -> np.ndarray:
+    """A density at every node, in one call."""
+    v = np.asarray(fn(x), dtype=np.complex128)
+    if v.shape not in (x.shape, ()):
+        raise InvalidArgumentError("a density of %d nodes has shape %s" % (len(x), v.shape))
+    return v
 
 
 def _pieces(a: float, b: float, points: Sequence[float]) -> list[tuple[float, float]]:
@@ -230,7 +255,7 @@ def quadrature_fourier(density: IntegrableDensity, z: float) -> QuadratureResult
     def wave(x: np.ndarray) -> np.ndarray:
         return _at(fn, x) * np.exp(1j * z * x)
 
-    def halfline(f: Callable[[float], complex], a: float, w: float) -> QuadratureResult:
+    def halfline(f: Vectorized, a: float, w: float) -> QuadratureResult:
         """integral_a^inf e^{ixw} f(x) dx"""
         if z == 0.0:
             return exp_sinh(lambda x: _at(f, x), a)

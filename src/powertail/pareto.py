@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import (InvalidArgumentError, NearIntegerWarning, OutsideValidityRegionError,
                      ResourceGuardError)
@@ -102,9 +104,8 @@ class ParetoExpansion:
     def evaluate(self, z: float) -> complex:
         if z <= 0:
             raise OutsideValidityRegionError("expansion is valid for z > 0 only")
-        out = 0j
-        for key, c in self.regular.terms.items():
-            out += c if key == 0.0 else c * z ** key
+        terms = self.regular.terms
+        out = sum(map(operator.mul, terms.values(), map(pow, repeat(z), terms)), 0j)
         return out + self.singular.evaluate(z)
 
     def remainder_bound(self, z: float) -> float:

@@ -956,6 +956,7 @@ class _EvalPlan(NamedTuple):
     powers: np.ndarray         # sign * (gamma + shift) by ascending gamma; sign -1 if DESCENDING
     reach: float               # max |power|; 0 when no term needs the log
     scaled: np.ndarray         # c / Gamma(gamma + 1) under GAMMA normalization, else c
+    pairs: np.ndarray          # scaled as an (n, 2) real view: (Re, Im) by row
     safe: float                # below this real part of a power, no sum overflows
     growth: GrowthBound        # the growth fit
     c: float                   # density constant up to the cutoff
@@ -980,7 +981,7 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
             if big else _EXP_SAFE
         plan = _EvalPlan(
             powers=powers, reach=float(np.max(np.abs(powers), initial=0.0)), scaled=scaled,
-            safe=safe,
+            pairs=scaled.view(np.float64).reshape(len(keys), 2), safe=safe,
             growth=growth_fit(f) if keys else GrowthBound(0.0),
             c=density_constant(f.spec, horizon),
             guard_scale=guard_radius(f.spec, 1.0, horizon))
@@ -1001,27 +1002,50 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
 
     The value is one dot product of the powers z^(+-(gamma + shift)) with
     the plan's coefficients, divided by Gamma(gamma + 1) once per series
-    under GAMMA normalization.  Like a term-by-term loop, and in another
-    order, it sums the terms t_k to within n u sum |t_k| (Higham,
-    Accuracy and Stability, 3.1).
+    under GAMMA normalization; at a real z > 0 on the principal branch
+    the powers are real, and so is the product (``_evaluate_positive``).
+    Like a term-by-term loop, and in another order, it sums the terms
+    t_k to within n u sum |t_k| (Higham, Accuracy and Stability, 3.1).
     """
     z = complex(z)
+    if z.imag == 0.0 and 0.0 < z.real < math.inf and branch is Branch.PRINCIPAL:
+        return _evaluate_positive(f, z.real)
     if not cmath.isfinite(z):
         raise InvalidArgumentError("cannot evaluate a series at %r" % (z,))
     plan = _eval_plan(f)
+    return _evaluated(f, plan, _complex_sum(plan, z, branch), abs(z))
+
+
+def _evaluate_positive(f: GenSeries, x: float) -> EvalResult:
+    """``evaluate`` at a real, finite x > 0 on the principal branch:
+    math.log, a real exp and ``_evaluate_many``'s real product; near
+    overflow, the complex route."""
+    plan = _eval_plan(f)
+    L = math.log(x) if plan.reach else 0.0
+    if plan.reach * abs(L) < plan.safe:
+        return _evaluated(f, plan, complex(*_real_sums(plan, plan.powers * L).tolist()), x)
+    return _evaluated(f, plan, _complex_sum(plan, complex(x), Branch.PRINCIPAL), x)
+
+
+def _complex_sum(plan: _EvalPlan, z: complex, branch: Branch) -> complex:
+    """The plan's dot product at z, with z's log on the branch."""
     L = _branch_log(z, branch) if plan.reach else 0j
     arg = plan.powers * L
     if plan.reach * abs(L.real) < plan.safe:
-        s = complex(np.dot(np.exp(arg), plan.scaled))
-    else:  # a power or the sum near or past overflow: round and raise as cmath does
-        w = np.array([cmath.exp(a) for a in arg.tolist()])
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = complex(np.dot(w, plan.scaled))
-        if not cmath.isfinite(s):
-            raise OverflowError("the partial sum at %r is past double range" % (z,))
+        return complex(np.dot(np.exp(arg), plan.scaled))
+    # a power or the sum near or past overflow: round and raise as cmath does
+    w = np.array([cmath.exp(a) for a in arg.tolist()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = complex(np.dot(w, plan.scaled))
+    if not cmath.isfinite(s):
+        raise OverflowError("the partial sum at %r is past double range" % (z,))
+    return s
+
+
+def _evaluated(f: GenSeries, plan: _EvalPlan, s: complex, absz: float) -> EvalResult:
+    """The sum s at a point of modulus absz as ``evaluate`` returns it."""
     # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
     total = complex(0.0 + s.real, 0.0 + s.imag)
-    absz = abs(z)
     if f.variable is Variable.DESCENDING:
         radius = plan.guard_scale * plan.growth.A
         if absz <= radius:
@@ -1035,6 +1059,12 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
     return res
 
 
+def _real_sums(plan: _EvalPlan, arg: np.ndarray) -> np.ndarray:
+    """(Re, Im) of sum_k e^(arg_k) scaled_k over the last axis of the real
+    arg: numpy's real-by-complex product is far slower."""
+    return np.exp(arg) @ plan.pairs
+
+
 def _evaluate_many(f: GenSeries, t: np.ndarray) -> np.ndarray:
     """Partial sums of f at the real points t > 0, principal branch, in
     one product: exp(log t ⊗ powers) @ scaled, with the plan's scaled
@@ -1046,6 +1076,5 @@ def _evaluate_many(f: GenSeries, t: np.ndarray) -> np.ndarray:
     arg = np.multiply.outer(np.log(t), plan.powers)
     if np.max(arg, initial=0.0) >= plan.safe:
         return np.array([evaluate(f, x).value for x in t.tolist()], dtype=np.complex128)
-    # two real products: numpy's real-by-complex one is far slower
-    v = np.exp(arg) @ plan.scaled.view(np.float64).reshape(len(plan.scaled), 2)
+    v = _real_sums(plan, arg)
     return v[:, 0] + 1j * v[:, 1]

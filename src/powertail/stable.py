@@ -221,14 +221,15 @@ def _closed_form_v(grid: ExponentGrid, kind: StableKind, alpha: float,
 def _gamma_ratios(tau: np.ndarray, k: np.ndarray, w=None) -> np.ndarray:
     """w Gamma(tau + 1) / k! at the exponents tau of alpha k, with the
     weights w (1 by default) multiplied in before the division: both
-    gammas while they are finite, and the difference of their logs past
-    that, which is exactly 0 at alpha = 1, so no ratio is inf / inf.
+    gammas while they are finite, up to Gamma(171) = 170!, and the
+    difference of their logs past that or where w Gamma(tau + 1)
+    overflows, which is exactly 0 at alpha = 1, so no ratio is inf / inf.
     Gamma is read at the grid's tau + 1, where a GAMMA product reads it."""
     xs, ns = (tau + 1.0).tolist(), (k + 1.0).tolist()
     ws = np.ones(len(xs)) if w is None else np.asarray(w, dtype=np.float64)
-    out = np.array([v * math.gamma(x) / math.gamma(n) if x < 171.0 and n < 171.0 else math.inf
+    out = np.array([v * math.gamma(x) / math.gamma(n) if x <= 171.0 and n <= 171.0 else math.inf
                     for v, x, n in zip(ws.tolist(), xs, ns)])
-    big = np.flatnonzero(out == math.inf).tolist()
+    big = np.flatnonzero(np.isinf(out)).tolist()
     if big:
         out[big] = ws[big] * np.exp([math.lgamma(xs[i]) - math.lgamma(ns[i]) for i in big])
     return out

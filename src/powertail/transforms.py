@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -37,7 +39,6 @@ from .errors import (
 from .semigroup import SemigroupSpec, density_constant, guard_radius
 from .series import (
     DEFAULT_CUTOFF,
-    Branch,
     EvalResult,
     GenSeries,
     GrowthBound,
@@ -46,12 +47,12 @@ from .series import (
     _combine_v,
     _common_grid,
     _eval_plan,
+    _evaluate_positive,
     _finite,
     _reciprocal_v,
     _revert_v,
     _subordinate_v,
     _substitute_v,
-    evaluate,
     growth_fit,
     is_f_form,
     product,
@@ -145,7 +146,7 @@ class FourierEvaluator:
         if not (z.imag == 0.0 and 0.0 < z.real < math.inf):
             raise OutsideValidityRegionError(
                 "Fourier-side evaluator is defined for real z > 0, got %r" % (z,))
-        return evaluate(self.series, z.real, Branch.PRINCIPAL)
+        return _evaluate_positive(self.series, z.real)
 
 
 def _i_power(g: float) -> complex:
@@ -268,6 +269,7 @@ class PowerSumDensity:
 
     def __init__(self, powers, coefs, x_min: float, edge=(), mirror=None):
         self.powers = tuple(powers)
+        self._exponents = tuple(-p for p in self.powers)
         self.coefs = tuple(coefs)
         self.x_min = float(x_min)
         self.edge = tuple(edge)
@@ -285,7 +287,7 @@ class PowerSumDensity:
 
     def density(self, x: float) -> float:
         x, coefs = self._half_line(x)
-        return sum((c * x ** -p for p, c in zip(self.powers, coefs)), 0.0).real
+        return sum(map(operator.mul, coefs, map(pow, repeat(x), self._exponents)), 0.0).real
 
     def remainder_estimate(self, x: float) -> float:
         """Twice the absolute sum of the edge terms: the dropped terms are

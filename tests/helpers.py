@@ -6,15 +6,18 @@ over the pair list and over a progression, that ``series._euler_rows``
 must reproduce, and
 the plain sine growth profile loop that ``sin_growth_profile`` must
 reproduce bit for bit, the closed-form moments of the four
-drift-free stable families in 40 digits, and the two-sided tail density
-loop that a ``TailDensityModel`` must reproduce bit for bit."""
+drift-free stable families in 40 digits, the two-sided tail density
+loop that a ``TailDensityModel`` must reproduce bit for bit, and the
+three double-exponential rules with their nodes built on every call and
+the density read one node at a time, which the tabulated rules of
+``oracles`` must reproduce bit for bit."""
 
 import cmath
 import math
 
 import numpy as np
 
-from powertail import series
+from powertail import oracles, series
 from powertail.diophantine import SinGrowthProfile
 from powertail.errors import OutsideValidityRegionError
 from powertail.semigroup import SemigroupSpec, density_constant, guard_radius
@@ -268,3 +271,69 @@ def reference_progression_rows(h, betas, kind, shifts=None, tail_coef=None, spli
                 fac = x[k:0:-1, None] * (betas[lo:lo + rows] * u[k:0:-1, None] - v[:k, None])
                 P[k, lo:lo + rows] = (P[:k, lo:lo + rows] * fac).sum(0) / d[k]
     return P.T
+
+
+def reference_at(fn, x):
+    """A pointwise density at every node, one call per node."""
+    return np.array([fn(v) for v in x.tolist()], dtype=np.complex128)
+
+
+def _reference_steps():
+    h, s_max = oracles._H, oracles._S_MAX
+    k = np.arange(-math.floor(2.0 * s_max / h), math.floor(2.0 * s_max / h) + 1)
+    return 0.5 * h * k, k % 2 == 0
+
+
+def reference_exp_sinh(f, a=0.0, x_max=math.inf):
+    """``oracles.exp_sinh`` with its nodes and weights built on the call."""
+    s, on_h = _reference_steps()
+    u = np.exp(oracles._HALF_PI * np.sinh(s))
+    keep = u < x_max
+    s, on_h, u = s[keep], on_h[keep], u[keep]
+    return oracles._trapezoid(on_h, oracles._HALF_PI * np.cosh(s) * u * f(a + u))
+
+
+def reference_tanh_sinh(f, a, b):
+    """``oracles.tanh_sinh`` with its nodes and weights built on the call."""
+    s, on_h = _reference_steps()
+    e = oracles._HALF_PI * np.sinh(s)
+    d = 0.5 * (b - a)
+    gap = 2.0 * d / (np.exp(2.0 * np.abs(e)) + 1.0)
+    x = np.where(e > 0.0, b - gap, a + gap)
+    keep = (x > a) & (x < b)
+    s, on_h, e, x = s[keep], on_h[keep], e[keep], x[keep]
+    w = d * oracles._HALF_PI * np.cosh(s) / np.cosh(e) ** 2
+    return oracles._trapezoid(on_h, w * f(x))
+
+
+def _reference_ooura_mori_terms(f, w, h):
+    beta = oracles._OM_BETA
+    M = math.pi / h
+    alpha = beta / math.sqrt(1.0 + M * math.log1p(M) / (4.0 * math.pi))
+    c = 2.0 + alpha + beta
+    lo, hi = oracles._OM_T
+    n_sin = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    n_cos = np.arange(math.ceil(lo / h + 0.5), math.floor(hi / h + 0.5) + 1)
+    n = np.concatenate([n_sin, n_cos])
+    sine = np.arange(len(n)) < len(n_sin)
+    t = (n - np.where(sine, 0.0, 0.5)) * h
+    at0 = t == 0.0
+    ts = np.where(at0, 1.0, t)
+    g = 2.0 * ts - alpha * np.expm1(-ts) + beta * np.expm1(ts)
+    dg = 2.0 + alpha * np.exp(-ts) + beta * np.exp(ts)
+    q = -1.0 / np.expm1(-g)
+    r = 1.0 / np.expm1(g)
+    phi = np.where(at0, 1.0 / c, ts * q)
+    dphi = np.where(at0, ((alpha - beta) + c * c) / (2.0 * c * c), q - ts * dg * r * q)
+    near = np.where(n % 2 == 0, 1.0, -1.0) * np.sin(M * ts * r)
+    trig = np.where(t > 0.0, near, np.where(sine, np.sin(M * phi), np.cos(M * phi)))
+    aw = abs(w)
+    terms = (M / aw) * h * dphi * trig * f(M * phi / aw)
+    return np.where(sine, 1j * math.copysign(1.0, w), 1.0) * terms
+
+
+def reference_ooura_mori(f, w):
+    """``oracles.ooura_mori`` with its nodes and weights built on the call."""
+    coarse = complex(np.sum(_reference_ooura_mori_terms(f, w, oracles._OM_H)))
+    fine = _reference_ooura_mori_terms(f, w, 0.5 * oracles._OM_H)
+    return oracles._result(complex(np.sum(fine)), coarse, fine)

@@ -14,9 +14,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import HALF, cauchy_moments
+from helpers import (HALF, cauchy_moments, reference_at, reference_exp_sinh,
+                     reference_ooura_mori, reference_tanh_sinh)
 from powertail import oracles
-from powertail.errors import OutsideValidityRegionError
+from powertail.errors import InvalidArgumentError, OutsideValidityRegionError
 from powertail.oracles import (IntegrableDensity, brute_series_product,
                                laplace_link_check, quadrature_fourier,
                                quadrature_stieltjes, rotated_pareto_transform,
@@ -86,7 +87,7 @@ def test_stieltjes_quadrature_cauchy_resolvent():
 def test_stieltjes_quadrature_compact_support_matches_series():
     r2 = math.sqrt(2.0)
     den = IntegrableDensity(
-        fn=lambda x: 1.0 / (math.pi * math.sqrt(max(2.0 - x * x, 1e-300))),
+        fn=lambda x: 1.0 / (math.pi * np.sqrt(np.maximum(2.0 - x * x, 1e-300))),
         lower=-r2, upper=r2)
     G = stieltjes_from_moments(monotone_stable(2.0, 2.0, cutoff=20.0))
     z = -5j
@@ -225,3 +226,81 @@ def test_half_step_sum_reuses_the_step_nodes(rule):
     assert len(seen) == 1 and len(np.unique(nodes)) == len(nodes)
     want = 1.0 if rule == "exp-sinh" else -math.expm1(-3.0)
     assert abs(q.value - want) <= q.error_estimate < 1e-12
+
+
+# ------------------------------------------------ tabulated rules, array densities
+
+_TABLE_CASES = {
+    **{"fourier-%g" % z: (lambda z=z: quadrature_fourier(cauchy_density(), z))
+       for z in (0.0, 0.05, 1.0, 2.7)},
+    "stieltjes": lambda: quadrature_stieltjes(cauchy_density(), 0.3 - 0.7j),
+    "rotated-pareto": lambda: rotated_pareto_transform(1.5, 2.0, 0.3),
+    "laplace-link": lambda: laplace_link_check(cauchy_moments(), 3.0),
+}
+
+
+def _bits(res):
+    """The hex of every float a quadrature result or a Laplace link holds."""
+    vals = res if isinstance(res, oracles.LaplaceLink) else (res.value, res.error_estimate)
+    return [x.hex() for v in vals for x in (complex(v).real, complex(v).imag)]
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_tabulated_rules_reproduce_the_per_call_nodes_bit_for_bit(case, monkeypatch):
+    # the rules read nodes and weights built once per step, and the
+    # density once on all of them; both reproduce the nodes built on every
+    # call, and the density read one node at a time, to the bit
+    run = _TABLE_CASES[case]
+    got = run()
+    monkeypatch.setattr(oracles, "exp_sinh", reference_exp_sinh)
+    monkeypatch.setattr(oracles, "tanh_sinh", reference_tanh_sinh)
+    monkeypatch.setattr(oracles, "ooura_mori", reference_ooura_mori)
+    monkeypatch.setattr(oracles, "_at", reference_at)
+    assert _bits(got) == _bits(run())
+
+
+def test_rule_tables_are_read_only_and_built_once():
+    tables = (oracles._de_table, oracles._ooura_mori_table)
+    for table in tables:
+        table.cache_clear()
+    for _ in range(3):
+        for z in (0.0, 1.0, -2.0):
+            quadrature_fourier(cauchy_density(), z)
+        quadrature_stieltjes(cauchy_density(), 0.3 - 0.7j)
+    # one step for exp-sinh and tanh-sinh, two (h and h/2) for Ooura-Mori
+    assert [t.cache_info().misses for t in tables] == [1, 2]
+    arrays = [a for t, h in zip(tables, (oracles._H, oracles._OM_H))
+              for a in t(h) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 7 + 4
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_a_density_is_read_once_per_rule_piece():
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return 1.0 / (math.pi * (1.0 + x * x))
+
+    den = IntegrableDensity(fn=fn)
+    quadrature_fourier(den, 1.0)  # two core pieces, two Ooura-Mori tails at h and h/2
+    assert len(calls) == 6
+    calls.clear()
+    quadrature_fourier(den, 0.0)  # two core pieces, two exp-sinh tails
+    assert len(calls) == 4
+    calls.clear()
+    quadrature_stieltjes(den, 0.3 - 0.7j)  # cut at 0 and 0.3, two exp-sinh tails
+    assert len(calls) == 5
+
+
+def test_a_density_of_another_shape_is_refused_in_one_line():
+    for fn in (lambda x: np.ones(3), lambda x: x[:, None] * np.ones(2), lambda x: [1.0, 2.0]):
+        with pytest.raises(InvalidArgumentError) as exc:
+            quadrature_fourier(IntegrableDensity(fn=fn), 1.0)
+        assert "\n" not in str(exc.value)
+    # a scalar stands for every node: the uniform law on [0, 2] has mass 1
+    q = quadrature_fourier(IntegrableDensity(fn=lambda x: 0.5, lower=0.0, upper=2.0), 0.0)
+    assert abs(q.value - 1.0) <= 1e-14

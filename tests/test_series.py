@@ -771,6 +771,29 @@ def test_evaluate_many_is_evaluate_to_a_dot_products_rounding(case):
         assert abs(v - evaluate(f, x).value) <= dot_bound(f, x, scale=4.0), x
 
 
+def test_a_real_point_is_summed_in_real_arithmetic(monkeypatch):
+    # at a real z > 0 on the principal branch evaluate, and the Fourier
+    # evaluator with no dispatch, take math.log, a real exp and the real
+    # product _evaluate_many shares; complex points take the complex one
+    fe = FourierEvaluator(classical_stable(StableParams(0.6, cmath.exp(0.7j * math.pi)),
+                                           20.0)[0])
+    f, points = fe.series, _SWEEP_CASES["fourier-0.6"][1]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return complex_sum(*args)
+
+    complex_sum = series_module._complex_sum
+    monkeypatch.setattr(series_module, "_complex_sum", counted)
+    for z in points[:50]:
+        got = evaluate(f, z)
+        assert _bits(fe(z.real)) == _bits(got) == _bits(evaluate(f, z.real))
+    assert calls == []
+    evaluate(f, points[50])
+    assert len(calls) == 1
+
+
 def test_evaluate_raises_where_a_term_overflows_as_the_loop_does():
     f = desc({0.0: 1.0, 8.0: 1.0})
     with warnings.catch_warnings():

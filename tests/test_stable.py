@@ -17,6 +17,7 @@ import cmath
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from helpers import (NAT, bernoulli_moments, cauchy_moments,
@@ -368,6 +369,32 @@ def test_mixture_moments_past_factorial_overflow_stay_exact():
         # |m_{n/2}| = Gamma(n/2 + 1) / n!, 1.2e-217 at n = 200
         want = float(mpmath.gamma(mpmath.mpf(n) / 2 + 1) / mpmath.factorial(n))
         assert abs(m.moment(n / 2.0)) == pytest.approx(want, rel=1e-12)
+
+
+def test_mixture_moments_take_both_gammas_up_to_170_factorial():
+    mpmath = pytest.importorskip("mpmath")
+    # Gamma(171) = 170! is a double, so n = 170 takes both gammas as the n
+    # below it do; from n = 171 on the difference of the logs loses up to
+    # 4.3e-14, where the n up to 170 read 2.4e-16 at most
+    m, _tail = stable_mixture(itertools.repeat(1.0), 0.5, cutoff=100.0)
+    for n in range(166, 173):
+        with mpmath.workdps(40):
+            want = mpmath.gamma(mpmath.mpf(n) / 2 + 1) / mpmath.factorial(n)
+            err = abs(float(mpmath.mpf(abs(m.moment(n / 2.0))) / want - 1))
+        assert err <= (5e-16 if n <= 170 else 1e-13), (n, err)
+
+
+def test_a_weighted_gamma_past_double_range_takes_logs_at_either_sign():
+    mpmath = pytest.importorskip("mpmath")
+    # w Gamma(tau + 1) overflows to -inf or +inf by the sign of the weight
+    # w, and either way the ratio is finite, through the logs
+    k = [25.0, 99.0, 100.0]
+    w = [-1e300, -1e300, 1e300]
+    got = stable_module._gamma_ratios(0.5 * np.array(k), np.array(k), w)
+    with mpmath.workdps(40):
+        for g, kk, v in zip(got.tolist(), k, w):
+            want = v * mpmath.gamma(kk / 2 + 1) / mpmath.factorial(int(kk))
+            assert abs(g / want - 1) <= 1e-12, (kk, g)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
