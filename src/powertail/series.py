@@ -871,7 +871,8 @@ def growth_fit(f: GenSeries, top: float = math.inf) -> GrowthBound:
     """Geometric coefficient bound A = max |c_gamma|^(1/gamma) over
     retained positive exponents (stored keys), those up to ``top`` if
     given: the fit of the series truncated where its grid keeps no
-    exponent past top, without building that grid."""
+    exponent past top, without building that grid.  A fit past double
+    range raises ResourceGuardError naming its exponent."""
     if not f.terms:
         raise InvalidArgumentError("growth_fit needs a non-empty series")
     A = 0.0
@@ -879,7 +880,12 @@ def growth_fit(f: GenSeries, top: float = math.inf) -> GrowthBound:
         if g > top:
             break
         if g > 0 and c != 0:
-            A = max(A, abs(c) ** (1.0 / g))
+            try:
+                A = max(A, abs(c) ** (1.0 / g))
+            except OverflowError:
+                raise ResourceGuardError(
+                    "the growth fit |c|^(1/gamma) at exponent %g is past double "
+                    "precision, with |c| = %g" % (g, abs(c))) from None
     return GrowthBound(A=A)
 
 
@@ -960,7 +966,7 @@ class _EvalPlan(NamedTuple):
     safe: float                # below this real part of a power, no sum overflows
     growth: GrowthBound        # the growth fit
     c: float                   # density constant up to the cutoff
-    guard_scale: float         # guard radius per unit of A (it is linear in A)
+    radius: float              # the guard radius if DESCENDING, else -1
 
 
 def _eval_plan(f: GenSeries) -> _EvalPlan:
@@ -972,19 +978,20 @@ def _eval_plan(f: GenSeries) -> _EvalPlan:
         scaled = np.array(list(f.terms.values()), dtype=np.complex128)
         if f.normalization is Normalization.GAMMA:
             scaled /= [gamma_factor(k + 1.0) for k in keys]
-        sign = 1.0 if f.variable is Variable.ASCENDING else -1.0
+        descending = f.variable is Variable.DESCENDING
+        sign = -1.0 if descending else 1.0
         powers = np.array([sign * (k + f.exponent_shift) for k in keys])
         horizon = max(1, int(math.ceil(f.cutoff)))
         # n terms of modulus below big e^safe sum to below the largest double
         big = float(np.max(np.abs(scaled), initial=0.0))
         safe = min(_EXP_SAFE, _LOG_DBL_MAX - math.log(big) - math.log(len(keys))) \
             if big else _EXP_SAFE
+        growth = growth_fit(f) if keys else GrowthBound(0.0)
         plan = _EvalPlan(
             powers=powers, reach=float(np.max(np.abs(powers), initial=0.0)), scaled=scaled,
             pairs=scaled.view(np.float64).reshape(len(keys), 2), safe=safe,
-            growth=growth_fit(f) if keys else GrowthBound(0.0),
-            c=density_constant(f.spec, horizon),
-            guard_scale=guard_radius(f.spec, 1.0, horizon))
+            growth=growth, c=density_constant(f.spec, horizon),
+            radius=guard_radius(f.spec, growth.A, horizon) if descending else -1.0)
         f.__dict__["_plan"] = plan
     return plan
 
@@ -1012,19 +1019,21 @@ def evaluate(f: GenSeries, z: complex, branch: Branch = Branch.PRINCIPAL) -> Eva
         return _evaluate_positive(f, z.real)
     if not cmath.isfinite(z):
         raise InvalidArgumentError("cannot evaluate a series at %r" % (z,))
-    plan = _eval_plan(f)
-    return _evaluated(f, plan, _complex_sum(plan, z, branch), abs(z))
+    plan = f.__dict__.get("_plan") or _eval_plan(f)
+    s = _complex_sum(plan, z, branch)
+    return _evaluated(f, plan, s.real, s.imag, abs(z))
 
 
 def _evaluate_positive(f: GenSeries, x: float) -> EvalResult:
     """``evaluate`` at a real, finite x > 0 on the principal branch:
     math.log, a real exp and ``_evaluate_many``'s real product; near
     overflow, the complex route."""
-    plan = _eval_plan(f)
+    plan = f.__dict__.get("_plan") or _eval_plan(f)
     L = math.log(x) if plan.reach else 0.0
     if plan.reach * abs(L) < plan.safe:
-        return _evaluated(f, plan, complex(*_real_sums(plan, plan.powers * L).tolist()), x)
-    return _evaluated(f, plan, _complex_sum(plan, complex(x), Branch.PRINCIPAL), x)
+        return _evaluated(f, plan, *_real_sums(plan, plan.powers * L).tolist(), x)
+    s = _complex_sum(plan, complex(x), Branch.PRINCIPAL)
+    return _evaluated(f, plan, s.real, s.imag, x)
 
 
 def _complex_sum(plan: _EvalPlan, z: complex, branch: Branch) -> complex:
@@ -1042,16 +1051,16 @@ def _complex_sum(plan: _EvalPlan, z: complex, branch: Branch) -> complex:
     return s
 
 
-def _evaluated(f: GenSeries, plan: _EvalPlan, s: complex, absz: float) -> EvalResult:
-    """The sum s at a point of modulus absz as ``evaluate`` returns it."""
-    # 0.0 + s: a sum of terms never ends on -0.0 when it starts from 0j
-    total = complex(0.0 + s.real, 0.0 + s.imag)
-    if f.variable is Variable.DESCENDING:
-        radius = plan.guard_scale * plan.growth.A
-        if absz <= radius:
-            warnings.warn(DivergenceGuardWarning(
-                "|z| = %g is inside the divergence guard radius %g; partial sum "
-                "carries no convergence guarantee" % (absz, radius)))
+def _evaluated(f: GenSeries, plan: _EvalPlan, re: float, im: float,
+               absz: float) -> EvalResult:
+    """The sum re + i im at a point of modulus absz as ``evaluate``
+    returns it."""
+    # 0.0 + re: a sum of terms never ends on -0.0 when it starts from 0j
+    total = complex(0.0 + re, 0.0 + im)
+    if absz <= plan.radius:
+        warnings.warn(DivergenceGuardWarning(
+            "|z| = %g is inside the divergence guard radius %g; partial sum "
+            "carries no convergence guarantee" % (absz, plan.radius)))
     if absz == 0:
         return EvalResult(value=total, tail_bound=math.inf)
     res = object.__new__(EvalResult)  # the bound waits for its first read
@@ -1062,7 +1071,7 @@ def _evaluated(f: GenSeries, plan: _EvalPlan, s: complex, absz: float) -> EvalRe
 def _real_sums(plan: _EvalPlan, arg: np.ndarray) -> np.ndarray:
     """(Re, Im) of sum_k e^(arg_k) scaled_k over the last axis of the real
     arg: numpy's real-by-complex product is far slower."""
-    return np.exp(arg) @ plan.pairs
+    return np.dot(np.exp(arg), plan.pairs)
 
 
 def _evaluate_many(f: GenSeries, t: np.ndarray) -> np.ndarray:

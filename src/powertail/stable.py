@@ -7,12 +7,17 @@ b z^(1-alpha), the monotone one by F(z) = (z^alpha - b)^(1/alpha).  With
 no drift gamma, each law's moments on the multiples of alpha have a
 closed form, which its constructor writes with no series kernel.  A
 drift translates a classical or free law, one GAMMA product with a point
-mass; a Boolean law with drift is the reciprocal of its form.  Stable
-mixtures and the mu^alpha_{b,r} family are explicit series with known
-coefficients.  The positive stable, supremum and last-passage densities,
-like a mixture's tail model, are each a ``transforms.PowerSumDensity``,
-Re sum_k c_k x^(-p_k) past a guard radius x_min; their builders refuse a
-coefficient that is not finite in double precision.
+mass; a Boolean law with drift is the reciprocal of its form.  The laws
+of that closed-form path are interned: the 128 most recently built are
+kept, so a law built again is the same ``MomentSeries``, and the state
+derived from it and kept on its series (its diagnosis, its Fourier and
+Stieltjes series and their evaluation plans) is shared.  Every call
+still checks its arguments first.  Stable mixtures and the
+mu^alpha_{b,r} family are explicit series with known coefficients.  The
+positive stable, supremum and last-passage densities, like a mixture's
+tail model, are each a ``transforms.PowerSumDensity``, Re sum_k c_k
+x^(-p_k) past a guard radius x_min; their builders refuse a coefficient
+that is not finite in double precision.
 
 The admissible phase window for b (classical/free/Boolean kinds):
 arg b in [(1-alpha)pi, pi] for alpha in (0,1], and in [0, (2-alpha)pi]
@@ -23,6 +28,7 @@ admissible law is a point mass or a Cauchy law.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -77,6 +83,8 @@ _PHASE_TOL = 1e-12
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 # hard cap on the (M + 1) N coefficients of one supremum density series
 MAX_SUPREMUM_TERMS = 100_000
+# the laws _stable_moments keeps, as many as exponent_grid keeps grids
+LAW_CACHE_SIZE = 128
 
 
 class StableKind(Enum):
@@ -147,16 +155,22 @@ class MembershipDiagnosis:
 
 
 def _diagnose(m: MomentSeries) -> MembershipDiagnosis:
-    fine = growth_fit(m.series).A
-    # the fit of m.series.truncated(m.cutoff / 2.0), which builds a grid
-    coarse = growth_fit(m.series, m.series.grid().top(m.cutoff / 2.0)).A
-    rel = (fine - coarse) / coarse if coarse > 0 else 0.0
-    stable = rel < 0.05
-    note = ("coefficient growth stable under cutoff refinement" if stable else
-            "growth fit increases %.1f%% under cutoff refinement; no geometric "
-            "coefficient bound" % (100.0 * rel))
-    return MembershipDiagnosis(A_coarse=coarse, A_fine=fine,
-                               relative_increase=rel, cutoff_stable=stable, note=note)
+    """The diagnosis of m, made on first use and kept on m's series, as its
+    evaluation plan is."""
+    diagnosis = m.series.__dict__.get("_diagnosis")
+    if diagnosis is None:
+        fine = growth_fit(m.series).A
+        # the fit of m.series.truncated(m.cutoff / 2.0), which builds a grid
+        coarse = growth_fit(m.series, m.series.grid().top(m.cutoff / 2.0)).A
+        rel = (fine - coarse) / coarse if coarse > 0 else 0.0
+        stable = rel < 0.05
+        note = ("coefficient growth stable under cutoff refinement" if stable else
+                "growth fit increases %.1f%% under cutoff refinement; no geometric "
+                "coefficient bound" % (100.0 * rel))
+        diagnosis = m.series.__dict__["_diagnosis"] = MembershipDiagnosis(
+            A_coarse=coarse, A_fine=fine, relative_increase=rel, cutoff_stable=stable,
+            note=note)
+    return diagnosis
 
 
 @_quiet
@@ -221,17 +235,30 @@ def _closed_form_v(grid: ExponentGrid, kind: StableKind, alpha: float,
 def _gamma_ratios(tau: np.ndarray, k: np.ndarray, w=None) -> np.ndarray:
     """w Gamma(tau + 1) / k! at the exponents tau of alpha k, with the
     weights w (1 by default) multiplied in before the division: both
-    gammas while they are finite, up to Gamma(171) = 170!, and the
-    difference of their logs past that or where w Gamma(tau + 1)
-    overflows, which is exactly 0 at alpha = 1, so no ratio is inf / inf.
-    Gamma is read at the grid's tau + 1, where a GAMMA product reads it."""
+    gammas while they are finite, up to Gamma(171) = 170!.  Past that
+    both arguments x = tau + 1 and n = k + 1 move down by the least
+    integer m that brings both to 171 or below, and the ratio of the two
+    gammas there takes the m factors (x - j) / (n - j), j = 1 .. m: a few
+    ulps where the difference of the logs loses 1e-13.  Where m reaches
+    the smaller argument, or w Gamma(tau + 1) overflows, the ratio is
+    that difference of logs, which is exactly 0 at alpha = 1, so no ratio
+    is inf / inf.  Gamma is read at the grid's tau + 1, where a GAMMA product
+    reads it."""
     xs, ns = (tau + 1.0).tolist(), (k + 1.0).tolist()
     ws = np.ones(len(xs)) if w is None else np.asarray(w, dtype=np.float64)
     out = np.array([v * math.gamma(x) / math.gamma(n) if x <= 171.0 and n <= 171.0 else math.inf
                     for v, x, n in zip(ws.tolist(), xs, ns)])
-    big = np.flatnonzero(np.isinf(out)).tolist()
-    if big:
-        out[big] = ws[big] * np.exp([math.lgamma(xs[i]) - math.lgamma(ns[i]) for i in big])
+    far = []
+    for i in np.flatnonzero(np.isinf(out)).tolist():
+        x, n = xs[i], ns[i]
+        m = math.ceil(max(x, n) - 171.0)
+        if 0 < m < min(x, n):
+            out[i] = ws[i] * math.prod(((x - j) / (n - j) for j in range(1, m + 1)),
+                                       start=math.gamma(x - m) / math.gamma(n - m))
+        else:
+            far.append(i)
+    if far:
+        out[far] = ws[far] * np.exp([math.lgamma(xs[i]) - math.lgamma(ns[i]) for i in far])
     return out
 
 
@@ -255,8 +282,18 @@ def _free_binomials(tau: np.ndarray, k: np.ndarray, grid: ExponentGrid) -> np.nd
     return out
 
 
+def _stable_law(kind: StableKind, alpha, b, cutoff, at=0.0) -> MomentSeries:
+    """The interned stable law of ``kind``: its arguments are checked and
+    read as float and complex on every call, then looked up.  A signed
+    zero of b reads as +0: -0.7 - 0j and -0.7 + 0j are one key, and build
+    one law whichever is asked for first."""
+    return _stable_moments(kind, _stability_index(alpha), complex(b) + 0j,
+                           _positive_cutoff(cutoff), float(at))
+
+
+@functools.lru_cache(maxsize=LAW_CACHE_SIZE)
 def _stable_moments(kind: StableKind, alpha: float, b: complex, cutoff: float,
-                    at: float = 0.0) -> MomentSeries:
+                    at: float) -> MomentSeries:
     """The closed-form moments of the stable law of ``kind``, translated by
     ``at``: convolved with the point mass there, which translates a law
     under the classical and the free convolution alike."""
@@ -268,10 +305,16 @@ def _stable_moments(kind: StableKind, alpha: float, b: complex, cutoff: float,
     return _moments(moments, grid.spec, grid.cutoff)
 
 
-def _law_grid(alpha: float, cutoff: float) -> ExponentGrid:
+def _stability_index(alpha) -> float:
+    alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise InvalidArgumentError("stability index must lie in (0, 2]")
-    return exponent_grid(SemigroupSpec.with_alphas(alpha), _positive_cutoff(cutoff))
+    return alpha
+
+
+def _law_grid(alpha: float, cutoff: float) -> ExponentGrid:
+    return exponent_grid(SemigroupSpec.with_alphas(_stability_index(alpha)),
+                         _positive_cutoff(cutoff))
 
 
 def classical_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF
@@ -281,8 +324,8 @@ def classical_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF
     exp(i^alpha b z^alpha), translated by gamma."""
     if params.kind is not StableKind.CLASSICAL:
         raise InvalidArgumentError("params.kind must be CLASSICAL")
-    m = _stable_moments(StableKind.CLASSICAL, params.alpha, params.b, cutoff,
-                        params.gamma_shift)
+    m = _stable_law(StableKind.CLASSICAL, params.alpha, params.b, cutoff,
+                    params.gamma_shift)
     return m, _diagnose(m)
 
 
@@ -300,8 +343,8 @@ def free_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> MomentS
     at -gamma has the Voiculescu series -gamma."""
     if params.kind is not StableKind.FREE:
         raise InvalidArgumentError("params.kind must be FREE")
-    return _stable_moments(StableKind.FREE, params.alpha, params.b, cutoff,
-                           -params.gamma_shift)
+    return _stable_law(StableKind.FREE, params.alpha, params.b, cutoff,
+                       -params.gamma_shift)
 
 
 def boolean_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> MomentSeries:
@@ -312,7 +355,7 @@ def boolean_stable(params: StableParams, cutoff: float = DEFAULT_CUTOFF) -> Mome
         raise InvalidArgumentError("params.kind must be BOOLEAN")
     alpha, b, g0 = params.alpha, params.b, params.gamma_shift
     if g0 == 0.0:
-        return _stable_moments(StableKind.BOOLEAN, alpha, b, cutoff)
+        return _stable_law(StableKind.BOOLEAN, alpha, b, cutoff)
     tail = {1.0: complex(g0)}
     tail[alpha] = tail.get(alpha, 0j) - b
     grid, form = _seeded(SemigroupSpec.with_alphas(alpha), cutoff, {0.0: 1.0 + 0j, **tail})
@@ -339,7 +382,7 @@ def monotone_stable(alpha: float, b: complex,
                     cutoff: float = DEFAULT_CUTOFF) -> MomentSeries:
     """Moments of the monotone stable law, (1 - b z^(-alpha))^(-1/alpha)
     in closed form."""
-    return _stable_moments(StableKind.MONOTONE, float(alpha), complex(b), cutoff)
+    return _stable_law(StableKind.MONOTONE, alpha, b, cutoff)
 
 
 def _finite_coefficient(c: float, order: int | tuple[int, int]) -> float:

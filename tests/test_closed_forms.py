@@ -22,6 +22,7 @@ Boolean law with drift is the reciprocal of its form.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,15 +30,16 @@ import pytest
 import powertail.series as series_module
 from helpers import (closed_form_moments, symmetric_phase, worst_against,
                      worst_termwise_rel)
-from powertail.errors import ResourceGuardError, ToleranceMergeWarning
-from powertail.semigroup import SemigroupSpec
-from powertail.series import GenSeries, Normalization, Variable, graded_exp
-from powertail.stable import (StableKind, StableParams, boolean_stable,
+from powertail.errors import InvalidArgumentError, ResourceGuardError, ToleranceMergeWarning
+from powertail.semigroup import SemigroupSpec, exponent_grid
+from powertail.series import GenSeries, Normalization, Variable, evaluate, graded_exp
+from powertail.stable import (StableKind, StableParams, _stable_moments, boolean_stable,
                               classical_stable, classical_stable_scale_skew,
                               free_stable, monotone_stable)
 from powertail.transforms import (FourierEvaluator, boolean_convolve,
                                   classical_convolve, free_convolve, moment_series,
-                                  moments_from_voiculescu, monotone_convolve)
+                                  moments_from_voiculescu, monotone_convolve,
+                                  stieltjes_from_moments)
 
 KINDS = ("classical", "boolean", "monotone", "free")
 ALPHAS = (0.3, 0.4, 0.7, 1.3)
@@ -112,6 +114,7 @@ def test_no_drift_free_constructor_runs_a_series_kernel(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(series_module, "_euler_rows", counted)
+    _stable_moments.cache_clear()  # an interned law would run no code at all
     for kind in KINDS:
         for alpha in (0.4, 1.0, 1.5, 2.0):
             build(kind, alpha, symmetric_phase(alpha), 20.0)
@@ -172,6 +175,9 @@ def test_a_merged_grid_holds_the_moments_at_its_multiples():
     # exponents that are no multiple of alpha
     alpha = 2.0 / 3.0 + 1e-11
     b = symmetric_phase(alpha)
+    # the warning comes with the first build of the law's grid
+    _stable_moments.cache_clear()
+    exponent_grid.cache_clear()
     with pytest.warns(ToleranceMergeWarning):
         m = build("classical", alpha, b, 6.0)
     grid = m.series.grid()
@@ -231,3 +237,76 @@ def test_drifted_laws_agree_with_the_two_generator_kernel_chain():
                     exponent_shift=-1)
     assert worst_termwise_rel(build("free", a, b, cutoff, g), moments_from_voiculescu(phi)) \
         <= 1e-13
+
+
+# --------------------------------------------------------------- interning
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_law_built_twice_is_one_object(kind):
+    b = symmetric_phase(1.5)
+    m = build(kind, 1.5, b, 12.0)
+    assert build(kind, Fraction(3, 2), b, 12) is m
+    # another cutoff, weight or drift is another law
+    assert build(kind, 1.5, b, 13.0) is not m
+    assert build(kind, 1.5, 0.5 * b, 12.0) is not m
+    if kind != "monotone":
+        drifted = build(kind, 1.5, b, 12.0, gamma_shift=0.3)
+        assert drifted is not m
+        # a drifted classical or free law is a translate, and interned too
+        assert (build(kind, 1.5, b, 12.0, gamma_shift=0.3) is drifted) == (kind != "boolean")
+
+
+def test_a_classical_law_built_twice_shares_its_diagnosis():
+    m, diagnosis = classical_stable(StableParams(0.6, symmetric_phase(0.6)), 12.0)
+    again, also = classical_stable(StableParams(0.6, symmetric_phase(0.6)), 12.0)
+    assert again is m and also is diagnosis
+
+
+@pytest.mark.parametrize("kind, alpha, b, cutoff, other_alpha, other_b", [
+    ("classical", 0.5, 1j, 12.0, Fraction(1, 2), 1j),
+    ("classical", 0.5, -0.0, 12.0, 0.5, 0.0),
+    # a negative real weight whose powers underflow takes them in logs, where
+    # the sign of its zero imaginary part would flip ghost parts of 1e-149
+    ("monotone", 0.01, complex(-0.7, -0.0), 20.0, 0.01, complex(-0.7, 0.0)),
+])
+def test_equal_arguments_build_bit_equal_laws(kind, alpha, b, cutoff, other_alpha, other_b):
+    _stable_moments.cache_clear()
+    m = build(kind, alpha, b, cutoff)
+    _stable_moments.cache_clear()
+    fresh = build(kind, other_alpha, other_b, cutoff)
+    assert fresh is not m
+    assert fresh.series.coefs.tobytes() == m.series.coefs.tobytes()
+    assert build(kind, alpha, b, cutoff) is fresh
+
+
+def test_a_cached_law_is_a_fresh_build_bit_for_bit_and_keeps_its_plans():
+    params = StableParams(0.6, symmetric_phase(0.6))
+    m, _ = classical_stable(params, 20.0)
+    fourier = FourierEvaluator(m)
+    S = stieltjes_from_moments(m)
+    values = (fourier(1.3).value, evaluate(S, complex(5.0, -0.5)).value)
+    exponent_grid.cache_clear()  # the law holds no grid
+    again, _ = classical_stable(params, 20.0)
+    assert again is m
+    # its evaluators read the plans the first ones built
+    assert FourierEvaluator(again).series.__dict__["_plan"] is fourier.series.__dict__["_plan"]
+    assert stieltjes_from_moments(again).__dict__["_plan"] is S.__dict__["_plan"]
+    _stable_moments.cache_clear()
+    fresh, _ = classical_stable(params, 20.0)
+    assert fresh is not m
+    assert fresh.series.coefs.tobytes() == m.series.coefs.tobytes()
+    assert values == (FourierEvaluator(fresh)(1.3).value,
+                      evaluate(stieltjes_from_moments(fresh), complex(5.0, -0.5)).value)
+
+
+@pytest.mark.parametrize("alpha, b", [(0.0, 1j), (2.5, 1j), (math.nan, 1j),
+                                      (0.5, 1.0)])  # arg b = 0 is outside [pi/2, pi]
+def test_an_invalid_law_raises_on_every_call(alpha, b):
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError):
+            classical_stable(StableParams(alpha, b), 12.0)
+        if b == 1j:  # a monotone law has no phase window
+            with pytest.raises(InvalidArgumentError):
+                monotone_stable(alpha, b, 12.0)
+        with pytest.raises(InvalidArgumentError):
+            monotone_stable(0.5, b, -1.0)

@@ -19,8 +19,8 @@ from powertail.errors import (InvalidArgumentError, ResourceGuardError,
 from powertail.semigroup import (ExponentGrid, SemigroupSpec, density_constant,
                                  enumerate_up_to, exponent_grid)
 from powertail.series import GenSeries, Normalization, Variable, product
-from powertail.stable import (StableKind, StableParams, boolean_stable, classical_stable,
-                              free_stable, monotone_stable)
+from powertail.stable import (StableKind, StableParams, _stable_moments, boolean_stable,
+                              classical_stable, free_stable, monotone_stable)
 from powertail.transforms import (boolean_convolve, classical_convolve, free_convolve,
                                   monotone_convolve)
 
@@ -322,6 +322,7 @@ def test_generated_is_the_closure_on_stable_law_traffic(alpha, monkeypatch):
         return idx, sub
 
     monkeypatch.setattr(ExponentGrid, "generated", record)
+    _stable_moments.cache_clear()  # so that the builds are recorded too
     b = cmath.exp(1j * math.pi * (1.0 - alpha / 2.0))  # mid-window phase
     laws = [
         (classical_stable(StableParams(alpha, b), 8.0)[0], classical_convolve),

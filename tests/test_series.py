@@ -35,8 +35,9 @@ from powertail.series import (Branch, DivergenceGuardWarning,
                               gamma_factor, growth_fit, identity_f_form,
                               is_f_form, linear_combine, product, reciprocal,
                               revert_F, scale, unit_series)
-from powertail.stable import (StableKind, StableParams, boolean_stable, classical_stable,
-                              free_stable, monotone_stable, monotone_stable_form)
+from powertail.stable import (StableKind, StableParams, _stable_moments, boolean_stable,
+                              classical_stable, free_stable, monotone_stable,
+                              monotone_stable_form)
 from powertail.transforms import (F_from_moments, FourierEvaluator, classical_convolve,
                                   moment_series, moments_from_F, monotone_convolve,
                                   stieltjes_from_moments)
@@ -576,6 +577,7 @@ def test_monotone_convolution_refuses_past_the_cells_before_any_work(monkeypatch
 
     monkeypatch.setattr(series_module, "_euler_rows", counted)
     monkeypatch.setattr(series_module, "MAX_KERNEL_CELLS", 100)
+    _stable_moments.cache_clear()  # the law is built under the patched guard
     b = symmetric_phase(0.4)
     on = monotone_stable(0.4, b, 8.0)  # 21 moments on the multiples of 0.4
     off = _drifted_laws()[0]

@@ -76,6 +76,7 @@ def test_classical_alpha_two_is_gaussian():
 def test_classical_law_builds_one_grid_on_cold_caches():
     """The diagnosis reads the half-cutoff growth fit off the law's own
     terms: on cold caches the law builds its one grid, and no other."""
+    stable_module._stable_moments.cache_clear()
     exponent_grid.cache_clear()
     density_constant.cache_clear()
     classical_stable(StableParams(0.4, -1), 24)
@@ -374,14 +375,18 @@ def test_mixture_moments_past_factorial_overflow_stay_exact():
 def test_mixture_moments_take_both_gammas_up_to_170_factorial():
     mpmath = pytest.importorskip("mpmath")
     # Gamma(171) = 170! is a double, so n = 170 takes both gammas as the n
-    # below it do; from n = 171 on the difference of the logs loses up to
-    # 4.3e-14, where the n up to 170 read 2.4e-16 at most
+    # below it do; from n = 171 on both arguments move down into that range
+    # and take the ratios between: 6.8e-16 at most up to n = 200, where the
+    # difference of the logs would lose 2.2e-13.  The classical law reads
+    # the same ratios.
     m, _tail = stable_mixture(itertools.repeat(1.0), 0.5, cutoff=100.0)
-    for n in range(166, 173):
+    law, _ = classical_stable(StableParams(0.5, 1j), 100.0)
+    for n in range(166, 201):
         with mpmath.workdps(40):
             want = mpmath.gamma(mpmath.mpf(n) / 2 + 1) / mpmath.factorial(n)
-            err = abs(float(mpmath.mpf(abs(m.moment(n / 2.0))) / want - 1))
-        assert err <= (5e-16 if n <= 170 else 1e-13), (n, err)
+            for got in (m.moment(n / 2.0), law.moment(n / 2.0)):
+                err = abs(float(mpmath.mpf(abs(got)) / want - 1))
+                assert err <= (5e-16 if n <= 170 else 1e-14), (n, err)
 
 
 def test_a_weighted_gamma_past_double_range_takes_logs_at_either_sign():
@@ -407,6 +412,12 @@ def test_mixture_integer_moments_carry_no_ghost_parts(alpha):
         c = m.moment(float(n))
         assert (c.imag if n % 2 == 0 else c.real) == 0.0
     assert sorted(b for b in tail.a if b.is_integer()) == list(range(1, 20, 2))
+
+
+def test_a_growth_fit_past_double_range_is_refused():
+    # |m_0.5|^(1/0.5) of these mixing moments is past the largest double
+    with pytest.raises(ResourceGuardError, match="growth fit .* at exponent 0.5 is past"):
+        stable_mixture([1.0] + [1e300] * 200, 0.5, cutoff=60.0)
 
 
 def test_mixture_validations():

@@ -428,6 +428,8 @@ def constructions(monkeypatch):
 
 
 def test_each_public_call_builds_the_series_it_returns(constructions):
+    stable_module._stable_moments.cache_clear()  # an interned law is built by no code
+
     def built(fn):
         constructions[0] = 0
         out = fn()
@@ -563,6 +565,7 @@ def test_each_vector_is_checked_once_where_it_is_written(monkeypatch):
 
     for module in (series_module, transforms_module, stable_module):
         monkeypatch.setattr(module, "_finite", counted)
+    stable_module._stable_moments.cache_clear()
     m = boolean_stable(StableParams(1.5, 0.5, kind=StableKind.BOOLEAN), 12.0)
     assert len(checked) == 1  # the closed-form moments; the series adopts them
     boolean_convolve(m, m)
@@ -585,6 +588,7 @@ def test_the_fourier_series_and_its_plan_are_built_once_per_moment_series(monkey
         return plans[-1]
 
     monkeypatch.setattr(series_module, "_EvalPlan", counted)
+    stable_module._stable_moments.cache_clear()  # a law the cache holds keeps its plans
     m, _ = classical_stable(StableParams(0.6, -1.0), 20.0)
     fe = FourierEvaluator(m)
     A, c = fe.growth.A, density_constant(m.spec, 20)
